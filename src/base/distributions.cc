@@ -32,8 +32,13 @@ ConstantDist::describe() const
     return os.str();
 }
 
+// The divisor is std::log(1.0 - 1.0 / mean), not std::log1p(-p):
+// log1p is more accurate for large means but rounds differently, so
+// it would change samples and every published figure. That change
+// (with saturation of huge means) belongs to the numeric-domain
+// hardening work, where output bytes are allowed to move.
 GeometricDist::GeometricDist(double mean)
-    : mean_(mean)
+    : mean_(mean), logOneMinusP_(std::log(1.0 - 1.0 / mean))
 {
     rr_assert(mean >= 1.0, "geometric mean must be >= 1, got ", mean);
 }
@@ -45,11 +50,10 @@ GeometricDist::sample(Rng &rng) const
     // probability p = 1/mean. ceil(ln U / ln (1-p)) for U in (0, 1).
     if (mean_ <= 1.0)
         return 1;
-    const double p = 1.0 / mean_;
     double u = rng.nextDouble();
     if (u <= 0.0)
         u = 0x1.0p-53;
-    const double v = std::ceil(std::log(u) / std::log(1.0 - p));
+    const double v = std::ceil(std::log(u) / logOneMinusP_);
     if (v < 1.0)
         return 1;
     return static_cast<uint64_t>(v);

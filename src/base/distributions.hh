@@ -73,6 +73,9 @@ class GeometricDist : public Distribution
 
   private:
     double mean_;
+
+    /** log(1 - p) for p = 1/mean (the constructor says why not log1p). */
+    double logOneMinusP_;
 };
 
 /**

@@ -74,7 +74,8 @@ FixedContextPolicy::FixedContextPolicy(unsigned num_regs,
                                        unsigned context_regs)
     : numRegs_(num_regs),
       contextRegs_(context_regs),
-      slotFree_(num_regs / context_regs, true)
+      slotFree_(num_regs / context_regs, true),
+      freeSlots_(static_cast<unsigned>(slotFree_.size()))
 {
     rr_assert(context_regs > 0 && num_regs % context_regs == 0,
               "file size ", num_regs,
@@ -91,6 +92,7 @@ FixedContextPolicy::allocate(unsigned regs_used)
         if (!slotFree_[slot])
             continue;
         slotFree_[slot] = false;
+        --freeSlots_;
         Context context;
         context.rrm = static_cast<uint32_t>(slot) * contextRegs_;
         context.size = contextRegs_;
@@ -115,6 +117,7 @@ FixedContextPolicy::release(const Context &context)
     rr_assert(slot < slotFree_.size(), "bad slot ", slot);
     rr_assert(!slotFree_[slot], "double free of slot ", slot);
     slotFree_[slot] = true;
+    ++freeSlots_;
 }
 
 void
@@ -127,6 +130,7 @@ FixedContextPolicy::adopt(const Context &context)
     rr_assert(slot < slotFree_.size(), "bad slot ", slot);
     rr_assert(slotFree_[slot], "adopt of occupied slot ", slot);
     slotFree_[slot] = false;
+    --freeSlots_;
 }
 
 unsigned
@@ -138,10 +142,7 @@ FixedContextPolicy::numRegs() const
 unsigned
 FixedContextPolicy::freeRegs() const
 {
-    unsigned free_slots = 0;
-    for (const bool f : slotFree_)
-        free_slots += f ? 1 : 0;
-    return free_slots * contextRegs_;
+    return freeSlots_ * contextRegs_;
 }
 
 std::string

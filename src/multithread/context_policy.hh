@@ -48,6 +48,11 @@ class ContextPolicy
      * that makes a doomed allocation search unnecessary; only
      * genuine searches are charged the Figure 4 failure cost.
      * Returns 0 when the thread can never fit.
+     *
+     * Must be a pure function of @p regs_used (independent of which
+     * contexts are allocated): the simulator computes the smallest
+     * requirement of its threads once and skips the queue scan
+     * entirely while fewer registers than that are free.
      */
     virtual unsigned requiredSpace(unsigned regs_used) const = 0;
 
@@ -134,10 +139,14 @@ class FixedContextPolicy : public ContextPolicy
         return static_cast<unsigned>(slotFree_.size());
     }
 
+    /** @return true when hardware slot @p slot is unallocated. */
+    bool slotIsFree(unsigned slot) const { return slotFree_.at(slot); }
+
   private:
     unsigned numRegs_;
     unsigned contextRegs_;
     std::vector<bool> slotFree_;
+    unsigned freeSlots_; ///< count of true entries in slotFree_
 };
 
 /** Am29000-style exact-size contexts via ADD relocation. */

@@ -120,12 +120,45 @@ MtProcessor::rrmErase(uint32_t rrm)
 }
 
 void
+MtProcessor::blockedInsert(unsigned tid)
+{
+    blockedPos_[tid] = static_cast<unsigned>(blockedLoaded_.size());
+    blockedLoaded_.push_back(tid);
+}
+
+void
+MtProcessor::blockedErase(unsigned tid)
+{
+    const unsigned pos = blockedPos_[tid];
+    rr_assert(pos < blockedLoaded_.size() && blockedLoaded_[pos] == tid,
+              "thread ", tid, " not in the blocked-loaded list");
+    const unsigned last = blockedLoaded_.back();
+    blockedLoaded_[pos] = last;
+    blockedPos_[last] = pos;
+    blockedLoaded_.pop_back();
+}
+
+void
+MtProcessor::computeMinRequired()
+{
+    minRequired_ = ~0u;
+    for (const Thread &t : threads_) {
+        const unsigned needed = policy_->requiredSpace(t.regsUsed);
+        if (needed != 0)
+            minRequired_ = std::min(minRequired_, needed);
+    }
+}
+
+void
 MtProcessor::createThreads()
 {
     // Reserve all steady-state storage up front: at most one pending
-    // completion and one queue slot per thread.
+    // completion, one queue slot and one blocked-loaded slot per
+    // thread.
     threadQueue_.reserve(config_.workload.numThreads);
     completions_.reserve(config_.workload.numThreads);
+    blockedLoaded_.reserve(config_.workload.numThreads);
+    blockedPos_.assign(config_.workload.numThreads, kNoThread);
     rrmIndex_.assign(config_.numRegs, kNoThread);
 
     Rng master(config_.seed);
@@ -152,6 +185,7 @@ MtProcessor::createThreads()
         t.state = ThreadState::UnloadedReady;
         threadQueue_.push_back(i);
     }
+    computeMinRequired();
 }
 
 void
@@ -210,6 +244,7 @@ MtProcessor::processCompletions()
             // The context is still resident: it simply becomes
             // runnable again in the ring.
             t.state = ThreadState::LoadedReady;
+            blockedErase(t.id);
             ring_.insert(t.context->rrm, t.priority);
         } else {
             // The context was unloaded while blocked: the thread
@@ -275,6 +310,7 @@ MtProcessor::evict(unsigned tid)
     rrmErase(t.context->rrm);
     t.context.reset();
     t.state = ThreadState::BlockedUnloaded;
+    blockedErase(tid);
     ++t.timesUnloaded;
     ++stats_.unloads;
     noteResidencyChange(-1);
@@ -288,6 +324,14 @@ MtProcessor::refill()
     // block smaller threads behind it. (With fixed hardware contexts
     // every thread needs one identical slot, so this degenerates to
     // plain FCFS.)
+    //
+    // The free-register count only changes on a successful
+    // allocation, so it is read once up front and re-read after each
+    // one; while it is below every thread's requirement no queued
+    // thread can pass the capacity check, and the scan is skipped.
+    unsigned free_regs = policy_->freeRegs();
+    if (free_regs < minRequired_)
+        return;
     auto it = threadQueue_.begin();
     while (it != threadQueue_.end()) {
         if (config_.residencyCap != 0 &&
@@ -305,7 +349,7 @@ MtProcessor::refill()
         // allocation cost is for genuine searches defeated by
         // fragmentation.)
         const unsigned needed = policy_->requiredSpace(t.regsUsed);
-        if (needed == 0 || needed > policy_->freeRegs()) {
+        if (needed == 0 || needed > free_regs) {
             ++it;
             continue;
         }
@@ -363,6 +407,10 @@ MtProcessor::refill()
         ring_.insert(context->rrm, t.priority);
         rrmInsert(context->rrm, tid);
         noteResidencyChange(+1);
+
+        free_regs = policy_->freeRegs();
+        if (free_regs < minRequired_)
+            return;
     }
 }
 
@@ -425,6 +473,7 @@ MtProcessor::runNext()
         ++stats_.syncFaults;
 
     t.state = ThreadState::BlockedLoaded;
+    blockedInsert(t.id);
     t.blockedAt = now_;
     ++t.blockEpoch;
     completions_.invalidateThread(t.id);
@@ -480,7 +529,8 @@ MtProcessor::idleOrEvict()
     // each accrues a 1/N share of the spin time. The first context
     // whose accrual would reach its waiting budget is unloaded at a
     // computable instant — but only when a queued thread could use
-    // the freed registers.
+    // the freed registers. Ties on the remaining budget go to the
+    // lowest tid (the blocked-loaded list itself is unordered).
     bool have_evict = false;
     uint64_t evict_time = 0;
     unsigned evict_tid = 0;
@@ -488,17 +538,18 @@ MtProcessor::idleOrEvict()
 
     if (config_.unloadPolicy == UnloadPolicyKind::TwoPhase &&
         !threadQueue_.empty()) {
+        num_blocked_loaded =
+            static_cast<unsigned>(blockedLoaded_.size());
         uint64_t best_remaining = 0;
-        for (const Thread &t : threads_) {
-            if (t.state != ThreadState::BlockedLoaded)
-                continue;
-            ++num_blocked_loaded;
+        for (const unsigned tid : blockedLoaded_) {
+            const Thread &t = threads_[tid];
             const uint64_t budget = twoPhaseBudget(t);
             const uint64_t remaining =
                 budget > t.spinAccrued ? budget - t.spinAccrued : 0;
-            if (!have_evict || remaining < best_remaining) {
+            if (!have_evict || remaining < best_remaining ||
+                (remaining == best_remaining && tid < evict_tid)) {
                 best_remaining = remaining;
-                evict_tid = t.id;
+                evict_tid = tid;
                 have_evict = true;
             }
         }
@@ -526,10 +577,9 @@ MtProcessor::idleOrEvict()
     // round-robin poll shares against the blocked residents.
     const uint64_t interval = until - now_;
     if (num_blocked_loaded > 0) {
-        for (Thread &t : threads_) {
-            if (t.state == ThreadState::BlockedLoaded)
-                t.spinAccrued += interval / num_blocked_loaded;
-        }
+        const uint64_t share = interval / num_blocked_loaded;
+        for (const unsigned tid : blockedLoaded_)
+            threads_[tid].spinAccrued += share;
     }
     stats_.idleCycles += interval;
     now_ = until;
@@ -955,6 +1005,14 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
     for (const Thread &t : threads_)
         if (t.context)
             rrmInsert(t.context->rrm, t.id);
+
+    blockedLoaded_.clear();
+    blockedLoaded_.reserve(numThreads);
+    blockedPos_.assign(numThreads, kNoThread);
+    for (const Thread &t : threads_)
+        if (t.state == ThreadState::BlockedLoaded)
+            blockedInsert(t.id);
+    computeMinRequired();
 
     threadQueue_.clear();
     threadQueue_.reserve(numThreads);

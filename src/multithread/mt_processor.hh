@@ -326,6 +326,13 @@ class MtProcessor : public ckpt::Restorable
     void rrmInsert(uint32_t rrm, unsigned tid);
     void rrmErase(uint32_t rrm);
 
+    /** BlockedLoaded set: O(1) insert and swap-remove by thread id. */
+    void blockedInsert(unsigned tid);
+    void blockedErase(unsigned tid);
+
+    /** Smallest nonzero policy requiredSpace() over all threads. */
+    void computeMinRequired();
+
     MtConfig config_;
     std::unique_ptr<ContextPolicy> policy_;
     std::vector<Thread> threads_;
@@ -339,11 +346,22 @@ class MtProcessor : public ckpt::Restorable
 
     // Zero-allocation steady state: the rrm index is a flat array
     // over register numbers, the software thread queue a reserved
-    // vector, and the completion heap an EventCore — all sized up
-    // front in createThreads(), so the event loop never allocates.
+    // vector, the BlockedLoaded list and its position index reserved
+    // vectors over thread ids, and the completion heap an EventCore
+    // — all sized up front in createThreads() and restoreState(), so
+    // the event loop never allocates (the ring's rrm-indexed links
+    // grow only until the largest rrm has been inserted once). The
+    // BlockedLoaded list is unordered, so idleOrEvict() breaks ties
+    // on the lowest tid explicitly; the published figures depend on
+    // that victim. minRequired_ is fixed per run because
+    // requiredSpace() is a pure function of a thread's register
+    // count; refill() returns at once while fewer registers are free.
     runtime::PriorityRing ring_{1};
     std::vector<unsigned> rrmIndex_;
     std::vector<unsigned> threadQueue_;
+    std::vector<unsigned> blockedLoaded_;
+    std::vector<unsigned> blockedPos_; ///< tid -> index in blockedLoaded_
+    unsigned minRequired_ = 0;
 
     EventCore completions_;
 

@@ -7,8 +7,14 @@ namespace rr::runtime {
 void
 ContextRing::insert(uint32_t rrm)
 {
+    rr_assert(rrm != kAbsent, "rrm ", rrm, " is the absent sentinel");
     rr_assert(!contains(rrm), "rrm ", rrm, " already in ring");
-    if (next_.empty()) {
+    if (rrm >= next_.size()) {
+        next_.resize(rrm + 1, kAbsent);
+        prev_.resize(rrm + 1, kAbsent);
+    }
+    ++size_;
+    if (size_ == 1) {
         next_[rrm] = rrm;
         prev_[rrm] = rrm;
         current_ = rrm;
@@ -28,23 +34,21 @@ ContextRing::insert(uint32_t rrm)
 void
 ContextRing::remove(uint32_t rrm)
 {
-    const auto it = next_.find(rrm);
-    rr_assert(it != next_.end(), "rrm ", rrm, " not in ring");
+    rr_assert(contains(rrm), "rrm ", rrm, " not in ring");
 
-    const uint32_t succ = it->second;
+    const uint32_t succ = next_[rrm];
     const uint32_t pred = prev_[rrm];
+    next_[rrm] = kAbsent;
+    prev_[rrm] = kAbsent;
+    --size_;
 
     if (succ == rrm) {
         // Last member.
-        next_.clear();
-        prev_.clear();
         current_ = 0;
         return;
     }
     next_[pred] = succ;
     prev_[succ] = pred;
-    next_.erase(rrm);
-    prev_.erase(rrm);
     if (current_ == rrm)
         current_ = succ;
 }
@@ -60,16 +64,15 @@ uint32_t
 ContextRing::advance()
 {
     rr_assert(!empty(), "ring is empty");
-    current_ = next_.at(current_);
+    current_ = next_[current_];
     return current_;
 }
 
 uint32_t
 ContextRing::nextOf(uint32_t rrm) const
 {
-    const auto it = next_.find(rrm);
-    rr_assert(it != next_.end(), "rrm ", rrm, " not in ring");
-    return it->second;
+    rr_assert(contains(rrm), "rrm ", rrm, " not in ring");
+    return next_[rrm];
 }
 
 std::vector<uint32_t>
@@ -78,10 +81,11 @@ ContextRing::members() const
     std::vector<uint32_t> out;
     if (empty())
         return out;
+    out.reserve(size_);
     uint32_t at = current_;
     do {
         out.push_back(at);
-        at = next_.at(at);
+        at = next_[at];
     } while (at != current_);
     return out;
 }

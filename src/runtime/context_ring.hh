@@ -15,28 +15,35 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace rr::runtime {
 
-/** Circular list of context relocation masks. */
+/**
+ * Circular list of context relocation masks. Like the hardware's
+ * per-context NextRRM registers, the links live in flat arrays
+ * indexed by rrm; they grow on demand to the largest rrm inserted,
+ * since custom context policies may hand out any value.
+ */
 class ContextRing
 {
   public:
     /** @return true when the ring has no members. */
-    bool empty() const { return next_.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /** Number of members. */
-    size_t size() const { return next_.size(); }
+    size_t size() const { return size_; }
 
     /** @return true when @p rrm is in the ring. */
-    bool contains(uint32_t rrm) const { return next_.count(rrm) != 0; }
+    bool contains(uint32_t rrm) const
+    {
+        return rrm < next_.size() && next_[rrm] != kAbsent;
+    }
 
     /**
-     * Insert @p rrm immediately after the current member (so it is
-     * scheduled last among the existing members in round-robin
-     * order). The first insertion makes @p rrm current.
+     * Insert @p rrm at the tail of the round-robin order (just
+     * before current, so it is scheduled last among the existing
+     * members). The first insertion makes @p rrm current.
      */
     void insert(uint32_t rrm);
 
@@ -62,8 +69,12 @@ class ContextRing
     std::vector<uint32_t> members() const;
 
   private:
-    std::unordered_map<uint32_t, uint32_t> next_; ///< rrm -> NextRRM
-    std::unordered_map<uint32_t, uint32_t> prev_; ///< rrm -> previous
+    /** Link value of an rrm that is not in the ring. */
+    static constexpr uint32_t kAbsent = ~0u;
+
+    std::vector<uint32_t> next_; ///< rrm -> NextRRM (kAbsent = absent)
+    std::vector<uint32_t> prev_; ///< rrm -> previous member
+    size_t size_ = 0;
     uint32_t current_ = 0;
 };
 

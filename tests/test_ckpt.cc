@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -324,6 +325,77 @@ TEST(CkptMt, SnapshotIsByteStableAcrossRestore)
     MtProcessor restored(cacheSpec().build());
     restored.restore(doc);
     EXPECT_EQ(doc, restored.snapshot()); // restore loses nothing
+}
+
+// The blocked-loaded list and the smallest context requirement are
+// not saved: restore rebuilds them from the thread table. A snapshot
+// taken while resident contexts wait blocked and threads queue for
+// registers must still resume into the straight run's statistics and
+// its exact rr.trace.v1 bytes.
+TEST(CkptMt, TwoPhaseResumeWithBlockedResidentsMatchesTraceBytes)
+{
+    const SimulationSpec spec = SimulationSpec()
+                                    .syncFaults(24, 600)
+                                    .twoPhaseUnload()
+                                    .threads(24)
+                                    .workPerThread(3000)
+                                    .numRegs(64)
+                                    .seed(19);
+
+    // Split points: every 40th boundary with at least two blocked
+    // resident contexts and a non-empty thread queue.
+    std::vector<uint64_t> splits;
+    {
+        SimulationSpec probeSpec = spec;
+        MtProcessor probe(probeSpec.build());
+        probe.begin();
+        unsigned qualifying = 0;
+        while (!probe.done() && splits.size() < 3) {
+            unsigned blocked = 0, queued = 0;
+            for (const mt::Thread &t : probe.threads()) {
+                blocked += t.state == mt::ThreadState::BlockedLoaded;
+                queued += t.state == mt::ThreadState::UnloadedReady;
+            }
+            if (blocked >= 2 && queued >= 1 && qualifying++ % 40 == 0)
+                splits.push_back(probe.eventIndex());
+            probe.step();
+        }
+    }
+    ASSERT_EQ(splits.size(), 3u);
+
+    std::ostringstream straightOut;
+    trace::StreamJsonSink straightSink(straightOut);
+    SimulationSpec straightSpec = spec;
+    const MtStats straightStats =
+        straightSpec.traceSink(&straightSink).run();
+    ASSERT_GT(straightStats.unloads, 0u);
+
+    for (const uint64_t splitAt : splits) {
+        SCOPED_TRACE("split at event " + std::to_string(splitAt));
+        std::ostringstream headOut, tailOut;
+        trace::StreamJsonSink headSink(headOut), tailSink(tailOut);
+
+        SimulationSpec headSpec = spec;
+        MtProcessor head(headSpec.traceSink(&headSink).build());
+        head.begin();
+        while (head.eventIndex() < splitAt)
+            head.step();
+        const std::vector<uint8_t> doc = head.snapshot();
+
+        SimulationSpec tailSpec = spec;
+        MtProcessor tail(tailSpec.traceSink(&tailSink).build());
+        tail.restore(doc);
+        const MtStats tailStats = tail.run();
+        expectSameStats(straightStats, tailStats);
+
+        // Each stream opens with the header line; the tail's is
+        // dropped when the halves are joined.
+        const std::string header = trace::traceJsonHeaderLine() + "\n";
+        const std::string tailText = tailOut.str();
+        ASSERT_EQ(tailText.compare(0, header.size(), header), 0);
+        EXPECT_EQ(straightOut.str(),
+                  headOut.str() + tailText.substr(header.size()));
+    }
 }
 
 TEST(CkptMt, ResumeViaConfigReproducesFinalStats)

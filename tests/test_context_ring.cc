@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "base/rng.hh"
 #include "runtime/context_ring.hh"
 
 namespace rr::runtime {
@@ -257,6 +262,276 @@ TEST(PriorityRingDeath, DoubleQueuePanics)
     PriorityRing rings(2);
     rings.insert(7, 0);
     EXPECT_DEATH(rings.insert(7, 1), "already queued");
+}
+
+// ---------------------------------------------------------------------
+// Differential tests: ContextRing's flat rrm-indexed links against a
+// std::map-linked reference with the same insert-at-tail and
+// remove-current semantics.
+
+/** Reference ring: map-based links, checked step by step. */
+class MapRing
+{
+  public:
+    bool empty() const { return next_.empty(); }
+    size_t size() const { return next_.size(); }
+    bool contains(uint32_t rrm) const { return next_.count(rrm) != 0; }
+
+    void
+    insert(uint32_t rrm)
+    {
+        if (next_.empty()) {
+            next_[rrm] = prev_[rrm] = current_ = rrm;
+            return;
+        }
+        const uint32_t pred = prev_[current_];
+        next_[pred] = rrm;
+        prev_[rrm] = pred;
+        next_[rrm] = current_;
+        prev_[current_] = rrm;
+    }
+
+    void
+    remove(uint32_t rrm)
+    {
+        const uint32_t succ = next_.at(rrm);
+        const uint32_t pred = prev_.at(rrm);
+        next_.erase(rrm);
+        prev_.erase(rrm);
+        if (succ == rrm) {
+            current_ = 0;
+            return;
+        }
+        next_[pred] = succ;
+        prev_[succ] = pred;
+        if (current_ == rrm)
+            current_ = succ;
+    }
+
+    uint32_t current() const { return current_; }
+    uint32_t advance() { return current_ = next_.at(current_); }
+    uint32_t nextOf(uint32_t rrm) const { return next_.at(rrm); }
+
+    std::vector<uint32_t>
+    members() const
+    {
+        std::vector<uint32_t> out;
+        if (empty())
+            return out;
+        uint32_t at = current_;
+        do {
+            out.push_back(at);
+            at = next_.at(at);
+        } while (at != current_);
+        return out;
+    }
+
+    /** Member @p index in map (rrm) order. */
+    uint32_t
+    nth(size_t index) const
+    {
+        auto it = next_.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(index));
+        return it->first;
+    }
+
+  private:
+    std::map<uint32_t, uint32_t> next_;
+    std::map<uint32_t, uint32_t> prev_;
+    uint32_t current_ = 0;
+};
+
+void
+expectSame(const ContextRing &ring, const MapRing &ref)
+{
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+    if (!ref.empty()) {
+        ASSERT_EQ(ring.current(), ref.current());
+    }
+    ASSERT_EQ(ring.members(), ref.members());
+}
+
+/**
+ * One random step on both rings: insert an absent rrm below
+ * @p rrm_bound, remove a member (the current one a quarter of the
+ * time), advance, or query nextOf.
+ */
+void
+randomStep(Rng &rng, ContextRing &ring, MapRing &ref, uint32_t rrm_bound)
+{
+    const uint64_t op = rng.nextRange(0, 3);
+    if (op == 0 || ref.empty()) {
+        const uint32_t rrm =
+            static_cast<uint32_t>(rng.nextRange(0, rrm_bound - 1));
+        ASSERT_EQ(ring.contains(rrm), ref.contains(rrm));
+        if (ref.contains(rrm))
+            return;
+        ring.insert(rrm);
+        ref.insert(rrm);
+    } else if (op == 1) {
+        const uint32_t rrm =
+            rng.nextRange(0, 3) == 0
+                ? ref.current()
+                : ref.nth(rng.nextRange(0, ref.size() - 1));
+        ring.remove(rrm);
+        ref.remove(rrm);
+        ASSERT_FALSE(ring.contains(rrm));
+    } else if (op == 2) {
+        ASSERT_EQ(ring.advance(), ref.advance());
+    } else {
+        const uint32_t rrm = ref.nth(rng.nextRange(0, ref.size() - 1));
+        ASSERT_EQ(ring.nextOf(rrm), ref.nextOf(rrm));
+    }
+}
+
+TEST(ContextRingDifferential, RandomOpsMatchMapReference)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        ContextRing ring;
+        MapRing ref;
+        // Dense small rrms (a 128-register file) for most steps, then
+        // a sparse wide range that forces the link arrays to grow.
+        for (int step = 0; step < 4000; ++step) {
+            const uint32_t bound = step < 3000 ? 128 : 5000;
+            ASSERT_NO_FATAL_FAILURE(randomStep(rng, ring, ref, bound));
+            ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+        }
+    }
+}
+
+TEST(ContextRingDifferential, GrowthAboveEveryEarlierRrm)
+{
+    // Each insert lands above every earlier rrm, so each one grows
+    // the link arrays; links to lower members must survive growth.
+    ContextRing ring;
+    MapRing ref;
+    for (const uint32_t rrm : {3u, 4u, 17u, 64u, 1000u, 65536u}) {
+        ring.insert(rrm);
+        ref.insert(rrm);
+        ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+        EXPECT_FALSE(ring.contains(rrm + 1));
+    }
+    EXPECT_EQ(ring.nextOf(65536), 3u);
+    ring.remove(1000);
+    ref.remove(1000);
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    EXPECT_EQ(ring.nextOf(64), 65536u);
+}
+
+TEST(ContextRingDifferential, RemoveToEmptyThenReinsertElsewhere)
+{
+    ContextRing ring;
+    MapRing ref;
+    for (const uint32_t rrm : {40u, 8u, 24u}) {
+        ring.insert(rrm);
+        ref.insert(rrm);
+    }
+    ring.advance();
+    ref.advance();
+    for (const uint32_t rrm : {8u, 40u, 24u}) {
+        ring.remove(rrm);
+        ref.remove(rrm);
+        ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    }
+    EXPECT_TRUE(ring.empty());
+    EXPECT_FALSE(ring.contains(40));
+    EXPECT_FALSE(ring.contains(24));
+
+    // A different rrm, below the earlier ones, becomes a fresh
+    // single-member ring; the old members left no stale links.
+    ring.insert(4);
+    ref.insert(4);
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    EXPECT_EQ(ring.nextOf(4), 4u);
+    ring.insert(40);
+    ref.insert(40);
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    EXPECT_EQ(ring.advance(), 40u);
+}
+
+TEST(ContextRingDifferential, RrmZero)
+{
+    // rrm 0 is a valid member, distinct from the empty ring's
+    // current value of 0.
+    ContextRing ring;
+    MapRing ref;
+    EXPECT_FALSE(ring.contains(0));
+    ring.insert(0);
+    ref.insert(0);
+    EXPECT_TRUE(ring.contains(0));
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    ring.insert(16);
+    ref.insert(16);
+    ring.remove(0);
+    ref.remove(0);
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    EXPECT_EQ(ring.current(), 16u);
+    EXPECT_FALSE(ring.contains(0));
+    ring.insert(0);
+    ref.insert(0);
+    ASSERT_NO_FATAL_FAILURE(expectSame(ring, ref));
+    EXPECT_EQ(ring.nextOf(16), 0u);
+    EXPECT_EQ(ring.nextOf(0), 16u);
+}
+
+TEST(ContextRingDifferential, PriorityRingThreeLevels)
+{
+    // Mutate a 3-level PriorityRing through both its own insert()
+    // and direct level() access; each level must match its own
+    // reference, and current() must serve the highest nonempty one.
+    for (uint64_t seed = 11; seed <= 14; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        PriorityRing rings(3);
+        MapRing refs[3];
+        for (int step = 0; step < 3000; ++step) {
+            const unsigned l =
+                static_cast<unsigned>(rng.nextRange(0, 2));
+            const uint32_t rrm =
+                static_cast<uint32_t>(rng.nextRange(0, 95));
+            const int held = rings.levelOf(rrm);
+            const uint64_t op = rng.nextRange(0, 3);
+            if (held < 0 && op == 0) {
+                rings.insert(rrm, l);
+                refs[l].insert(rrm);
+            } else if (held < 0 && op == 1) {
+                rings.level(l).insert(rrm);
+                refs[l].insert(rrm);
+            } else if (held >= 0 && op == 2) {
+                rings.remove(rrm);
+                refs[held].remove(rrm);
+            } else if (held >= 0) {
+                rings.level(static_cast<unsigned>(held)).remove(rrm);
+                refs[held].remove(rrm);
+            } else if (!rings.empty()) {
+                const uint32_t got = rings.advance();
+                for (MapRing &ref : refs) {
+                    if (!ref.empty()) {
+                        ASSERT_EQ(got, ref.advance());
+                        break;
+                    }
+                }
+            }
+
+            size_t total = 0;
+            for (unsigned i = 0; i < 3; ++i) {
+                ASSERT_NO_FATAL_FAILURE(
+                    expectSame(rings.level(i), refs[i]));
+                total += refs[i].size();
+            }
+            ASSERT_EQ(rings.size(), total);
+            ASSERT_EQ(rings.empty(), total == 0);
+            for (const MapRing &ref : refs) {
+                if (!ref.empty()) {
+                    ASSERT_EQ(rings.current(), ref.current());
+                    break;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "base/rng.hh"
 #include "base/stats.hh"
+#include "multithread/context_policy.hh"
 #include "multithread/mt_processor.hh"
 #include "multithread/simulation_spec.hh"
 #include "multithread/workload.hh"
+#include "trace/sink.hh"
 
 namespace rr::mt {
 namespace {
@@ -296,6 +303,199 @@ TEST(MtProcessor, CompletionHeapBoundedUnderSyncFaults)
     EXPECT_LE(processor.completionCore().maxSize(), 48u);
     EXPECT_EQ(processor.completionCore().compactions(), 0u);
     EXPECT_TRUE(processor.completionCore().empty());
+}
+
+// ---------------------------------------------------------------------
+// Two-phase and refill bookkeeping
+
+/** The two-phase waiting budget, as MtProcessor computes it. */
+uint64_t
+budgetOf(const MtProcessor &processor, const Thread &t)
+{
+    const runtime::CostModel &c = processor.config().costs;
+    return c.unloadCost(t.regsUsed) + c.dealloc + 2 * c.queueOp +
+           c.allocSucceed + c.loadCost(t.regsUsed);
+}
+
+// The victim of a two-phase eviction is the blocked resident context
+// with the least waiting budget left, and ties go to the lowest tid,
+// whatever order the contexts blocked in. Identical deterministic
+// threads block in lockstep, so many evictions are ties.
+TEST(MtProcessor, TwoPhaseEvictionTiesGoToLowestTid)
+{
+    MtConfig config = SimulationSpec()
+                          .deterministicFaults(50, 5000)
+                          .threads(12)
+                          .registerDemand(16)
+                          .workPerThread(2000)
+                          .numRegs(64)
+                          .twoPhaseUnload()
+                          .build();
+    MtProcessor processor(std::move(config));
+    processor.begin();
+
+    unsigned evictions = 0, ties = 0;
+    while (!processor.done()) {
+        // Pre-step candidates: an eviction happens only when nothing
+        // became runnable, so idleOrEvict sees exactly this set.
+        std::vector<std::pair<uint64_t, unsigned>> candidates;
+        std::vector<uint64_t> unloaded;
+        for (const Thread &t : processor.threads()) {
+            unloaded.push_back(t.timesUnloaded);
+            if (t.state != ThreadState::BlockedLoaded)
+                continue;
+            const uint64_t budget = budgetOf(processor, t);
+            candidates.push_back(
+                {budget > t.spinAccrued ? budget - t.spinAccrued : 0,
+                 t.id});
+        }
+        processor.step();
+
+        for (const Thread &t : processor.threads()) {
+            if (t.timesUnloaded == unloaded[t.id])
+                continue;
+            ++evictions;
+            ASSERT_FALSE(candidates.empty());
+            const auto best =
+                *std::min_element(candidates.begin(), candidates.end());
+            EXPECT_EQ(t.id, best.second)
+                << "event " << processor.eventIndex();
+            if (std::count_if(candidates.begin(), candidates.end(),
+                              [&](const auto &c) {
+                                  return c.first == best.first;
+                              }) > 1)
+                ++ties;
+        }
+    }
+    EXPECT_GT(evictions, 10u);
+    EXPECT_GT(ties, 5u);
+}
+
+// A refill that finds the register file full leaves everything as
+// it was: no allocation attempt, no charge, no event, and the queued
+// threads stay queued. Two fixed hardware slots and 24 threads keep
+// the queue long for the whole run.
+TEST(MtProcessor, RefillWithFullFileChargesNothing)
+{
+    trace::VectorSink sink;
+    MtConfig config = SimulationSpec()
+                          .syncFaults(32, 2000)
+                          .arch(ArchKind::FixedHw)
+                          .threads(24)
+                          .workPerThread(3000)
+                          .numRegs(64)
+                          .twoPhaseUnload()
+                          .traceSink(&sink)
+                          .build();
+    MtProcessor processor(std::move(config));
+    const unsigned slots = 2;
+
+    const auto resident = [&] {
+        unsigned n = 0;
+        for (const Thread &t : processor.threads())
+            n += t.context ? 1 : 0;
+        return n;
+    };
+    const auto count = [&](std::size_t from, trace::EventKind kind) {
+        return std::count_if(sink.events().begin() +
+                                 static_cast<std::ptrdiff_t>(from),
+                             sink.events().end(),
+                             [&](const trace::TraceEvent &e) {
+                                 return e.kind == kind;
+                             });
+    };
+
+    // The initial refill fills both slots; the other 22 threads are
+    // skipped without a search.
+    processor.begin();
+    EXPECT_EQ(resident(), slots);
+    EXPECT_EQ(count(0, trace::EventKind::Alloc), 2);
+    EXPECT_EQ(count(0, trace::EventKind::Load), 2);
+    EXPECT_EQ(sink.events().size(), 6u); // alloc, queue, load x 2
+
+    unsigned full_requeues = 0;
+    while (!processor.done()) {
+        const std::size_t from = sink.events().size();
+        const bool full = resident() == slots;
+        std::vector<std::optional<runtime::Context>> contexts;
+        for (const Thread &t : processor.threads())
+            contexts.push_back(t.context);
+        processor.step();
+        if (!full || count(from, trace::EventKind::Free) != 0)
+            continue;
+
+        // Nothing was released, so every refill in this step saw a
+        // full file.
+        EXPECT_EQ(count(from, trace::EventKind::Alloc), 0);
+        EXPECT_EQ(count(from, trace::EventKind::Load), 0);
+        for (const Thread &t : processor.threads()) {
+            EXPECT_EQ(t.context.has_value(),
+                      contexts[t.id].has_value());
+            if (t.context) {
+                EXPECT_EQ(t.context->rrm, contexts[t.id]->rrm);
+            }
+        }
+        if (count(from, trace::EventKind::Queue) != 0)
+            ++full_requeues; // a woken thread re-queued, then refill
+    }
+    EXPECT_GT(full_requeues, 0u);
+    const MtStats stats = processor.finish();
+    EXPECT_EQ(stats.allocFailures, 0u);
+    EXPECT_EQ(stats.allocSuccesses, stats.loads);
+}
+
+// ---------------------------------------------------------------------
+// FixedContextPolicy's free-slot counter
+
+unsigned
+recountFreeRegs(const FixedContextPolicy &policy, unsigned context_regs)
+{
+    unsigned free_slots = 0;
+    for (unsigned s = 0; s < policy.numSlots(); ++s)
+        free_slots += policy.slotIsFree(s) ? 1 : 0;
+    return free_slots * context_regs;
+}
+
+TEST(FixedContextPolicy, FreeRegsMatchesRecountAfterAnySequence)
+{
+    constexpr unsigned kRegs = 32;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        FixedContextPolicy policy(256, kRegs);
+        ASSERT_EQ(policy.numSlots(), 8u);
+        ASSERT_EQ(policy.freeRegs(), 256u);
+        std::vector<runtime::Context> held;
+        Rng rng(seed);
+        for (int step = 0; step < 2000; ++step) {
+            const uint64_t op = rng.nextRange(0, 3);
+            if (op == 0) {
+                // Includes oversized requests, which never allocate.
+                const auto ctx = policy.allocate(
+                    static_cast<unsigned>(rng.nextRange(1, 40)));
+                if (ctx)
+                    held.push_back(*ctx);
+            } else if (op == 1 && !held.empty()) {
+                const std::size_t i = rng.nextRange(0, held.size() - 1);
+                policy.release(held[i]);
+                held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+            } else if (op == 2) {
+                // Adopt a free slot, as checkpoint restore does.
+                const unsigned slot = static_cast<unsigned>(
+                    rng.nextRange(0, policy.numSlots() - 1));
+                if (policy.slotIsFree(slot)) {
+                    runtime::Context ctx;
+                    ctx.rrm = slot * kRegs;
+                    ctx.size = kRegs;
+                    policy.adopt(ctx);
+                    held.push_back(ctx);
+                }
+            }
+            ASSERT_EQ(policy.freeRegs(), recountFreeRegs(policy, kRegs))
+                << "step " << step;
+            ASSERT_EQ(policy.freeRegs(),
+                      256u - kRegs * static_cast<unsigned>(held.size()));
+        }
+    }
 }
 
 } // namespace

@@ -146,6 +146,52 @@ TEST(Distributions, GeometricVarianceRoughlyMatches)
     EXPECT_NEAR(stats.variance(), expected_var, expected_var * 0.05);
 }
 
+/**
+ * The geometric sampler as it was before log(1 - p) was cached in
+ * the constructor: every draw evaluated the divisor inline.
+ */
+uint64_t
+inlineGeometricSample(double mean, Rng &rng)
+{
+    if (mean <= 1.0)
+        return 1;
+    const double p = 1.0 / mean;
+    double u = rng.nextDouble();
+    if (u <= 0.0)
+        u = 0x1.0p-53;
+    const double v = std::ceil(std::log(u) / std::log(1.0 - p));
+    if (v < 1.0)
+        return 1;
+    return static_cast<uint64_t>(v);
+}
+
+// Caching the divisor must not move a single sample: every figure's
+// bytes depend on these draws.
+TEST(Distributions, GeometricCachedLogMatchesInlineFormula)
+{
+    for (const double mean : {1.0, 1.5, 8.0, 32.0, 128.0, 2048.0, 1e6}) {
+        SCOPED_TRACE(mean);
+        const GeometricDist dist(mean);
+        Rng cached(97), inline_rng(97);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(dist.sample(cached),
+                      inlineGeometricSample(mean, inline_rng))
+                << "draw " << i;
+        // Both streams consumed the same number of draws (mean 1
+        // returns early and consumes none).
+        EXPECT_EQ(cached.next(), inline_rng.next());
+    }
+}
+
+TEST(Distributions, GeometricMeanOneConsumesNoDraws)
+{
+    const GeometricDist dist(1.0);
+    Rng rng(5), untouched(5);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(dist.sample(rng), 1u);
+    EXPECT_EQ(rng.next(), untouched.next());
+}
+
 TEST(Distributions, Describe)
 {
     EXPECT_EQ(ConstantDist(5).describe(), "constant(5)");
