@@ -1,19 +1,21 @@
 /**
  * @file
  * Interpreter-throughput microbenchmark (rrbench --perf): measures
- * Cpu::run() speed in Minstr/s across the full dispatch matrix —
- * predecode off, and predecode on with Switch / Threaded / Fused
- * dispatch (docs/PERF.md) — over the examples/asm corpus plus
- * synthetic hot loops (pure ALU, load/store, and LDRRM context
- * ping-pong, the last stressing the relocation-table rebuild on every
- * mask switch).
+ * Cpu::run() speed in Minstr/s with predecode off (the decode-per-step
+ * reference) and on (cached superblocks, docs/PERF.md) over the
+ * examples/asm corpus plus synthetic hot loops (pure ALU, load/store,
+ * and LDRRM context ping-pong, the last stressing the relocation-table
+ * rebuild on every mask switch). Each program is timed from `entry`
+ * and from every `.thread` label; starts that retire fewer than
+ * kMinInstr instructions are skipped with a note, since they would
+ * time run() entry overhead rather than the interpreter.
  *
  * Only deterministic counters (instret/cycles per repetition) go into
  * the compared table; wall-clock throughput is reported in notes,
  * which --compare ignores, so the committed baseline is stable across
- * machines. Each program additionally asserts that every mode retires
+ * machines. Each start additionally asserts that both legs retire
  * the identical instruction and cycle counts — the perf figure
- * doubles as a dispatch-matrix behaviour-neutrality check.
+ * doubles as a behaviour-neutrality check.
  *
  * Programs that leave memory untouched (verified once per program by
  * comparing post-run memory against the freshly loaded image) skip
@@ -158,22 +160,18 @@ buildCorpus(exp::ReportBuilder &ctx)
     return corpus;
 }
 
-/** One leg of the dispatch matrix. */
-struct ModeSpec
-{
-    const char *name;
-    bool predecode;
-    machine::DispatchMode dispatch;
-};
+/** The two legs: predecode off (reference), then superblocks. */
+constexpr bool kLegs[] = {false, true};
+constexpr size_t kNumLegs = std::size(kLegs);
+constexpr size_t kBlocksIdx = kNumLegs - 1;
 
-constexpr ModeSpec kModes[] = {
-    {"off", false, machine::DispatchMode::Switch},
-    {"switch", true, machine::DispatchMode::Switch},
-    {"threaded", true, machine::DispatchMode::Threaded},
-    {"fused", true, machine::DispatchMode::Fused},
+/** One timed start: a program entered at `entry` or a .thread label. */
+struct PerfStart
+{
+    std::string name;
+    uint32_t pc = 0;
+    bool thread = false; ///< a .thread label, not the entry
 };
-constexpr size_t kNumModes = std::size(kModes);
-constexpr size_t kFusedIdx = kNumModes - 1;
 
 struct Measurement
 {
@@ -185,54 +183,64 @@ struct Measurement
 constexpr uint64_t kStepCap = 1u << 22;
 constexpr uint64_t kMemWords = 1u << 10;
 
+/** Fewest instructions a timed start must retire per repetition. */
+constexpr uint64_t kMinInstr = 8;
+
 machine::CpuConfig
-configFor(const ModeSpec &mode)
+configFor(bool predecode)
 {
     machine::CpuConfig config;
     // Small image: keeps per-repetition state resets cheap, so short
     // programs measure the interpreter rather than the harness.
     config.memWords = kMemWords;
-    config.predecode = mode.predecode;
-    config.dispatch = mode.dispatch;
+    config.predecode = predecode;
     return config;
 }
 
-/**
- * Does one run of @p program leave memory exactly as loaded? Such
- * programs (all the current examples: they live in registers) can be
- * re-run without the per-repetition clear + reload, which for a
- * 50-instruction program costs more than the instructions do.
- */
-bool
-memoryClean(const assembler::Program &program, uint32_t entry)
+/** One untimed run of a start, from a freshly loaded image. */
+struct Probe
 {
-    machine::Cpu cpu(configFor(kModes[kFusedIdx]));
+    bool halted = false;
+    uint64_t instret = 0;
+    /**
+     * The run left memory exactly as loaded. Such starts can be
+     * re-run without the per-repetition clear + reload, which for a
+     * 50-instruction program costs more than the instructions do.
+     */
+    bool clean = false;
+};
+
+Probe
+probeStart(const assembler::Program &program, uint32_t entry)
+{
+    machine::Cpu cpu(configFor(true));
     cpu.mem().clear();
     cpu.mem().loadImage(program.base, program.words);
     cpu.setRrmImmediate(0);
     cpu.setPc(entry);
     cpu.run(kStepCap);
-    if (!cpu.halted())
-        return false;
 
+    Probe probe;
+    probe.halted =
+        cpu.halted() && cpu.trap() == machine::TrapKind::None;
+    probe.instret = cpu.instructionsRetired();
     machine::Memory ref(kMemWords);
     ref.clear();
     ref.loadImage(program.base, program.words);
-    return std::equal(ref.data(), ref.data() + ref.size(),
-                      cpu.mem().data());
+    probe.clean = probe.halted &&
+                  std::equal(ref.data(), ref.data() + ref.size(),
+                             cpu.mem().data());
+    return probe;
 }
 
 Measurement
-runMode(const assembler::Program &program, const ModeSpec &mode,
-        uint32_t entry, unsigned reps, bool clean)
+runLeg(const assembler::Program &program, bool predecode,
+       uint32_t entry, unsigned reps, bool clean)
 {
-    machine::Cpu cpu(configFor(mode));
-    rr_assert(cpu.predecodeActive() == mode.predecode,
-              "predecode activation mismatch in mode ", mode.name);
-    rr_assert(cpu.dispatchActive() ==
-                  (mode.predecode &&
-                   mode.dispatch != machine::DispatchMode::Switch),
-              "dispatch activation mismatch in mode ", mode.name);
+    machine::Cpu cpu(configFor(predecode));
+    rr_assert(cpu.predecodeActive() == predecode,
+              "predecode activation mismatch (predecode=", predecode,
+              ")");
 
     const auto start = std::chrono::steady_clock::now();
     for (unsigned rep = 0; rep < reps; ++rep) {
@@ -259,33 +267,50 @@ runMode(const assembler::Program &program, const ModeSpec &mode,
 }
 
 /**
- * Best of @p trials timed runs per mode, interleaving the modes so
- * slow drift (frequency scaling, co-tenants) hits every mode equally.
- * The counters are deterministic — identical on every trial — so
- * keeping the fastest wall clock discards scheduler noise, not data.
+ * Best of @p trials timed runs per leg, interleaving the legs so slow
+ * drift (frequency scaling, co-tenants) hits both equally. The
+ * counters are deterministic — identical on every trial — so keeping
+ * the fastest wall clock discards scheduler noise, not data.
  */
 std::vector<Measurement>
-measureMatrix(const assembler::Program &program, uint32_t entry,
-              unsigned reps, bool clean, unsigned trials)
+measureLegs(const assembler::Program &program, uint32_t entry,
+            unsigned reps, bool clean, unsigned trials)
 {
-    std::vector<Measurement> best(kNumModes);
+    std::vector<Measurement> best(kNumLegs);
     for (unsigned trial = 0; trial < trials; ++trial) {
-        for (size_t m = 0; m < kNumModes; ++m) {
+        for (size_t l = 0; l < kNumLegs; ++l) {
             const Measurement t =
-                runMode(program, kModes[m], entry, reps, clean);
-            if (trial == 0 || t.seconds < best[m].seconds)
-                best[m] = t;
+                runLeg(program, kLegs[l], entry, reps, clean);
+            if (trial == 0 || t.seconds < best[l].seconds)
+                best[l] = t;
         }
     }
     return best;
 }
 
-uint32_t
-entryOf(const assembler::Program &program)
+/**
+ * The starts perfbench's rrisc_exec workload times: `entry` (named
+ * after the program) and every `.thread` label (program:label).
+ */
+std::vector<PerfStart>
+startsOf(const PerfProgram &p)
 {
+    const assembler::Program &program = p.program;
     const auto entry_sym = program.symbols.find("entry");
-    return entry_sym != program.symbols.end() ? entry_sym->second
-                                              : program.base;
+    std::vector<PerfStart> starts;
+    starts.push_back({p.name,
+                      entry_sym != program.symbols.end()
+                          ? entry_sym->second
+                          : program.base,
+                      false});
+    for (const assembler::ThreadDecl &decl : program.threads) {
+        const std::vector<std::string> labels =
+            program.labelsAt(decl.address);
+        starts.push_back(
+            {p.name + ":" + (labels.empty() ? "thread" : labels.front()),
+             decl.address, true});
+    }
+    return starts;
 }
 
 double
@@ -297,24 +322,25 @@ minstrPerSec(const Measurement &m)
 } // namespace
 
 RR_PERF_FIGURE(perf_interp,
-               "Interpreter throughput across the dispatch matrix: "
-               "predecode off / switch / threaded / fused (Minstr/s)")
+               "Interpreter throughput: predecode off vs superblocks "
+               "(Minstr/s)")
 {
     using namespace rr;
 
-    ctx.text("Each program runs to HALT repeatedly in all four "
-             "dispatch modes;\nrepetition counts are derived from "
-             "deterministic instruction counts,\nnever from wall "
-             "time. The table holds per-repetition counters\n"
-             "(machine-independent); throughput and speedup are "
+    ctx.text("Each program runs to HALT repeatedly from entry and from "
+             "every .thread label,\nwith predecode off and on "
+             "(superblocks); repetition counts are derived\nfrom "
+             "deterministic instruction counts, never from wall time. "
+             "The table\nholds per-repetition counters "
+             "(machine-independent); throughput and\nspeedup are "
              "notes.");
 
     std::vector<PerfProgram> corpus = buildCorpus(ctx);
 
-    // Size every program to a common instruction budget so small
+    // Size every start to a common instruction budget so small
     // examples are repeated enough to time meaningfully. The rep cap
-    // bounds degenerate programs (a one-instruction entry) whose
-    // measurement beyond ~20k runs only re-times the harness reset.
+    // bounds short starts, whose measurement beyond ~20k runs only
+    // re-times the harness reset.
     const uint64_t target_instr =
         ctx.run().fast ? 150'000 : 2'000'000;
     const uint64_t rep_cap = 20'000;
@@ -322,71 +348,87 @@ RR_PERF_FIGURE(perf_interp,
     Table table({"program", "instr/rep", "cycles/rep", "reps"});
     struct Totals
     {
-        double instr[kNumModes] = {};
-        double secs[kNumModes] = {};
+        double instr[kNumLegs] = {};
+        double secs[kNumLegs] = {};
     };
     Totals all, examples;
 
     for (const PerfProgram &p : corpus) {
-        const uint32_t entry = entryOf(p.program);
-        const bool clean = memoryClean(p.program, entry);
-        const Measurement probe =
-            runMode(p.program, kModes[kFusedIdx], entry, 1, clean);
-        const uint64_t per_rep = std::max<uint64_t>(1, probe.instret);
-        const unsigned reps = static_cast<unsigned>(std::min(
-            std::max<uint64_t>(target_instr / per_rep, 1), rep_cap));
+        for (const PerfStart &start : startsOf(p)) {
+            const Probe probe = probeStart(p.program, start.pc);
+            if (!probe.halted) {
+                // The entry must halt; a thread body may wait on a
+                // partner that only the entry code starts.
+                rr_assert(start.thread, "perf program ", start.name,
+                          " did not halt");
+                ctx.text(exp::strf("%s: skipped, no halt when run "
+                                   "alone",
+                                   start.name.c_str()));
+                continue;
+            }
+            if (probe.instret < kMinInstr) {
+                ctx.text(exp::strf(
+                    "%s: skipped, %llu instr/rep < %llu",
+                    start.name.c_str(),
+                    static_cast<unsigned long long>(probe.instret),
+                    static_cast<unsigned long long>(kMinInstr)));
+                continue;
+            }
+            const unsigned reps = static_cast<unsigned>(std::min(
+                std::max<uint64_t>(target_instr / probe.instret, 1),
+                rep_cap));
 
-        const std::vector<Measurement> legs = measureMatrix(
-            p.program, entry, reps, clean, ctx.run().fast ? 4 : 5);
+            const std::vector<Measurement> legs =
+                measureLegs(p.program, start.pc, reps, probe.clean,
+                            ctx.run().fast ? 4 : 5);
 
-        // Dispatch must be invisible to the architecture: identical
-        // retirement and cycle counts in every mode.
-        for (size_t m = 1; m < kNumModes; ++m) {
-            rr_assert(legs[m].instret == legs[0].instret &&
-                          legs[m].cycles == legs[0].cycles,
-                      "dispatch-mode divergence in perf program ",
-                      p.name, " (", kModes[m].name, " vs off)");
-        }
+            // The engine must be invisible to the architecture:
+            // identical retirement and cycle counts on both legs.
+            const Measurement &blocks = legs[kBlocksIdx];
+            rr_assert(blocks.instret == legs[0].instret &&
+                          blocks.cycles == legs[0].cycles,
+                      "superblock divergence in perf program ",
+                      start.name);
+            rr_assert(blocks.instret / reps >= kMinInstr,
+                      "perf program ", start.name, " times fewer than ",
+                      kMinInstr, " instructions per repetition");
 
-        const Measurement &fused = legs[kFusedIdx];
-        table.addRow({p.name, Table::num(fused.instret / reps),
-                      Table::num(fused.cycles / reps),
-                      Table::num(static_cast<uint64_t>(reps))});
+            table.addRow({start.name, Table::num(blocks.instret / reps),
+                          Table::num(blocks.cycles / reps),
+                          Table::num(static_cast<uint64_t>(reps))});
 
-        ctx.text(exp::strf(
-            "%s: off %.1f, switch %.1f, threaded %.1f, fused %.1f "
-            "Minstr/s (fused %.2fx off)%s",
-            p.name.c_str(), minstrPerSec(legs[0]),
-            minstrPerSec(legs[1]), minstrPerSec(legs[2]),
-            minstrPerSec(fused),
-            minstrPerSec(fused) / minstrPerSec(legs[0]),
-            clean ? "" : " [memory-dirty: full reset per rep]"));
+            ctx.text(exp::strf(
+                "%s: off %.1f, superblocks %.1f Minstr/s (%.2fx)%s",
+                start.name.c_str(), minstrPerSec(legs[0]),
+                minstrPerSec(blocks),
+                minstrPerSec(blocks) / minstrPerSec(legs[0]),
+                probe.clean ? ""
+                            : " [memory-dirty: full reset per rep]"));
 
-        for (size_t m = 0; m < kNumModes; ++m) {
-            all.instr[m] += static_cast<double>(legs[m].instret);
-            all.secs[m] += legs[m].seconds;
-            if (p.example) {
-                examples.instr[m] +=
-                    static_cast<double>(legs[m].instret);
-                examples.secs[m] += legs[m].seconds;
+            for (size_t l = 0; l < kNumLegs; ++l) {
+                all.instr[l] += static_cast<double>(legs[l].instret);
+                all.secs[l] += legs[l].seconds;
+                if (p.example) {
+                    examples.instr[l] +=
+                        static_cast<double>(legs[l].instret);
+                    examples.secs[l] += legs[l].seconds;
+                }
             }
         }
     }
     ctx.table("corpus", "per-repetition architectural counters "
-                        "(identical in every dispatch mode)",
+                        "(identical on both legs)",
               std::move(table));
 
     const auto aggregate = [&ctx](const char *label, const Totals &t) {
         if (t.secs[0] <= 0.0)
             return;
-        double rate[kNumModes];
-        for (size_t m = 0; m < kNumModes; ++m)
-            rate[m] = t.instr[m] / std::max(t.secs[m], 1e-9) / 1e6;
-        ctx.text(exp::strf("%s aggregate: off %.1f, switch %.1f, "
-                           "threaded %.1f, fused %.1f Minstr/s "
-                           "(fused %.2fx off)",
-                           label, rate[0], rate[1], rate[2],
-                           rate[3], rate[3] / rate[0]));
+        double rate[kNumLegs];
+        for (size_t l = 0; l < kNumLegs; ++l)
+            rate[l] = t.instr[l] / std::max(t.secs[l], 1e-9) / 1e6;
+        ctx.text(exp::strf("%s aggregate: off %.1f, superblocks %.1f "
+                           "Minstr/s (%.2fx)",
+                           label, rate[0], rate[1], rate[1] / rate[0]));
     };
     aggregate("examples corpus", examples);
     aggregate("full corpus", all);

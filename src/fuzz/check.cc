@@ -719,12 +719,10 @@ struct CpuRun
     uint64_t faults = 0;
     machine::PipelineTimingStats timing;
     bool predecodeActive = false;
-    bool dispatchActive = false;
 };
 
 machine::CpuConfig
-cpuConfigOf(const ProgramSample &s, bool predecode,
-            machine::DispatchMode dispatch)
+cpuConfigOf(const ProgramSample &s, bool predecode)
 {
     machine::CpuConfig config;
     config.numRegs = s.numRegs;
@@ -738,15 +736,14 @@ cpuConfigOf(const ProgramSample &s, bool predecode,
     config.timing.loadUsePenalty = s.loadUsePenalty;
     config.timing.ldrrmPenalty = s.ldrrmPenalty;
     config.predecode = predecode;
-    config.dispatch = dispatch;
     return config;
 }
 
 CpuRun
 runProgram(const ProgramSample &s, bool predecode,
-           machine::DispatchMode dispatch, Problems *reloc_problems)
+           Problems *reloc_problems)
 {
-    machine::Cpu cpu(cpuConfigOf(s, predecode, dispatch));
+    machine::Cpu cpu(cpuConfigOf(s, predecode));
     for (size_t i = 0; i < s.words.size(); ++i)
         cpu.mem().write(static_cast<uint32_t>(i), s.words[i]);
 
@@ -791,20 +788,18 @@ runProgram(const ProgramSample &s, bool predecode,
     run.faults = cpu.faultCount();
     run.timing = cpu.timingStats();
     run.predecodeActive = cpu.predecodeActive();
-    run.dispatchActive = cpu.dispatchActive();
     return run;
 }
 
 void
-compareRuns(const CpuRun &off, const CpuRun &on, const char *mode,
-            Problems &problems)
+compareRuns(const CpuRun &off, const CpuRun &on, Problems &problems)
 {
     const auto diff = [&](const char *what, uint64_t a, uint64_t b) {
         if (a != b)
             problems.push_back(strf(
-                "program: %s differs with predecode off vs %s "
-                "dispatch: %llu vs %llu",
-                what, mode, static_cast<unsigned long long>(a),
+                "program: %s differs with predecode off vs on: "
+                "%llu vs %llu",
+                what, static_cast<unsigned long long>(a),
                 static_cast<unsigned long long>(b)));
     };
     diff("final pc", off.pc, on.pc);
@@ -822,28 +817,24 @@ compareRuns(const CpuRun &off, const CpuRun &on, const char *mode,
     diff("ldrrm stalls", off.timing.ldrrmStalls,
          on.timing.ldrrmStalls);
     if (off.regs != on.regs)
-        problems.push_back(strf(
-            "program: final register file differs with predecode "
-            "off vs %s dispatch",
-            mode));
+        problems.push_back("program: final register file differs "
+                           "with predecode off vs on");
     if (off.mem != on.mem)
-        problems.push_back(strf(
-            "program: final memory differs with predecode off vs "
-            "%s dispatch",
-            mode));
+        problems.push_back("program: final memory differs with "
+                           "predecode off vs on");
     if (off.trace.size() != on.trace.size()) {
         problems.push_back(strf(
             "program: trace length differs with predecode off vs "
-            "%s dispatch: %zu vs %zu",
-            mode, off.trace.size(), on.trace.size()));
+            "on: %zu vs %zu",
+            off.trace.size(), on.trace.size()));
     } else {
         for (size_t i = 0; i < off.trace.size(); ++i) {
             if (off.trace[i] == on.trace[i])
                 continue;
             problems.push_back(strf(
-                "program: trace diverges under %s dispatch at "
+                "program: trace diverges with predecode on at "
                 "instruction %zu (pc %u vs %u, cycle %llu vs %llu)",
-                mode, i, off.trace[i].pc, on.trace[i].pc,
+                i, off.trace[i].pc, on.trace[i].pc,
                 static_cast<unsigned long long>(off.trace[i].cycle),
                 static_cast<unsigned long long>(on.trace[i].cycle)));
             break;
@@ -927,42 +918,16 @@ Problems
 checkProgram(const ProgramSample &s)
 {
     Problems problems;
-    // The identity oracle is a full dispatch-mode matrix: the
-    // undecoded reference run against every predecoded dispatch
-    // strategy. Switch, threaded, and fused dispatch must all retire
-    // the same instruction stream with the same architectural state,
-    // counters, and cycle-stamped trace.
-    const CpuRun off =
-        runProgram(s, false, machine::DispatchMode::Switch, nullptr);
-    static constexpr struct
-    {
-        machine::DispatchMode dispatch;
-        const char *name;
-        bool wantDispatchActive;
-    } kLegs[] = {
-        {machine::DispatchMode::Switch, "switch", false},
-        {machine::DispatchMode::Threaded, "threaded", true},
-        {machine::DispatchMode::Fused, "fused", true},
-    };
-    for (const auto &leg : kLegs) {
-        // Oracle 2 (table-vs-relocate) only needs one predecoded leg.
-        Problems *reloc =
-            leg.dispatch == machine::DispatchMode::Fused ? &problems
-                                                         : nullptr;
-        const CpuRun on = runProgram(s, true, leg.dispatch, reloc);
-        if (!on.predecodeActive)
-            problems.push_back(strf(
-                "program: predecode did not engage for the %s leg",
-                leg.name));
-        if (on.dispatchActive != leg.wantDispatchActive)
-            problems.push_back(strf(
-                "program: superblock dispatch %s for the %s leg",
-                on.dispatchActive ? "engaged" : "did not engage",
-                leg.name));
-        compareRuns(off, on, leg.name, problems);
-        if (!problems.empty())
-            break;
-    }
+    // The identity oracle: the undecoded reference run against the
+    // superblock engine must retire the same instruction stream with
+    // the same architectural state, counters, and cycle-stamped
+    // trace. Oracle 2 (table-vs-relocate) rides on the superblock
+    // leg.
+    const CpuRun off = runProgram(s, false, nullptr);
+    const CpuRun on = runProgram(s, true, &problems);
+    if (!on.predecodeActive)
+        problems.push_back("program: predecode did not engage");
+    compareRuns(off, on, problems);
     if (s.lintChecked && problems.empty())
         checkLintClaims(s, off, problems);
     return problems;

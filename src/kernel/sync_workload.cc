@@ -54,8 +54,7 @@ SyncWorkloadKernel::SyncWorkloadKernel(SyncWorkloadConfig config)
     cpu_config.memWords = std::max<size_t>(
         1u << 16, static_cast<size_t>(layout_.ringBase +
                                       config_.ringSize + 64));
-    if (config_.dispatch)
-        cpu_config.dispatch = *config_.dispatch;
+    cpu_config.predecode = config_.predecode;
     cpu_ = std::make_unique<machine::Cpu>(cpu_config);
 
     allocator_ = std::make_unique<runtime::ContextAllocator>(

@@ -12,7 +12,7 @@
  * harness plays only the memory system: a FAULT raised by the
  * program completes a fixed number of cycles later (deterministic;
  * no RNG anywhere), so identical configurations produce identical
- * cycle counts under all dispatch modes.
+ * cycle counts with predecode off and on.
  *
  * The register conventions and the scenario programs themselves are
  * documented in runtime/sync_runtime.hh and docs/KERNEL.md.
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -88,8 +87,11 @@ struct SyncWorkloadConfig
     /** Step cap (safety against runaway programs). */
     uint64_t maxSteps = 50'000'000;
 
-    /** Dispatch override; unset = CpuConfig/RR_CPU_DISPATCH default. */
-    std::optional<machine::DispatchMode> dispatch;
+    /**
+     * Predecode override (CpuConfig::predecode): false runs the
+     * decode-per-step reference path instead of cached superblocks.
+     */
+    bool predecode = machine::defaultPredecode();
 
     /** Optional structured-event sink (not owned). */
     trace::TraceSink *traceSink = nullptr;

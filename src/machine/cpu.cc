@@ -42,37 +42,6 @@ defaultPredecode()
     return value;
 }
 
-DispatchMode
-defaultDispatch()
-{
-    static const DispatchMode value = [] {
-        const char *env = std::getenv("RR_CPU_DISPATCH");
-        if (env != nullptr) {
-            const std::string_view v(env);
-            if (v == "switch")
-                return DispatchMode::Switch;
-            if (v == "threaded")
-                return DispatchMode::Threaded;
-        }
-        return DispatchMode::Fused;
-    }();
-    return value;
-}
-
-const char *
-dispatchModeName(DispatchMode mode)
-{
-    switch (mode) {
-      case DispatchMode::Switch:
-        return "switch";
-      case DispatchMode::Threaded:
-        return "threaded";
-      case DispatchMode::Fused:
-        return "fused";
-    }
-    return "unknown";
-}
-
 Cpu::Cpu(const CpuConfig &config)
     : config_(config),
       regs_(config.numRegs),
@@ -85,15 +54,11 @@ Cpu::Cpu(const CpuConfig &config)
       regsData_(regs_.data()),
       memWords_(config.memWords),
       timingEnabled_(config.timing.enabled()),
-      relocTableSize_(relocation_.tableSize()),
-      dispatchActive_(predecode_ &&
-                      config.dispatch != DispatchMode::Switch)
+      relocTableSize_(relocation_.tableSize())
 {
     if (predecode_) {
         icache_.resize(config.memWords);
         refreshRelocTable();
-    }
-    if (dispatchActive_) {
         blockIndex_.assign(config.memWords, -1);
         blockCover_.assign(config.memWords, 0);
         blocks_.reserve(64);
@@ -365,7 +330,7 @@ Cpu::applyTiming(const Instruction &inst, uint32_t pc_before)
 uint64_t
 Cpu::run(uint64_t max_steps)
 {
-    if (dispatchActive_)
+    if (predecode_)
         return runBlocks(max_steps);
     uint64_t executed = 0;
     while (executed < max_steps) {
@@ -424,7 +389,7 @@ Cpu::executeImpl(const Instruction &inst)
             // cache stale when the store hit a word some block
             // decoded.
             icache_[addr].valid = false;
-            if (dispatchActive_ && blockCover_[addr] != 0)
+            if (blockCover_[addr] != 0)
                 blocksStale_ = true;
         } else {
             if (!mem_.inRange(addr))
@@ -822,9 +787,8 @@ Cpu::restoreState(const ckpt::Reader &reader)
     // Never trust pre-restore memoization: re-fetch the relocation
     // table from the (just re-validated) unit, and rebuild superblocks
     // from scratch — they are derived state, never serialized.
-    if (predecode_)
+    if (predecode_) {
         refreshRelocTable();
-    if (dispatchActive_) {
         flushBlocks();
         mem_.clearWriteLog();
         memVersionSeen_ = mem_.version();

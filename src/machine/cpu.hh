@@ -54,39 +54,6 @@ const char *trapName(TrapKind kind);
  */
 bool defaultPredecode();
 
-/**
- * How Cpu::run dispatches predecoded instructions. All three modes
- * are architecturally identical — traces, stats, and checkpoints are
- * byte-for-byte the same; only wall-clock speed changes (docs/PERF.md
- * has the matrix and the invalidation rules).
- */
-enum class DispatchMode : uint8_t
-{
-    /** Per-instruction switch over the predecoded side table (PR 4). */
-    Switch,
-    /**
-     * Token-threaded dispatch over cached superblocks: straight-line
-     * runs execute decoded descriptors back-to-back with one validity
-     * check per block instead of per-instruction tag compares.
-     */
-    Threaded,
-    /**
-     * Threaded, plus the dominant macro-op pairs (cmp+branch,
-     * load+use) fused into single descriptors at block-build time.
-     */
-    Fused,
-};
-
-/**
- * Default for CpuConfig::dispatch: DispatchMode::Fused unless the
- * environment variable RR_CPU_DISPATCH is "switch" or "threaded".
- * Read once per process, like RR_CPU_PREDECODE.
- */
-DispatchMode defaultDispatch();
-
-/** @return a printable name for @p mode ("switch", "threaded", ...). */
-const char *dispatchModeName(DispatchMode mode);
-
 /** Static machine configuration. */
 struct CpuConfig
 {
@@ -122,18 +89,11 @@ struct CpuConfig
      * per-operand relocation arithmetic on the hot path. Architectural
      * behaviour (registers, memory, traps, cycles, instret, timing
      * stats, traces) is identical with the cache on or off; only
-     * wall-clock speed changes. Defaults from RR_CPU_PREDECODE.
+     * wall-clock speed changes. With the cache active, run() executes
+     * cached superblocks (docs/PERF.md); step() always takes the
+     * per-instruction path. Defaults from RR_CPU_PREDECODE.
      */
     bool predecode = defaultPredecode();
-
-    /**
-     * run() dispatch strategy over the predecoded stream. Behaviour-
-     * neutral like the predecode switch itself: Threaded/Fused engage
-     * only when the predecode cache is active, and single-stepping via
-     * step() always uses the per-instruction path. Defaults from
-     * RR_CPU_DISPATCH.
-     */
-    DispatchMode dispatch = defaultDispatch();
 };
 
 /** One line of execution trace. */
@@ -242,12 +202,6 @@ class Cpu : public ckpt::Restorable
      * requested it and the memory is small enough to shadow).
      */
     bool predecodeActive() const { return predecode_; }
-
-    /**
-     * True when run() uses threaded superblock dispatch (predecode is
-     * active and the configured mode is Threaded or Fused).
-     */
-    bool dispatchActive() const { return dispatchActive_; }
 
     /**
      * Memories larger than this are not shadowed (the side table costs
@@ -370,17 +324,16 @@ class Cpu : public ckpt::Restorable
 
     /**
      * One token-threaded descriptor. @c token selects the handler
-     * (opcode tokens mirror isa::Opcode values; fused tokens follow).
-     * @c a and @c b hold the decoded constituent instructions
-     * verbatim, so trace reconstruction and timing charges in careful
-     * mode are exact; @c b is used by fused tokens only.
+     * (opcode tokens mirror isa::Opcode values; the end-of-block
+     * sentinel follows). @c inst holds the decoded instruction
+     * verbatim, so trace reconstruction and timing charges in
+     * careful mode are exact.
      */
     struct MicroOp
     {
         uint16_t token = 0;
         uint32_t pc = 0;
-        isa::Instruction a{};
-        isa::Instruction b{};
+        isa::Instruction inst{};
     };
 
     /**
@@ -428,7 +381,7 @@ class Cpu : public ckpt::Restorable
      */
     void syncHostWrites();
 
-    /** run() loop over cached superblocks (dispatchActive_ only). */
+    /** run() loop over cached superblocks (predecode_ only). */
     uint64_t runBlocks(uint64_t max_steps);
 
     /**
@@ -482,7 +435,6 @@ class Cpu : public ckpt::Restorable
     // many blocks decoded that word, so stores can detect in O(1)
     // whether they clobbered cached code. blocksStale_ defers the
     // actual flush to the next outer-loop iteration.
-    bool dispatchActive_ = false;
     std::vector<SuperBlock> blocks_;
     std::vector<int32_t> blockIndex_;
     std::vector<uint16_t> blockCover_;

@@ -2,13 +2,13 @@
  * @file
  * Token-threaded superblock dispatch for the RRISC interpreter.
  *
- * Cpu::run in Threaded/Fused mode executes cached *superblocks*: runs
- * of predecoded instructions keyed by entry PC, decoded once from the
- * per-word predecode cache and then executed descriptor-to-descriptor
- * with computed-goto dispatch (a portable switch fallback covers
- * non-GNU compilers). A straight-line run pays one validity check per
- * block instead of a raw-word tag compare, a decode-hook check, and a
- * relocation-epoch check per instruction.
+ * With the predecode cache active, Cpu::run executes cached
+ * *superblocks*: runs of predecoded instructions keyed by entry PC,
+ * decoded once from the per-word predecode cache and then executed
+ * descriptor-to-descriptor with computed-goto dispatch (a portable
+ * switch fallback covers non-GNU compilers). A straight-line run pays
+ * one validity check per block instead of a raw-word tag compare, a
+ * decode-hook check, and a relocation-epoch check per instruction.
  *
  * Invalidation mirrors the predecode cache's contract exactly:
  *
@@ -26,13 +26,10 @@
  *  - checkpoint restore flushes everything — superblocks are derived
  *    state and never serialized (docs/CKPT.md).
  *
- * Fused descriptors (Fused mode) pack the dominant macro-op pairs —
- * ALU-immediate + compare-branch, load + use, and back-to-back ALU
- * adds (mov is an ADDI alias) — into one token.
- * Each constituent still retires individually: per-constituent budget
- * checks, delay-slot advance, trace callbacks, and pipeline_timing
- * charges, so traces, stats, and checkpoints stay byte-identical to
- * the per-instruction paths.
+ * Every descriptor retires exactly like step(): budget check,
+ * delay-slot advance, trace callback, and pipeline_timing charge per
+ * instruction, so traces, stats, and checkpoints stay byte-identical
+ * to the per-instruction path.
  */
 
 #include "machine/cpu.hh"
@@ -59,8 +56,8 @@ namespace {
 
 /**
  * Dispatch tokens. The first isa::numOpcodes values mirror the Opcode
- * enum so plain instructions translate with a cast; fused pair tokens
- * and the end-of-block sentinel follow.
+ * enum so instructions translate with a cast; the end-of-block
+ * sentinel follows.
  */
 #define RR_TOKENS(X) \
     X(NOP) X(HALT) \
@@ -75,10 +72,6 @@ namespace {
     X(MFPSW) X(MTPSW) \
     X(FF1) \
     X(FAULT) \
-    X(FUSED_ADDI_BEQ) X(FUSED_ADDI_BNE) \
-    X(FUSED_ADDI_BLT) X(FUSED_ADDI_BGE) \
-    X(FUSED_LD_ADDI) X(FUSED_LD_ADD) \
-    X(FUSED_ADDI_ADDI) X(FUSED_ADD_ADDI) X(FUSED_LUI_ORI) \
     X(END)
 
 enum Token : uint16_t
@@ -95,7 +88,7 @@ static_assert(tok_NOP == static_cast<uint16_t>(Opcode::NOP));
 static_assert(tok_LD == static_cast<uint16_t>(Opcode::LD));
 static_assert(tok_BGE == static_cast<uint16_t>(Opcode::BGE));
 static_assert(tok_FAULT == static_cast<uint16_t>(Opcode::FAULT));
-static_assert(tok_FUSED_ADDI_BEQ == isa::numOpcodes);
+static_assert(tok_END == isa::numOpcodes);
 
 } // namespace
 
@@ -122,7 +115,6 @@ Cpu::buildBlock(uint32_t entry)
         return true;
     };
 
-    const bool fuse = config_.dispatch == DispatchMode::Fused;
     const uint32_t limit = static_cast<uint32_t>(std::min<uint64_t>(
         memWords_, uint64_t{entry} + kMaxBlockWords));
 
@@ -138,7 +130,7 @@ Cpu::buildBlock(uint32_t entry)
 
         MicroOp op;
         op.pc = pc;
-        op.a = inst;
+        op.inst = inst;
         op.token = static_cast<uint16_t>(inst.op);
 
         // Unconditional control transfers and stops end the block.
@@ -148,78 +140,6 @@ Cpu::buildBlock(uint32_t entry)
             inst.op == Opcode::JAL || inst.op == Opcode::JALR ||
             inst.op == Opcode::JMP || inst.op == Opcode::HALT ||
             inst.op == Opcode::FAULT;
-
-        if (fuse && !terminal && pc + 1 < limit) {
-            Instruction nxt;
-            if (decodeCached(pc + 1, nxt)) {
-                uint16_t ftok = 0;
-                if (inst.op == Opcode::ADDI) {
-                    switch (nxt.op) {
-                      case Opcode::BEQ:
-                        ftok = tok_FUSED_ADDI_BEQ;
-                        break;
-                      case Opcode::BNE:
-                        ftok = tok_FUSED_ADDI_BNE;
-                        break;
-                      case Opcode::BLT:
-                        ftok = tok_FUSED_ADDI_BLT;
-                        break;
-                      case Opcode::BGE:
-                        ftok = tok_FUSED_ADDI_BGE;
-                        break;
-                      case Opcode::ADDI:
-                        // mov is an ADDI alias, so ALU-move runs are
-                        // everywhere in relocation-convention code.
-                        ftok = tok_FUSED_ADDI_ADDI;
-                        break;
-                      default:
-                        break;
-                    }
-                } else if (inst.op == Opcode::ADD) {
-                    if (nxt.op == Opcode::ADDI)
-                        ftok = tok_FUSED_ADD_ADDI;
-                } else if (inst.op == Opcode::LUI) {
-                    // li/la assemble to LUI + ORI; constants load in
-                    // one dispatch.
-                    if (nxt.op == Opcode::ORI)
-                        ftok = tok_FUSED_LUI_ORI;
-                } else if (inst.op == Opcode::LD) {
-                    if (nxt.op == Opcode::ADDI &&
-                        nxt.rs1 == inst.rd) {
-                        ftok = tok_FUSED_LD_ADDI;
-                    } else if (nxt.op == Opcode::ADD &&
-                               (nxt.rs1 == inst.rd ||
-                                nxt.rs2 == inst.rd)) {
-                        ftok = tok_FUSED_LD_ADD;
-                    }
-                }
-                // An ALU pair ending in ADDI yields to a better
-                // fusion: when the instruction after the pair is a
-                // conditional branch, leave the ADDI free so it can
-                // fuse with the branch on the next iteration (the
-                // compare-branch pair saves a block exit, which is
-                // worth more than an ALU dispatch).
-                if ((ftok == tok_FUSED_ADDI_ADDI ||
-                     ftok == tok_FUSED_ADD_ADDI) &&
-                    pc + 2 < limit) {
-                    Instruction after;
-                    if (decodeCached(pc + 2, after) &&
-                        (after.op == Opcode::BEQ ||
-                         after.op == Opcode::BNE ||
-                         after.op == Opcode::BLT ||
-                         after.op == Opcode::BGE)) {
-                        ftok = 0;
-                    }
-                }
-                if (ftok != 0) {
-                    op.token = ftok;
-                    op.b = nxt;
-                    blk.ops.push_back(op);
-                    pc += 2;
-                    continue;
-                }
-            }
-        }
 
         blk.ops.push_back(op);
         ++pc;
@@ -381,14 +301,14 @@ Cpu::runBlocks(uint64_t max_steps)
         return done;                                                   \
     } while (0)
 
-// Per-constituent prologue: budget, trap bookkeeping, LDRRM delay
+// Per-instruction prologue: budget, trap bookkeeping, LDRRM delay
 // slots, and (careful mode) the trace hook + hazard-window reset.
-#define RR_PROLOG(inst_, pcOf_)                                        \
+#define RR_PROLOG()                                                    \
     if (done >= budget) [[unlikely]] {                                 \
-        pc_ = (pcOf_);                                                 \
+        pc_ = op->pc;                                                  \
         RR_EXIT();                                                     \
     }                                                                  \
-    trapPc = (pcOf_);                                                  \
+    trapPc = op->pc;                                                   \
     if (rrmPending_) [[unlikely]] {                                    \
         advancePendingRrm();                                           \
         if (!rrmPending_) {                                            \
@@ -398,30 +318,15 @@ Cpu::runBlocks(uint64_t max_steps)
     }                                                                  \
     if constexpr (Careful) {                                           \
         if (traceHook_) {                                              \
-            traceHook_(TraceEntry{cycles_, (pcOf_), (inst_),           \
+            traceHook_(TraceEntry{cycles_, op->pc, op->inst,           \
                                   relocation_.mask(0),                 \
-                                  isa::disassemble((inst_))});         \
+                                  isa::disassemble(op->inst)});        \
         }                                                              \
         if (timingEnabled_) {                                          \
             stepReadCount_ = 0;                                        \
             stepWrote_ = false;                                        \
         }                                                              \
     }
-
-// Retire a constituent that falls through inside the block.
-#define RR_RETIRE_STEP(inst_, pcOf_)                                   \
-    do {                                                               \
-        if constexpr (Careful) {                                       \
-            pc_ = (pcOf_) + 1;                                         \
-            ++cycles_;                                                 \
-            ++instret_;                                                \
-            ++done;                                                    \
-            if (timingEnabled_)                                        \
-                applyTiming((inst_), (pcOf_));                         \
-        } else {                                                       \
-            ++done;                                                    \
-        }                                                              \
-    } while (0)
 
 // Block chaining (fast mode only): when a control transfer lands on
 // the entry of an already-built, verified superblock, jump straight to
@@ -431,7 +336,7 @@ Cpu::runBlocks(uint64_t max_steps)
 // have arrived since the last sync; a simulated store to cached code
 // sets blocksStale_ and exits its block immediately, so the flag check
 // suffices; LDRRM delay slots and bank switches refresh the relocation
-// table inline; and the per-constituent budget check in RR_PROLOG
+// table inline; and the per-instruction budget check in RR_PROLOG
 // still bounds the chained run. Careful mode never chains — the trace
 // hook may legitimately write memory between instructions, and the
 // outer loop must observe that.
@@ -454,7 +359,7 @@ Cpu::runBlocks(uint64_t max_steps)
 
 // Retire a control transfer and leave the block (or chain into the
 // target block in fast mode). target_ must be side-effect free.
-#define RR_RETIRE_EXIT(target_, inst_, pcOf_)                          \
+#define RR_RETIRE_EXIT(target_)                                        \
     do {                                                               \
         if constexpr (Careful) {                                       \
             pc_ = (target_);                                           \
@@ -462,7 +367,7 @@ Cpu::runBlocks(uint64_t max_steps)
             ++instret_;                                                \
             ++done;                                                    \
             if (timingEnabled_)                                        \
-                applyTiming((inst_), (pcOf_));                         \
+                applyTiming(op->inst, op->pc);                         \
         } else {                                                       \
             const uint32_t tgt_ = (target_);                           \
             ++done;                                                    \
@@ -474,7 +379,7 @@ Cpu::runBlocks(uint64_t max_steps)
 
 // Retire an instruction that stops the machine (HALT) or whose block
 // must end here (a store into cached code). Never chains.
-#define RR_RETIRE_STOP(target_, inst_, pcOf_)                          \
+#define RR_RETIRE_STOP(target_)                                        \
     do {                                                               \
         pc_ = (target_);                                               \
         if constexpr (Careful) {                                       \
@@ -482,7 +387,7 @@ Cpu::runBlocks(uint64_t max_steps)
             ++instret_;                                                \
             ++done;                                                    \
             if (timingEnabled_)                                        \
-                applyTiming((inst_), (pcOf_));                         \
+                applyTiming(op->inst, op->pc);                         \
         } else {                                                       \
             ++done;                                                    \
         }                                                              \
@@ -497,10 +402,19 @@ Cpu::runBlocks(uint64_t max_steps)
 #define RR_DISPATCH() goto dispatch
 #endif
 
-// Straight-line single-instruction epilogue.
+// Retire a straight-line instruction and dispatch the next one.
 #define RR_NEXT()                                                      \
     do {                                                               \
-        RR_RETIRE_STEP(op->a, op->pc);                                 \
+        if constexpr (Careful) {                                       \
+            pc_ = op->pc + 1;                                          \
+            ++cycles_;                                                 \
+            ++instret_;                                                \
+            ++done;                                                    \
+            if (timingEnabled_)                                        \
+                applyTiming(op->inst, op->pc);                         \
+        } else {                                                       \
+            ++done;                                                    \
+        }                                                              \
         ++op;                                                          \
         RR_DISPATCH();                                                 \
     } while (0)
@@ -509,38 +423,14 @@ Cpu::runBlocks(uint64_t max_steps)
 #define RR_BRANCH_HANDLER(name, takenExpr)                             \
     RR_CASE(name)                                                      \
     {                                                                  \
-        RR_PROLOG(op->a, op->pc);                                      \
-        const uint32_t lhs = rdop(op->a.rs1);                          \
-        const uint32_t rhs = rdop(op->a.rs2);                          \
+        RR_PROLOG();                                                   \
+        const uint32_t lhs = rdop(op->inst.rs1);                       \
+        const uint32_t rhs = rdop(op->inst.rs2);                       \
         if (takenExpr) {                                               \
             RR_RETIRE_EXIT(op->pc +                                    \
-                               static_cast<uint32_t>(op->a.imm),       \
-                           op->a, op->pc);                             \
+                           static_cast<uint32_t>(op->inst.imm));       \
         }                                                              \
         RR_NEXT();                                                     \
-    }
-
-// Fused ALU-immediate + compare-branch. Constituents retire
-// individually; the pair splits cleanly when the budget runs out or
-// the second constituent traps.
-#define RR_FUSED_ADDI_BR(name, takenExpr)                              \
-    RR_CASE(name)                                                      \
-    {                                                                  \
-        RR_PROLOG(op->a, op->pc);                                      \
-        wrop(op->a.rd,                                                 \
-             rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm));      \
-        RR_RETIRE_STEP(op->a, op->pc);                                 \
-        RR_PROLOG(op->b, op->pc + 1);                                  \
-        const uint32_t lhs = rdop(op->b.rs1);                          \
-        const uint32_t rhs = rdop(op->b.rs2);                          \
-        if (takenExpr) {                                               \
-            RR_RETIRE_EXIT(op->pc + 1 +                                \
-                               static_cast<uint32_t>(op->b.imm),       \
-                           op->b, op->pc + 1);                         \
-        }                                                              \
-        RR_RETIRE_STEP(op->b, op->pc + 1);                             \
-        ++op;                                                          \
-        RR_DISPATCH();                                                 \
     }
 
 template <bool Careful>
@@ -611,174 +501,174 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 
         RR_CASE(NOP)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             RR_NEXT();
         }
 
         RR_CASE(HALT)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             halted_ = true;
-            RR_RETIRE_STOP(op->pc + 1, op->a, op->pc);
+            RR_RETIRE_STOP(op->pc + 1);
         }
 
         RR_CASE(ADD)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) + rdop(op->a.rs2));
+            RR_PROLOG();
+            wrop(op->inst.rd, rdop(op->inst.rs1) + rdop(op->inst.rs2));
             RR_NEXT();
         }
         RR_CASE(SUB)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) - rdop(op->a.rs2));
+            RR_PROLOG();
+            wrop(op->inst.rd, rdop(op->inst.rs1) - rdop(op->inst.rs2));
             RR_NEXT();
         }
         RR_CASE(AND)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) & rdop(op->a.rs2));
+            RR_PROLOG();
+            wrop(op->inst.rd, rdop(op->inst.rs1) & rdop(op->inst.rs2));
             RR_NEXT();
         }
         RR_CASE(OR)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) | rdop(op->a.rs2));
+            RR_PROLOG();
+            wrop(op->inst.rd, rdop(op->inst.rs1) | rdop(op->inst.rs2));
             RR_NEXT();
         }
         RR_CASE(XOR)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) ^ rdop(op->a.rs2));
+            RR_PROLOG();
+            wrop(op->inst.rd, rdop(op->inst.rs1) ^ rdop(op->inst.rs2));
             RR_NEXT();
         }
         RR_CASE(SLL)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1)
-                               << (rdop(op->a.rs2) & 31));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) << (rdop(op->inst.rs2) & 31));
             RR_NEXT();
         }
         RR_CASE(SRL)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) >> (rdop(op->a.rs2) & 31));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) >> (rdop(op->inst.rs2) & 31));
             RR_NEXT();
         }
         RR_CASE(SRA)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
+            RR_PROLOG();
+            wrop(op->inst.rd,
                  static_cast<uint32_t>(
-                     static_cast<int32_t>(rdop(op->a.rs1)) >>
-                     (rdop(op->a.rs2) & 31)));
+                     static_cast<int32_t>(rdop(op->inst.rs1)) >>
+                     (rdop(op->inst.rs2) & 31)));
             RR_NEXT();
         }
         RR_CASE(SLT)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 static_cast<int32_t>(rdop(op->a.rs1)) <
-                         static_cast<int32_t>(rdop(op->a.rs2))
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 static_cast<int32_t>(rdop(op->inst.rs1)) <
+                         static_cast<int32_t>(rdop(op->inst.rs2))
                      ? 1
                      : 0);
             RR_NEXT();
         }
         RR_CASE(SLTU)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) < rdop(op->a.rs2) ? 1 : 0);
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) < rdop(op->inst.rs2) ? 1 : 0);
             RR_NEXT();
         }
 
         RR_CASE(ADDI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) + static_cast<uint32_t>(op->inst.imm));
             RR_NEXT();
         }
         RR_CASE(ANDI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) & static_cast<uint32_t>(op->a.imm));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) & static_cast<uint32_t>(op->inst.imm));
             RR_NEXT();
         }
         RR_CASE(ORI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) | static_cast<uint32_t>(op->a.imm));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) | static_cast<uint32_t>(op->inst.imm));
             RR_NEXT();
         }
         RR_CASE(XORI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) ^ static_cast<uint32_t>(op->a.imm));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) ^ static_cast<uint32_t>(op->inst.imm));
             RR_NEXT();
         }
         RR_CASE(SLTI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 static_cast<int32_t>(rdop(op->a.rs1)) < op->a.imm
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 static_cast<int32_t>(rdop(op->inst.rs1)) < op->inst.imm
                      ? 1
                      : 0);
             RR_NEXT();
         }
         RR_CASE(SLLI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1)
-                     << (static_cast<uint32_t>(op->a.imm) & 31));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1)
+                     << (static_cast<uint32_t>(op->inst.imm) & 31));
             RR_NEXT();
         }
         RR_CASE(SRLI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) >>
-                     (static_cast<uint32_t>(op->a.imm) & 31));
+            RR_PROLOG();
+            wrop(op->inst.rd,
+                 rdop(op->inst.rs1) >>
+                     (static_cast<uint32_t>(op->inst.imm) & 31));
             RR_NEXT();
         }
         RR_CASE(SRAI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
+            RR_PROLOG();
+            wrop(op->inst.rd,
                  static_cast<uint32_t>(
-                     static_cast<int32_t>(rdop(op->a.rs1)) >>
-                     (static_cast<uint32_t>(op->a.imm) & 31)));
+                     static_cast<int32_t>(rdop(op->inst.rs1)) >>
+                     (static_cast<uint32_t>(op->inst.imm) & 31)));
             RR_NEXT();
         }
 
         RR_CASE(LUI)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, static_cast<uint32_t>(op->a.imm) << 12);
+            RR_PROLOG();
+            wrop(op->inst.rd, static_cast<uint32_t>(op->inst.imm) << 12);
             RR_NEXT();
         }
 
         RR_CASE(LD)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
+                rdop(op->inst.rs1) + static_cast<uint32_t>(op->inst.imm);
             if (addr >= memSz) [[unlikely]]
                 throwTrap(TrapKind::MemOutOfRange);
-            wrop(op->a.rd, mem[addr]);
+            wrop(op->inst.rd, mem[addr]);
             RR_NEXT();
         }
         RR_CASE(ST)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            const uint32_t value = rdop(op->a.rd);
+                rdop(op->inst.rs1) + static_cast<uint32_t>(op->inst.imm);
+            const uint32_t value = rdop(op->inst.rd);
             if (addr >= memSz) [[unlikely]]
                 throwTrap(TrapKind::MemOutOfRange);
             mem[addr] = value;
@@ -788,7 +678,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
                 // descriptor of this very block. Mark the cache stale
                 // and end the block before anything stale can run.
                 blocksStale_ = true;
-                RR_RETIRE_STOP(op->pc + 1, op->a, op->pc);
+                RR_RETIRE_STOP(op->pc + 1);
             }
             RR_NEXT();
         }
@@ -802,30 +692,30 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 
         RR_CASE(JAL)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, op->pc + 1);
-            RR_RETIRE_EXIT(op->pc + static_cast<uint32_t>(op->a.imm),
-                           op->a, op->pc);
+            RR_PROLOG();
+            wrop(op->inst.rd, op->pc + 1);
+            RR_RETIRE_EXIT(op->pc +
+                           static_cast<uint32_t>(op->inst.imm));
         }
         RR_CASE(JALR)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             const uint32_t target =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            wrop(op->a.rd, op->pc + 1);
-            RR_RETIRE_EXIT(target, op->a, op->pc);
+                rdop(op->inst.rs1) + static_cast<uint32_t>(op->inst.imm);
+            wrop(op->inst.rd, op->pc + 1);
+            RR_RETIRE_EXIT(target);
         }
         RR_CASE(JMP)
         {
-            RR_PROLOG(op->a, op->pc);
-            const uint32_t target = rdop(op->a.rs1);
-            RR_RETIRE_EXIT(target, op->a, op->pc);
+            RR_PROLOG();
+            const uint32_t target = rdop(op->inst.rs1);
+            RR_RETIRE_EXIT(target);
         }
 
         RR_CASE(LDRRM)
         {
-            RR_PROLOG(op->a, op->pc);
-            rrmPendingValue_ = rdop(op->a.rs1);
+            RR_PROLOG();
+            rrmPendingValue_ = rdop(op->inst.rs1);
             rrmPendingBank_ = 0;
             rrmPendingRemaining_ = config_.ldrrmDelaySlots + 1;
             rrmPending_ = true;
@@ -833,17 +723,17 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
         }
         RR_CASE(RDRRM)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, relocation_.mask(0));
+            RR_PROLOG();
+            wrop(op->inst.rd, relocation_.mask(0));
             RR_NEXT();
         }
         RR_CASE(LDRRMX)
         {
-            RR_PROLOG(op->a, op->pc);
-            const auto bank = static_cast<unsigned>(op->a.imm);
+            RR_PROLOG();
+            const auto bank = static_cast<unsigned>(op->inst.imm);
             if (bank >= relocation_.numBanks())
                 throwTrap(TrapKind::InvalidOpcode);
-            const uint32_t value = rdop(op->a.rs1);
+            const uint32_t value = rdop(op->inst.rs1);
             if (bank == 0) {
                 rrmPendingValue_ = value;
                 rrmPendingBank_ = 0;
@@ -859,33 +749,33 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 
         RR_CASE(MFPSW)
         {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, psw_);
+            RR_PROLOG();
+            wrop(op->inst.rd, psw_);
             RR_NEXT();
         }
         RR_CASE(MTPSW)
         {
-            RR_PROLOG(op->a, op->pc);
-            psw_ = rdop(op->a.rs1);
+            RR_PROLOG();
+            psw_ = rdop(op->inst.rs1);
             RR_NEXT();
         }
 
         RR_CASE(FF1)
         {
-            RR_PROLOG(op->a, op->pc);
-            const int bit = findFirstSet(rdop(op->a.rs1));
-            wrop(op->a.rd, static_cast<uint32_t>(bit));
+            RR_PROLOG();
+            const int bit = findFirstSet(rdop(op->inst.rs1));
+            wrop(op->inst.rd, static_cast<uint32_t>(bit));
             RR_NEXT();
         }
 
         RR_CASE(FAULT)
         {
-            RR_PROLOG(op->a, op->pc);
+            RR_PROLOG();
             RR_FLUSH();
             // Copy what the epilogue needs before the hook runs: the
             // hook may redirect the pc, charge stalls, or write
             // memory (which can mark this very block stale).
-            const Instruction finst = op->a;
+            const Instruction finst = op->inst;
             const uint32_t fpc = op->pc;
             lastFaultClass_ = static_cast<uint32_t>(finst.imm);
             ++faultCount_;
@@ -900,83 +790,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
                     applyTiming(finst, fpc);
             }
             return done;
-        }
-
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BEQ, lhs == rhs)
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BNE, lhs != rhs)
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BLT, static_cast<int32_t>(lhs) <
-                                             static_cast<int32_t>(rhs))
-        RR_FUSED_ADDI_BR(FUSED_ADDI_BGE, static_cast<int32_t>(lhs) >=
-                                             static_cast<int32_t>(rhs))
-
-        RR_CASE(FUSED_LD_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            if (addr >= memSz) [[unlikely]]
-                throwTrap(TrapKind::MemOutOfRange);
-            wrop(op->a.rd, mem[addr]);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_LD_ADD)
-        {
-            RR_PROLOG(op->a, op->pc);
-            const uint64_t addr =
-                rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm);
-            if (addr >= memSz) [[unlikely]]
-                throwTrap(TrapKind::MemOutOfRange);
-            wrop(op->a.rd, mem[addr]);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd, rdop(op->b.rs1) + rdop(op->b.rs2));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-
-        RR_CASE(FUSED_ADDI_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd,
-                 rdop(op->a.rs1) + static_cast<uint32_t>(op->a.imm));
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_ADD_ADDI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, rdop(op->a.rs1) + rdop(op->a.rs2));
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) + static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
-        }
-        RR_CASE(FUSED_LUI_ORI)
-        {
-            RR_PROLOG(op->a, op->pc);
-            wrop(op->a.rd, static_cast<uint32_t>(op->a.imm) << 12);
-            RR_RETIRE_STEP(op->a, op->pc);
-            RR_PROLOG(op->b, op->pc + 1);
-            wrop(op->b.rd,
-                 rdop(op->b.rs1) | static_cast<uint32_t>(op->b.imm));
-            RR_RETIRE_STEP(op->b, op->pc + 1);
-            ++op;
-            RR_DISPATCH();
         }
 
         RR_CASE(END)
@@ -1007,7 +820,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 #undef RR_FLUSH
 #undef RR_EXIT
 #undef RR_PROLOG
-#undef RR_RETIRE_STEP
 #undef RR_CHAIN
 #undef RR_RETIRE_EXIT
 #undef RR_RETIRE_STOP
@@ -1015,7 +827,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 #undef RR_DISPATCH
 #undef RR_NEXT
 #undef RR_BRANCH_HANDLER
-#undef RR_FUSED_ADDI_BR
 #undef RR_TOKENS
 
 template uint64_t Cpu::execBlock<false>(const SuperBlock &, uint64_t);

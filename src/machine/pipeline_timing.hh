@@ -50,10 +50,10 @@ struct PipelineTimingConfig
 
 /**
  * Stall-cycle accounting. Charges are per retired instruction and
- * independent of how the Cpu dispatched it: the threaded/fused block
- * paths charge each fused constituent exactly as the per-step path
- * does, so stats compare equal across DispatchMode (the dispatch-mode
- * identity tests rely on operator==).
+ * independent of how the Cpu dispatched it: the superblock engine
+ * charges each instruction exactly as the per-step path does, so
+ * stats compare equal with predecode on and off (the identity tests
+ * rely on operator==).
  */
 struct PipelineTimingStats
 {

@@ -1,13 +1,12 @@
-# Runs rrsim over the example programs with the predecoded
-# instruction cache forced off (RR_CPU_PREDECODE=0) and on — the
-# latter under every run() dispatch strategy (RR_CPU_DISPATCH =
-# switch, threaded, fused) — and fails unless the structured traces
-# and final-state JSON dumps are byte-identical across all four legs:
-# the cache and the superblock dispatch engine must be
-# architecturally invisible (docs/PERF.md). Invoked by ctest; see
-# tests/CMakeLists.txt.
+# Runs rrsim over the example programs (examples/asm and examples/os)
+# twice — with the predecoded instruction cache forced off
+# (RR_CPU_PREDECODE=0, the decode-per-step reference) and on (run()
+# executes cached superblocks) — and fails unless the structured
+# traces and final-state JSON dumps are byte-identical: the cache and
+# the superblock engine must be architecturally invisible
+# (docs/PERF.md). Invoked by ctest; see tests/CMakeLists.txt.
 
-foreach(var RRSIM ASM_DIR WORK_DIR)
+foreach(var RRSIM EXAMPLES_DIR WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "${var} is required")
     endif()
@@ -16,46 +15,44 @@ endforeach()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-file(GLOB programs ${ASM_DIR}/*.s)
+file(GLOB programs ${EXAMPLES_DIR}/asm/*.s ${EXAMPLES_DIR}/os/*.s)
 list(SORT programs)
 if(programs STREQUAL "")
-    message(FATAL_ERROR "no example programs under ${ASM_DIR}")
+    message(FATAL_ERROR "no example programs under ${EXAMPLES_DIR}")
 endif()
-
-# leg name -> environment for that leg. "off" is the decode-per-step
-# reference every cached leg must match.
-set(legs off switch threaded fused)
-set(env_off RR_CPU_PREDECODE=0)
-set(env_switch RR_CPU_PREDECODE=1 RR_CPU_DISPATCH=switch)
-set(env_threaded RR_CPU_PREDECODE=1 RR_CPU_DISPATCH=threaded)
-set(env_fused RR_CPU_PREDECODE=1 RR_CPU_DISPATCH=fused)
 
 foreach(program ${programs})
     get_filename_component(name ${program} NAME_WE)
-    foreach(leg ${legs})
+    get_filename_component(dir ${program} DIRECTORY)
+    get_filename_component(group ${dir} NAME)
+    set(name ${group}-${name})
+    foreach(leg off on)
+        if(leg STREQUAL "off")
+            set(predecode 0)
+        else()
+            set(predecode 1)
+        endif()
         execute_process(
-            COMMAND ${CMAKE_COMMAND} -E env ${env_${leg}}
+            COMMAND ${CMAKE_COMMAND} -E env RR_CPU_PREDECODE=${predecode}
                 ${RRSIM} --trace=${WORK_DIR}/${name}.${leg}.jsonl
                 --json ${program}
             OUTPUT_FILE ${WORK_DIR}/${name}.${leg}.json
             RESULT_VARIABLE status)
         if(NOT status EQUAL 0)
             message(FATAL_ERROR
-                "rrsim failed on ${name} (${leg} leg)")
+                "rrsim failed on ${name} (predecode ${leg})")
         endif()
     endforeach()
-    foreach(leg switch threaded fused)
-        foreach(ext jsonl json)
-            execute_process(
-                COMMAND ${CMAKE_COMMAND} -E compare_files
-                    ${WORK_DIR}/${name}.off.${ext}
-                    ${WORK_DIR}/${name}.${leg}.${ext}
-                RESULT_VARIABLE diff)
-            if(NOT diff EQUAL 0)
-                message(FATAL_ERROR
-                    "${name}: ${ext} output differs between the "
-                    "uncached run and ${leg} dispatch")
-            endif()
-        endforeach()
+    foreach(ext jsonl json)
+        execute_process(
+            COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORK_DIR}/${name}.off.${ext}
+                ${WORK_DIR}/${name}.on.${ext}
+            RESULT_VARIABLE diff)
+        if(NOT diff EQUAL 0)
+            message(FATAL_ERROR
+                "${name}: ${ext} output differs between the uncached "
+                "run and superblocks")
+        endif()
     endforeach()
 endforeach()

@@ -1,13 +1,14 @@
 /**
  * @file
- * Threaded/fused superblock dispatch (docs/PERF.md): the run() fast
- * path must be architecturally invisible at *every* observation
- * point, not just at halt. These tests pin the properties the
- * corpus-level identity tests cannot see directly:
+ * Superblock dispatch (docs/PERF.md): the run() fast path must be
+ * architecturally invisible at *every* observation point, not just at
+ * halt. Each test compares the decode-per-step reference (predecode
+ * off) against the superblock engine (predecode on) and pins a
+ * property the corpus-level identity tests cannot see directly:
  *
- *  - a step budget that expires between the two halves of a fused
- *    macro-op pair retires exactly the same instruction prefix as
- *    switch dispatch, for every possible split point;
+ *  - a step budget that expires anywhere inside a block retires
+ *    exactly the reference's instruction prefix, for every possible
+ *    split point;
  *  - step() and run() can be interleaved freely;
  *  - host writes demote superblocks to unverified and the next
  *    lookup re-proves them against memory (cache kept) or flushes
@@ -20,11 +21,11 @@
  *  - the 64-entry write journal's boundary is exact: the 64th host
  *    write is still scanned precisely, the 65th degrades to all-dirty
  *    (reverify everything), and neither path ever runs stale code;
- *  - a trap raised from either half of a fused macro-op pair retires
- *    exactly the switch-mode instruction prefix, and FAULT inside a
- *    fused hot loop flushes the pending retirement counters before
- *    the hook observes the CPU — trace bytes and in-hook checkpoints
- *    are identical across all three dispatch modes.
+ *  - a trap raised by either of two adjacent instructions in a block
+ *    retires exactly the reference's instruction prefix, and FAULT
+ *    inside a chained hot loop flushes the pending retirement
+ *    counters before the hook observes the CPU — trace bytes and
+ *    in-hook checkpoints are identical on both engines.
  */
 
 #include <sstream>
@@ -41,7 +42,7 @@ namespace rr::machine {
 namespace {
 
 CpuConfig
-configWith(DispatchMode dispatch, bool predecode = true)
+configWith(bool predecode)
 {
     CpuConfig config;
     config.numRegs = 128;
@@ -49,8 +50,16 @@ configWith(DispatchMode dispatch, bool predecode = true)
     config.ldrrmDelaySlots = 1;
     config.memWords = 4096;
     config.predecode = predecode;
-    config.dispatch = dispatch;
     return config;
+}
+
+/** The two engines: the reference first, then superblocks. */
+constexpr bool kLegs[] = {false, true};
+
+const char *
+legName(bool predecode)
+{
+    return predecode ? "superblocks" : "reference";
 }
 
 assembler::Program
@@ -106,10 +115,9 @@ observe(const Cpu &cpu)
     return obs;
 }
 
-// li expands to LUI+ORI (a fusable pair), the decrement feeds the
-// branch (another fusable pair), and the two back-to-back ADDIs are
-// ALU-pair candidates — every fusion rule is on this path.
-constexpr const char *kFusionLoop = R"(
+// A chained hot loop: li expands to LUI+ORI, the loop body is one
+// block whose taken branch chains back into itself.
+constexpr const char *kHotLoop = R"(
 entry:
     li    r1, 25
 loop:
@@ -119,23 +127,21 @@ loop:
     halt
 )";
 
-// A step budget expiring anywhere — including between the two halves
-// of a fused pair — must leave the same architectural state and
-// counters as switch dispatch with the same budget. Sweep every
-// prefix length of the whole program.
-TEST(Dispatch, BudgetSplitsFusedPairsExactly)
+// A step budget expiring anywhere — mid-block, on a taken branch, or
+// inside a chained run — must leave the same architectural state and
+// counters as the reference with the same budget. Sweep every prefix
+// length of the whole program.
+TEST(Dispatch, BudgetSplitsAtEveryPrefixExactly)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
+    const assembler::Program prog = assembleOrDie(kHotLoop);
 
     // Total retired instructions at halt: li(2) + 25*3 + halt.
     constexpr uint64_t kTotal = 2 + 25 * 3 + 1;
     for (uint64_t budget = 1; budget <= kTotal + 1; ++budget) {
         Observation want;
         bool first = true;
-        for (const DispatchMode mode :
-             {DispatchMode::Switch, DispatchMode::Threaded,
-              DispatchMode::Fused}) {
-            Cpu cpu(configWith(mode));
+        for (const bool predecode : kLegs) {
+            Cpu cpu(configWith(predecode));
             loadAndStart(cpu, prog);
             cpu.run(budget);
             const Observation got = observe(cpu);
@@ -145,8 +151,8 @@ TEST(Dispatch, BudgetSplitsFusedPairsExactly)
                 continue;
             }
             EXPECT_EQ(got, want)
-                << "budget " << budget << ", mode "
-                << dispatchModeName(mode);
+                << "budget " << budget << ", "
+                << legName(predecode);
         }
     }
 }
@@ -155,14 +161,12 @@ TEST(Dispatch, BudgetSplitsFusedPairsExactly)
 // left behind, at any interleaving.
 TEST(Dispatch, StepAndRunInterleaveFreely)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
+    const assembler::Program prog = assembleOrDie(kHotLoop);
 
     Observation want;
     bool first = true;
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        Cpu cpu(configWith(mode));
+    for (const bool predecode : kLegs) {
+        Cpu cpu(configWith(predecode));
         loadAndStart(cpu, prog);
         for (int i = 0; i < 3; ++i)
             cpu.step();
@@ -176,7 +180,7 @@ TEST(Dispatch, StepAndRunInterleaveFreely)
             first = false;
             continue;
         }
-        EXPECT_EQ(got, want) << dispatchModeName(mode);
+        EXPECT_EQ(got, want) << legName(predecode);
     }
 }
 
@@ -185,9 +189,9 @@ TEST(Dispatch, StepAndRunInterleaveFreely)
 // and keeps it — no flush, no rebuild.
 TEST(Dispatch, HostWriteWithUnchangedCodeReverifiesBlocks)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
-    Cpu cpu(configWith(DispatchMode::Fused));
-    ASSERT_TRUE(cpu.dispatchActive());
+    const assembler::Program prog = assembleOrDie(kHotLoop);
+    Cpu cpu(configWith(true));
+    ASSERT_TRUE(cpu.predecodeActive());
     loadAndStart(cpu, prog);
     cpu.run(100'000);
     ASSERT_TRUE(cpu.halted());
@@ -219,14 +223,14 @@ TEST(Dispatch, HostWriteWithUnchangedCodeReverifiesBlocks)
 // the cache flushes and rebuilds, and the new code runs.
 TEST(Dispatch, HostWriteWithChangedCodeFlushesAndRebuilds)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
+    const assembler::Program prog = assembleOrDie(kHotLoop);
     // The replacement body: "addi r2, r2, 5" instead of "+3".
     const assembler::Program patched = assembleOrDie(R"(
 entry:
     addi  r2, r2, 5
 )");
 
-    Cpu cpu(configWith(DispatchMode::Fused));
+    Cpu cpu(configWith(true));
     loadAndStart(cpu, prog);
     cpu.run(100'000);
     ASSERT_TRUE(cpu.halted());
@@ -253,7 +257,8 @@ entry:
 
 // Self-modifying code inside a hot (chained) loop: the store lands in
 // a covered word every iteration, so the block engine must exit,
-// rebuild, and pick up the patched instruction — in every mode.
+// rebuild, and pick up the patched instruction, exactly as the
+// reference does.
 constexpr const char *kSmcLoop = R"(
 entry:
     li    r1, 6
@@ -277,30 +282,22 @@ TEST(Dispatch, StoreIntoChainedLoopNeverRunsStaleCode)
 
     Observation want;
     bool first = true;
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        Cpu cpu(configWith(mode));
+    for (const bool predecode : kLegs) {
+        Cpu cpu(configWith(predecode));
         loadAndStart(cpu, prog);
         cpu.run(100'000);
-        ASSERT_TRUE(cpu.halted()) << dispatchModeName(mode);
+        ASSERT_TRUE(cpu.halted()) << legName(predecode);
         // Iteration 1 adds 1 and patches; iterations 2..6 add 4.
         EXPECT_EQ(cpu.regs().read(2), 1u + 5 * 4)
-            << dispatchModeName(mode);
+            << legName(predecode);
         const Observation got = observe(cpu);
         if (first) {
             want = got;
             first = false;
             continue;
         }
-        EXPECT_EQ(got, want) << dispatchModeName(mode);
+        EXPECT_EQ(got, want) << legName(predecode);
     }
-
-    // And against the undecoded reference path.
-    Cpu off(configWith(DispatchMode::Switch, false));
-    loadAndStart(off, prog);
-    off.run(100'000);
-    EXPECT_EQ(observe(off), want);
 }
 
 // The superblock cache is derived state: it is never serialized, a
@@ -308,19 +305,18 @@ TEST(Dispatch, StoreIntoChainedLoopNeverRunsStaleCode)
 // finishes byte-identically to the uninterrupted run.
 TEST(Dispatch, CheckpointRestoreRebuildsDerivedBlocks)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
+    const assembler::Program prog = assembleOrDie(kHotLoop);
 
-    // Uninterrupted fused run, as reference.
-    Cpu whole(configWith(DispatchMode::Fused));
+    // Uninterrupted superblock run, as reference.
+    Cpu whole(configWith(true));
     loadAndStart(whole, prog);
     whole.run(100'000);
     ASSERT_TRUE(whole.halted());
     const Observation want = observe(whole);
 
-    // Pause mid-loop (and mid-pair: budget 40 lands between the
-    // decrement and its fused branch), checkpoint, restore into a
-    // fresh CPU, finish there.
-    Cpu source(configWith(DispatchMode::Fused));
+    // Pause mid-loop (budget 40 lands between the decrement and its
+    // branch), checkpoint, restore into a fresh CPU, finish there.
+    Cpu source(configWith(true));
     loadAndStart(source, prog);
     source.run(40);
     ASSERT_FALSE(source.halted());
@@ -328,7 +324,7 @@ TEST(Dispatch, CheckpointRestoreRebuildsDerivedBlocks)
     source.saveState(writer);
     const std::vector<uint8_t> doc = writer.seal();
 
-    Cpu target(configWith(DispatchMode::Fused));
+    Cpu target(configWith(true));
     target.restoreState(ckpt::Reader(doc));
     EXPECT_EQ(target.superblocksBuilt(), 0u)
         << "restore must drop derived superblocks";
@@ -337,9 +333,9 @@ TEST(Dispatch, CheckpointRestoreRebuildsDerivedBlocks)
     EXPECT_GT(target.superblocksBuilt(), 0u);
     EXPECT_EQ(observe(target), want);
 
-    // Restoring into a switch-dispatch CPU gives the same result:
-    // the dispatch mode is not part of the checkpointed state.
-    Cpu plain(configWith(DispatchMode::Switch));
+    // Restoring into a reference CPU gives the same result: the
+    // predecode switch is not part of the checkpointed state.
+    Cpu plain(configWith(false));
     plain.restoreState(ckpt::Reader(doc));
     plain.run(100'000);
     EXPECT_EQ(observe(plain), want);
@@ -366,26 +362,26 @@ struct JournalRun
 };
 
 JournalRun
-runJournalScenario(DispatchMode mode, size_t data_writes,
+runJournalScenario(bool predecode, size_t data_writes,
                    bool patch_code)
 {
-    const assembler::Program prog = assembleOrDie(kFusionLoop);
-    Cpu cpu(configWith(mode));
+    const assembler::Program prog = assembleOrDie(kHotLoop);
+    Cpu cpu(configWith(predecode));
     loadAndStart(cpu, prog);
     cpu.run(100'000);
-    EXPECT_TRUE(cpu.halted()) << dispatchModeName(mode);
-    EXPECT_EQ(cpu.regs().read(2), 75u) << dispatchModeName(mode);
+    EXPECT_TRUE(cpu.halted()) << legName(predecode);
+    EXPECT_EQ(cpu.regs().read(2), 75u) << legName(predecode);
 
     // The block engine consumes the journal at block boundaries; a
-    // halted CPU must not sit on stale entries. Switch dispatch has
-    // no consumer, so start its count from a clean journal instead.
-    if (mode == DispatchMode::Switch) {
+    // halted CPU must not sit on stale entries. The reference has no
+    // consumer, so start its count from a clean journal instead.
+    if (!predecode) {
         cpu.mem().clearWriteLog();
     } else {
         EXPECT_TRUE(cpu.mem().writeLog().empty())
-            << dispatchModeName(mode);
+            << legName(predecode);
         EXPECT_FALSE(cpu.mem().writeLogOverflowed())
-            << dispatchModeName(mode);
+            << legName(predecode);
     }
 
     // Host writes into data words no superblock covers.
@@ -417,7 +413,7 @@ entry:
     cpu.setPc(entry->second);
     cpu.resume();
     cpu.run(100'000);
-    EXPECT_TRUE(cpu.halted()) << dispatchModeName(mode);
+    EXPECT_TRUE(cpu.halted()) << legName(predecode);
 
     out.obs = observe(cpu);
     out.built = cpu.superblocksBuilt() - built;
@@ -431,19 +427,14 @@ entry:
 // block verified — no demotion, no reverify, no flush.
 TEST(Dispatch, JournalSixtyFourthWriteStillScansPrecisely)
 {
-    const JournalRun sw =
-        runJournalScenario(DispatchMode::Switch, 64, false);
-    for (const DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Fused}) {
-        const JournalRun got = runJournalScenario(mode, 64, false);
-        EXPECT_EQ(got.journalDepth, Memory::kWriteLogCap)
-            << dispatchModeName(mode);
-        EXPECT_FALSE(got.overflowed) << dispatchModeName(mode);
-        EXPECT_EQ(got.reverified, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.flushes, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.built, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.obs, sw.obs) << dispatchModeName(mode);
-    }
+    const JournalRun ref = runJournalScenario(false, 64, false);
+    const JournalRun got = runJournalScenario(true, 64, false);
+    EXPECT_EQ(got.journalDepth, Memory::kWriteLogCap);
+    EXPECT_FALSE(got.overflowed);
+    EXPECT_EQ(got.reverified, 0u);
+    EXPECT_EQ(got.flushes, 0u);
+    EXPECT_EQ(got.built, 0u);
+    EXPECT_EQ(got.obs, ref.obs);
 }
 
 // The 65th write degrades the journal to all-dirty: every block is
@@ -452,17 +443,13 @@ TEST(Dispatch, JournalSixtyFourthWriteStillScansPrecisely)
 // flushes or rebuilds.
 TEST(Dispatch, JournalSixtyFifthWriteDegradesToAllDirty)
 {
-    const JournalRun sw =
-        runJournalScenario(DispatchMode::Switch, 65, false);
-    for (const DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Fused}) {
-        const JournalRun got = runJournalScenario(mode, 65, false);
-        EXPECT_TRUE(got.overflowed) << dispatchModeName(mode);
-        EXPECT_GT(got.reverified, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.flushes, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.built, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.obs, sw.obs) << dispatchModeName(mode);
-    }
+    const JournalRun ref = runJournalScenario(false, 65, false);
+    const JournalRun got = runJournalScenario(true, 65, false);
+    EXPECT_TRUE(got.overflowed);
+    EXPECT_GT(got.reverified, 0u);
+    EXPECT_EQ(got.flushes, 0u);
+    EXPECT_EQ(got.built, 0u);
+    EXPECT_EQ(got.obs, ref.obs);
 }
 
 // A code patch recorded as the journal's 64th (last) entry: full but
@@ -470,20 +457,14 @@ TEST(Dispatch, JournalSixtyFifthWriteDegradesToAllDirty)
 // fail re-verification, and flush + rebuild with the patched code.
 TEST(Dispatch, JournalFullButNotOverflowedCatchesCodePatch)
 {
-    const JournalRun sw =
-        runJournalScenario(DispatchMode::Switch, 63, true);
-    for (const DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Fused}) {
-        const JournalRun got = runJournalScenario(mode, 63, true);
-        EXPECT_EQ(got.journalDepth, Memory::kWriteLogCap)
-            << dispatchModeName(mode);
-        EXPECT_FALSE(got.overflowed) << dispatchModeName(mode);
-        EXPECT_GT(got.flushes, 0u) << dispatchModeName(mode);
-        EXPECT_GT(got.built, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.obs.regs[2], 75u + 25 * 5)
-            << dispatchModeName(mode);
-        EXPECT_EQ(got.obs, sw.obs) << dispatchModeName(mode);
-    }
+    const JournalRun ref = runJournalScenario(false, 63, true);
+    const JournalRun got = runJournalScenario(true, 63, true);
+    EXPECT_EQ(got.journalDepth, Memory::kWriteLogCap);
+    EXPECT_FALSE(got.overflowed);
+    EXPECT_GT(got.flushes, 0u);
+    EXPECT_GT(got.built, 0u);
+    EXPECT_EQ(got.obs.regs[2], 75u + 25 * 5);
+    EXPECT_EQ(got.obs, ref.obs);
 }
 
 // A code patch as the 65th write: the journal dropped its address,
@@ -492,24 +473,19 @@ TEST(Dispatch, JournalFullButNotOverflowedCatchesCodePatch)
 // either side of the boundary.
 TEST(Dispatch, JournalOverflowNeverRunsStaleCode)
 {
-    const JournalRun sw =
-        runJournalScenario(DispatchMode::Switch, 64, true);
-    for (const DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Fused}) {
-        const JournalRun got = runJournalScenario(mode, 64, true);
-        EXPECT_TRUE(got.overflowed) << dispatchModeName(mode);
-        EXPECT_GT(got.flushes, 0u) << dispatchModeName(mode);
-        EXPECT_EQ(got.obs.regs[2], 75u + 25 * 5)
-            << dispatchModeName(mode);
-        EXPECT_EQ(got.obs, sw.obs) << dispatchModeName(mode);
-    }
+    const JournalRun ref = runJournalScenario(false, 64, true);
+    const JournalRun got = runJournalScenario(true, 64, true);
+    EXPECT_TRUE(got.overflowed);
+    EXPECT_GT(got.flushes, 0u);
+    EXPECT_EQ(got.obs.regs[2], 75u + 25 * 5);
+    EXPECT_EQ(got.obs, ref.obs);
 }
 
-// ---- traps and faults inside fused macro-op pairs -------------------
+// ---- traps and faults inside blocks ----------------------------------
 
-// li expands to a fused LUI+ORI pair; the ld fuses with the addi that
-// consumes its result (FUSED_LD_ADDI). The load address 5000 is past
-// memWords = 4096, so the *first* constituent traps MemOutOfRange.
+// One block: li (LUI+ORI), a load, the addi that consumes its result,
+// halt. The load address 5000 is past memWords = 4096, so the *first*
+// of the ld/addi pair traps MemOutOfRange.
 constexpr const char *kLdPairTrap = R"(
 entry:
     li    r4, 5000
@@ -518,17 +494,15 @@ entry:
     halt
 )";
 
-TEST(Dispatch, TrapOnFirstHalfOfFusedPairMatchesSwitch)
+TEST(Dispatch, TrapOnLoadMidBlockMatchesReference)
 {
     const assembler::Program prog = assembleOrDie(kLdPairTrap);
 
     for (uint64_t budget = 1; budget <= 4; ++budget) {
         Observation want;
         bool first = true;
-        for (const DispatchMode mode :
-             {DispatchMode::Switch, DispatchMode::Threaded,
-              DispatchMode::Fused}) {
-            Cpu cpu(configWith(mode));
+        for (const bool predecode : kLegs) {
+            Cpu cpu(configWith(predecode));
             loadAndStart(cpu, prog);
             cpu.run(budget);
             const Observation got = observe(cpu);
@@ -538,14 +512,14 @@ TEST(Dispatch, TrapOnFirstHalfOfFusedPairMatchesSwitch)
                 continue;
             }
             EXPECT_EQ(got, want)
-                << "budget " << budget << ", mode "
-                << dispatchModeName(mode);
+                << "budget " << budget << ", "
+                << legName(predecode);
         }
     }
 
-    // Absolute semantics under fused dispatch: the li pair retires,
-    // the ld traps before retiring, the pc names the ld itself.
-    Cpu cpu(configWith(DispatchMode::Fused));
+    // Absolute semantics under superblocks: the li pair retires, the
+    // ld traps before retiring, the pc names the ld itself.
+    Cpu cpu(configWith(true));
     loadAndStart(cpu, prog);
     cpu.run(100);
     EXPECT_EQ(cpu.trap(), TrapKind::MemOutOfRange);
@@ -553,10 +527,10 @@ TEST(Dispatch, TrapOnFirstHalfOfFusedPairMatchesSwitch)
     EXPECT_EQ(cpu.pc(), 2u);
 }
 
-// The two ADDIs fuse (the next instruction is not a branch). r40 is
-// encodable (6-bit field) but past the configured operand width of
-// 5, so the *second* constituent traps OperandTooWide after the first
-// already executed: exactly the first half must retire.
+// Two ADDIs in one block. r40 is encodable (6-bit field) but past the
+// configured operand width of 5, so the *second* traps
+// OperandTooWide after the first already executed: exactly the first
+// half must retire.
 constexpr const char *kMidPairTrap = R"(
 entry:
     addi  r2, r2, 3
@@ -571,10 +545,8 @@ TEST(Dispatch, TrapOnSecondHalfRetiresExactlyTheFirstHalf)
     for (uint64_t budget = 1; budget <= 3; ++budget) {
         Observation want;
         bool first = true;
-        for (const DispatchMode mode :
-             {DispatchMode::Switch, DispatchMode::Threaded,
-              DispatchMode::Fused}) {
-            Cpu cpu(configWith(mode));
+        for (const bool predecode : kLegs) {
+            Cpu cpu(configWith(predecode));
             loadAndStart(cpu, prog);
             cpu.run(budget);
             const Observation got = observe(cpu);
@@ -584,12 +556,12 @@ TEST(Dispatch, TrapOnSecondHalfRetiresExactlyTheFirstHalf)
                 continue;
             }
             EXPECT_EQ(got, want)
-                << "budget " << budget << ", mode "
-                << dispatchModeName(mode);
+                << "budget " << budget << ", "
+                << legName(predecode);
         }
     }
 
-    Cpu cpu(configWith(DispatchMode::Fused));
+    Cpu cpu(configWith(true));
     loadAndStart(cpu, prog);
     cpu.run(100);
     EXPECT_EQ(cpu.trap(), TrapKind::OperandTooWide);
@@ -598,45 +570,43 @@ TEST(Dispatch, TrapOnSecondHalfRetiresExactlyTheFirstHalf)
     EXPECT_EQ(cpu.regs().read(2), 3u);
 }
 
-// A checkpoint taken at a mid-pair trap point must be byte-identical
-// to one written by switch dispatch at the same point, and restore
-// into any mode with the full trap state intact.
+// A checkpoint taken at a mid-pair trap point by the superblock
+// engine must be byte-identical to one written by the reference at
+// the same point, and restore into either engine with the full trap
+// state intact.
 TEST(Dispatch, CheckpointAtMidPairTrapIsModeInvariant)
 {
     const assembler::Program prog = assembleOrDie(kMidPairTrap);
 
-    Cpu sw(configWith(DispatchMode::Switch));
-    loadAndStart(sw, prog);
-    sw.run(100);
-    const Observation want = observe(sw);
+    Cpu ref(configWith(false));
+    loadAndStart(ref, prog);
+    ref.run(100);
+    const Observation want = observe(ref);
     EXPECT_EQ(want.trap, TrapKind::OperandTooWide);
 
-    Cpu fused(configWith(DispatchMode::Fused));
-    loadAndStart(fused, prog);
-    fused.run(100);
-    EXPECT_EQ(observe(fused), want);
+    Cpu blocks(configWith(true));
+    loadAndStart(blocks, prog);
+    blocks.run(100);
+    EXPECT_EQ(observe(blocks), want);
 
-    ckpt::Writer fusedWriter;
-    fused.saveState(fusedWriter);
-    const std::vector<uint8_t> doc = fusedWriter.seal();
+    ckpt::Writer blocksWriter;
+    blocks.saveState(blocksWriter);
+    const std::vector<uint8_t> doc = blocksWriter.seal();
 
-    ckpt::Writer swWriter;
-    sw.saveState(swWriter);
-    EXPECT_EQ(doc, swWriter.seal())
-        << "trap-point checkpoints must not depend on dispatch mode";
+    ckpt::Writer refWriter;
+    ref.saveState(refWriter);
+    EXPECT_EQ(doc, refWriter.seal())
+        << "trap-point checkpoints must not depend on the engine";
 
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        Cpu target(configWith(mode));
+    for (const bool predecode : kLegs) {
+        Cpu target(configWith(predecode));
         target.restoreState(ckpt::Reader(doc));
-        EXPECT_EQ(observe(target), want) << dispatchModeName(mode);
+        EXPECT_EQ(observe(target), want) << legName(predecode);
     }
 }
 
-// FAULT between fused pairs in a hot loop: the ALU pair before it and
-// the decrement/branch pair after it both fuse, so the handler's
-// counter flush before the hook is on the hot path every iteration.
+// FAULT in a chained hot loop: it ends the block every iteration, so
+// the handler's counter flush before the hook is on the hot path.
 constexpr const char *kFaultLoop = R"(
 entry:
     li    r1, 6
@@ -652,10 +622,10 @@ loop:
 // Retired at halt: li(2) + 6 * (pair(2) + fault + pair(2)) + halt.
 constexpr uint64_t kFaultLoopTotal = 2 + 6 * 5 + 1;
 
-// The hook observes flushed counters, trace bytes agree across all
-// modes, and a budget expiring anywhere — including right at a FAULT
-// or just after the hook's own host write — splits identically.
-TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
+// The hook observes flushed counters, trace bytes agree on both
+// engines, and a budget expiring anywhere — including right at a
+// FAULT or just after the hook's own host write — splits identically.
+TEST(Dispatch, FaultInsideChainedLoopFlushesCountersBeforeHook)
 {
     const assembler::Program prog = assembleOrDie(kFaultLoop);
 
@@ -663,10 +633,8 @@ TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
     std::vector<std::string> wantTrace;
     std::vector<uint64_t> wantAtHook;
     bool first = true;
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        Cpu cpu(configWith(mode));
+    for (const bool predecode : kLegs) {
+        Cpu cpu(configWith(predecode));
         std::vector<std::string> trace;
         cpu.setTraceHook([&trace](const TraceEntry &e) {
             std::ostringstream os;
@@ -678,15 +646,16 @@ TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
         cpu.setFaultHook([&atHook](Cpu &c, uint32_t fault_class) {
             EXPECT_EQ(fault_class, 2u);
             // The retirement counter must already include every
-            // instruction before the FAULT — fused pairs flushed.
+            // instruction before the FAULT — fast-mode counts
+            // flushed.
             atHook.push_back(c.instructionsRetired());
             // A host write from inside the hook: journal interplay.
             c.mem().write(0x700, static_cast<uint32_t>(atHook.size()));
         });
         loadAndStart(cpu, prog);
         cpu.run(100'000);
-        EXPECT_TRUE(cpu.halted()) << dispatchModeName(mode);
-        EXPECT_EQ(cpu.faultCount(), 6u) << dispatchModeName(mode);
+        EXPECT_TRUE(cpu.halted()) << legName(predecode);
+        EXPECT_EQ(cpu.faultCount(), 6u) << legName(predecode);
         const Observation got = observe(cpu);
         if (first) {
             want = got;
@@ -695,9 +664,9 @@ TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
             first = false;
             continue;
         }
-        EXPECT_EQ(got, want) << dispatchModeName(mode);
-        EXPECT_EQ(trace, wantTrace) << dispatchModeName(mode);
-        EXPECT_EQ(atHook, wantAtHook) << dispatchModeName(mode);
+        EXPECT_EQ(got, want) << legName(predecode);
+        EXPECT_EQ(trace, wantTrace) << legName(predecode);
+        EXPECT_EQ(atHook, wantAtHook) << legName(predecode);
     }
     ASSERT_EQ(wantAtHook.size(), 6u);
 
@@ -706,10 +675,8 @@ TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
          ++budget) {
         Observation bwant;
         bool bfirst = true;
-        for (const DispatchMode mode :
-             {DispatchMode::Switch, DispatchMode::Threaded,
-              DispatchMode::Fused}) {
-            Cpu cpu(configWith(mode));
+        for (const bool predecode : kLegs) {
+            Cpu cpu(configWith(predecode));
             uint64_t faults = 0;
             cpu.setFaultHook([&faults](Cpu &c, uint32_t) {
                 ++faults;
@@ -724,15 +691,15 @@ TEST(Dispatch, FaultInsideFusedLoopFlushesCountersBeforeHook)
                 continue;
             }
             EXPECT_EQ(got, bwant)
-                << "budget " << budget << ", mode "
-                << dispatchModeName(mode);
+                << "budget " << budget << ", "
+                << legName(predecode);
         }
     }
 }
 
 // A checkpoint written from *inside* the fault hook (pc already past
-// the FAULT, the FAULT itself not yet retired) is byte-identical
-// across modes, and every mode resumes from it to the same final
+// the FAULT, the FAULT itself not yet retired) is byte-identical on
+// both engines, and each resumes from it to the same final
 // architectural state.
 TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
 {
@@ -742,10 +709,8 @@ TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
     std::vector<uint8_t> wantDoc;
     Observation resumedWant;
     bool first = true;
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        Cpu cpu(configWith(mode));
+    for (const bool predecode : kLegs) {
+        Cpu cpu(configWith(predecode));
         uint64_t faults = 0;
         std::vector<uint8_t> doc;
         cpu.setFaultHook([&faults, &doc](Cpu &c, uint32_t) {
@@ -759,13 +724,13 @@ TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
         });
         loadAndStart(cpu, prog);
         cpu.run(100'000);
-        ASSERT_TRUE(cpu.halted()) << dispatchModeName(mode);
-        ASSERT_FALSE(doc.empty()) << dispatchModeName(mode);
+        ASSERT_TRUE(cpu.halted()) << legName(predecode);
+        ASSERT_FALSE(doc.empty()) << legName(predecode);
         const Observation got = observe(cpu);
 
-        // Resume from the in-hook checkpoint under this same mode,
+        // Resume from the in-hook checkpoint under this same engine,
         // with the hook continuing its count where it left off.
-        Cpu target(configWith(mode));
+        Cpu target(configWith(predecode));
         uint64_t resumed = 3;
         target.setFaultHook([&resumed](Cpu &c, uint32_t) {
             ++resumed;
@@ -773,8 +738,8 @@ TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
         });
         target.restoreState(ckpt::Reader(doc));
         target.run(100'000);
-        ASSERT_TRUE(target.halted()) << dispatchModeName(mode);
-        EXPECT_EQ(resumed, 6u) << dispatchModeName(mode);
+        ASSERT_TRUE(target.halted()) << legName(predecode);
+        EXPECT_EQ(resumed, 6u) << legName(predecode);
         const Observation res = observe(target);
 
         if (first) {
@@ -784,9 +749,9 @@ TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
             first = false;
             continue;
         }
-        EXPECT_EQ(got, want) << dispatchModeName(mode);
-        EXPECT_EQ(doc, wantDoc) << dispatchModeName(mode);
-        EXPECT_EQ(res, resumedWant) << dispatchModeName(mode);
+        EXPECT_EQ(got, want) << legName(predecode);
+        EXPECT_EQ(doc, wantDoc) << legName(predecode);
+        EXPECT_EQ(res, resumedWant) << legName(predecode);
     }
 
     // The resumed runs end with the same registers and memory as the
@@ -796,14 +761,6 @@ TEST(Dispatch, CheckpointFromFaultHookIsModeInvariant)
     EXPECT_EQ(resumedWant.mem, want.mem);
     EXPECT_EQ(resumedWant.pc, want.pc);
     EXPECT_TRUE(resumedWant.halted);
-}
-
-TEST(Dispatch, ModeNamesAreStable)
-{
-    EXPECT_STREQ(dispatchModeName(DispatchMode::Switch), "switch");
-    EXPECT_STREQ(dispatchModeName(DispatchMode::Threaded),
-                 "threaded");
-    EXPECT_STREQ(dispatchModeName(DispatchMode::Fused), "fused");
 }
 
 } // namespace

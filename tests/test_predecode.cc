@@ -2,13 +2,13 @@
  * @file
  * The predecoded instruction cache must be architecturally invisible:
  * identical registers, memory, counters, traps, timing stats, and
- * traces with the cache on or off — and, when on, under every run()
- * dispatch strategy (switch, threaded, fused superblocks) — over
- * every example program and the configurations that exercise each
- * relocation mode. Plus the two invalidation paths that keep it
- * sound — simulated stores (self-modifying code) and host writes
- * through Memory — and the fall-back to the uncached path for
- * oversized memories, including the exact cap boundary.
+ * traces with the cache off (the decode-per-step reference) or on
+ * (run() executes cached superblocks) over every example program and
+ * the configurations that exercise each relocation mode. Plus the
+ * two invalidation paths that keep it sound — simulated stores
+ * (self-modifying code) and host writes through Memory — and the
+ * fall-back to the uncached path for oversized memories, including
+ * the exact cap boundary.
  */
 
 #include <algorithm>
@@ -61,7 +61,6 @@ assembleOrDie(const std::string &source)
 struct ArchState
 {
     bool cacheActive = false;
-    bool dispatchActive = false;
     uint64_t instret = 0;
     uint64_t cycles = 0;
     uint64_t stalls = 0;
@@ -73,22 +72,19 @@ struct ArchState
     std::vector<uint32_t> mem;
 };
 
-/** Run @p prog with the cache forced on or off and @p dispatch. */
+/** Run @p prog with the cache forced on or off. */
 ArchState
 runWith(const CpuConfig &config, const assembler::Program &prog,
-        bool predecode, uint64_t steps = 100'000,
-        DispatchMode dispatch = DispatchMode::Switch)
+        bool predecode, uint64_t steps = 100'000)
 {
     CpuConfig c = config;
     c.predecode = predecode;
-    c.dispatch = dispatch;
     Cpu cpu(c);
     loadAndStart(cpu, prog);
     cpu.run(steps);
 
     ArchState state;
     state.cacheActive = cpu.predecodeActive();
-    state.dispatchActive = cpu.dispatchActive();
     state.instret = cpu.instructionsRetired();
     state.cycles = cpu.cycles();
     state.stalls = cpu.timingStats().total();
@@ -104,8 +100,8 @@ runWith(const CpuConfig &config, const assembler::Program &prog,
 }
 
 /**
- * Full architectural-state comparison across the dispatch matrix:
- * the uncached reference against the cache in every dispatch mode.
+ * Full architectural-state comparison: the uncached reference against
+ * the cached superblock engine.
  */
 void
 expectSameArchState(const CpuConfig &config,
@@ -115,26 +111,18 @@ expectSameArchState(const CpuConfig &config,
     const ArchState off = runWith(config, prog, false, steps);
     EXPECT_FALSE(off.cacheActive);
 
-    constexpr DispatchMode kModes[] = {DispatchMode::Switch,
-                                       DispatchMode::Threaded,
-                                       DispatchMode::Fused};
-    for (const DispatchMode mode : kModes) {
-        SCOPED_TRACE(dispatchModeName(mode));
-        const ArchState on = runWith(config, prog, true, steps, mode);
+    const ArchState on = runWith(config, prog, true, steps);
+    EXPECT_TRUE(on.cacheActive);
 
-        EXPECT_TRUE(on.cacheActive);
-        EXPECT_EQ(on.dispatchActive, mode != DispatchMode::Switch);
-
-        EXPECT_EQ(on.instret, off.instret);
-        EXPECT_EQ(on.cycles, off.cycles);
-        EXPECT_EQ(on.pc, off.pc);
-        EXPECT_EQ(on.halted, off.halted);
-        EXPECT_EQ(on.trap, off.trap);
-        EXPECT_EQ(on.psw, off.psw);
-        EXPECT_EQ(on.stalls, off.stalls);
-        EXPECT_EQ(on.regs, off.regs);
-        EXPECT_EQ(on.mem, off.mem);
-    }
+    EXPECT_EQ(on.instret, off.instret);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.pc, off.pc);
+    EXPECT_EQ(on.halted, off.halted);
+    EXPECT_EQ(on.trap, off.trap);
+    EXPECT_EQ(on.psw, off.psw);
+    EXPECT_EQ(on.stalls, off.stalls);
+    EXPECT_EQ(on.regs, off.regs);
+    EXPECT_EQ(on.mem, off.mem);
 }
 
 std::vector<assembler::Program>
@@ -273,25 +261,15 @@ patch:
 newinst:
     addi  r3, r0, 2
 )");
-    const struct
-    {
-        bool predecode;
-        DispatchMode dispatch;
-    } kLegs[] = {{false, DispatchMode::Switch},
-                 {true, DispatchMode::Switch},
-                 {true, DispatchMode::Threaded},
-                 {true, DispatchMode::Fused}};
-    for (const auto &leg : kLegs) {
+    for (const bool predecode : {false, true}) {
         CpuConfig config = baseConfig();
-        config.predecode = leg.predecode;
-        config.dispatch = leg.dispatch;
+        config.predecode = predecode;
         Cpu cpu(config);
         loadAndStart(cpu, prog);
         cpu.run(100);
         EXPECT_TRUE(cpu.halted());
         EXPECT_EQ(cpu.regs().read(3), 2u)
-            << "stale predecode served (predecode=" << leg.predecode
-            << ", dispatch=" << dispatchModeName(leg.dispatch)
+            << "stale predecode served (predecode=" << predecode
             << ")";
     }
     const assembler::Program again = prog;
@@ -308,13 +286,10 @@ entry:
     addi  r3, r0, 1
     beq   r0, r0, entry
 )");
-    for (const DispatchMode dispatch :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        SCOPED_TRACE(dispatchModeName(dispatch));
+    for (const bool predecode : {false, true}) {
+        SCOPED_TRACE(predecode);
         CpuConfig config = baseConfig();
-        config.predecode = true;
-        config.dispatch = dispatch;
+        config.predecode = predecode;
         Cpu cpu(config);
         loadAndStart(cpu, prog);
 
@@ -338,15 +313,24 @@ entry:
 }
 
 // Memories past the predecode cap silently fall back to the uncached
-// path rather than allocating a giant side table.
+// path rather than allocating a giant side table; run() then never
+// builds a superblock.
 TEST(Predecode, OversizedMemoryFallsBackToUncached)
 {
+    const assembler::Program prog = assembleOrDie(R"(
+entry:
+    addi  r3, r0, 1
+    halt
+)");
     CpuConfig config = baseConfig();
     config.predecode = true;
     config.memWords = (size_t{1} << 22) + 1;
     Cpu cpu(config);
     EXPECT_FALSE(cpu.predecodeActive());
-    EXPECT_FALSE(cpu.dispatchActive());
+    loadAndStart(cpu, prog);
+    cpu.run(100);
+    EXPECT_TRUE(cpu.halted());
+    EXPECT_EQ(cpu.superblocksBuilt(), 0u);
 
     config.memWords = 4096;
     Cpu small(config);
@@ -406,7 +390,6 @@ newinst:
         // Inclusive cap: exactly kPredecodeMaxWords still caches,
         // one more word falls back to decode-per-step.
         EXPECT_EQ(cpu.predecodeActive(), memWords <= kCap);
-        EXPECT_EQ(cpu.dispatchActive(), memWords <= kCap);
         loadAndStart(cpu, prog);
         cpu.run(100);
         EXPECT_TRUE(cpu.halted());
@@ -431,16 +414,14 @@ TEST(Predecode, ConfigOffDisablesCache)
 }
 
 // Traces must be identical too: the hook sees the same decoded
-// instruction, mask, cycle, and disassembly in every mode, including
-// the fused dispatcher (which must split each macro-op pair back into
-// two per-instruction hook calls).
+// instruction, mask, cycle, and disassembly with the cache on or off,
+// including from inside superblocks.
 TEST(Predecode, TraceStreamIdenticalInAllModes)
 {
     const assembler::Program prog = assembleOrDie(kSwitchProgram);
-    const auto capture = [&](bool predecode, DispatchMode dispatch) {
+    const auto capture = [&](bool predecode) {
         CpuConfig config = baseConfig();
         config.predecode = predecode;
-        config.dispatch = dispatch;
         Cpu cpu(config);
         std::ostringstream out;
         cpu.setTraceHook([&out](const TraceEntry &entry) {
@@ -451,14 +432,9 @@ TEST(Predecode, TraceStreamIdenticalInAllModes)
         cpu.run(100'000);
         return out.str();
     };
-    const std::string off = capture(false, DispatchMode::Switch);
+    const std::string off = capture(false);
     EXPECT_FALSE(off.empty());
-    for (const DispatchMode mode :
-         {DispatchMode::Switch, DispatchMode::Threaded,
-          DispatchMode::Fused}) {
-        SCOPED_TRACE(dispatchModeName(mode));
-        EXPECT_EQ(capture(true, mode), off);
-    }
+    EXPECT_EQ(capture(true), off);
 }
 
 } // namespace
