@@ -9,6 +9,7 @@
 #include "analysis/static/lockset.hh"
 #include "base/bitops.hh"
 #include "base/logging.hh"
+#include "exp/json_out.hh"
 
 namespace rr::lint {
 
@@ -547,38 +548,6 @@ regList(uint64_t mask)
     return os.str();
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 LintResult
@@ -617,113 +586,44 @@ renderText(const LintResult &result, const std::string &filename)
     return os.str();
 }
 
-std::string
-renderJson(const LintResult &result, const std::string &filename)
-{
-    std::ostringstream os;
-    os << "{\n  \"file\": \"" << jsonEscape(filename) << "\",\n";
-
-    os << "  \"findings\": [";
-    for (size_t i = 0; i < result.findings.size(); ++i) {
-        const Finding &f = result.findings[i];
-        os << (i ? "," : "") << "\n    {\"code\": \""
-           << jsonEscape(f.code) << "\", \"severity\": \""
-           << severityName(f.severity) << "\", \"address\": "
-           << f.address << ", \"line\": " << f.line
-           << ", \"message\": \"" << jsonEscape(f.message) << "\"";
-        if (!f.path.empty()) {
-            os << ", \"path\": [";
-            for (size_t j = 0; j < f.path.size(); ++j) {
-                os << (j ? ", " : "") << "\"" << jsonEscape(f.path[j])
-                   << "\"";
-            }
-            os << "]";
-        }
-        os << "}";
-    }
-    os << (result.findings.empty() ? "" : "\n  ") << "],\n";
-
-    os << "  \"threads\": [";
-    for (size_t i = 0; i < result.threads.size(); ++i) {
-        const ThreadReport &t = result.threads[i];
-        auto reg_array = [&os](uint64_t mask) {
-            os << "[";
-            bool first = true;
-            for (unsigned r = 0; r < 64; ++r) {
-                if ((mask >> r) & 1) {
-                    os << (first ? "" : ", ") << r;
-                    first = false;
-                }
-            }
-            os << "]";
-        };
-        os << (i ? "," : "") << "\n    {\"rrm\": " << t.rrm
-           << ", \"registers\": " << t.registers
-           << ", \"min_context\": " << t.minContext
-           << ", \"footprint\": ";
-        reg_array(t.footprint);
-        os << ", \"live_in\": ";
-        reg_array(t.liveIn);
-        os << "}";
-    }
-    os << (result.threads.empty() ? "" : "\n  ") << "],\n";
-
-    os << "  \"summary\": {\"errors\": " << result.errors
-       << ", \"warnings\": " << result.warnings << "}\n}\n";
-    return os.str();
-}
-
 namespace {
 
-/** Write a JSON string array inline: ["a", "b"]. */
+/** A register bitmask as an index array: [0, 1, 5]. */
 void
-writeStringArray(std::ostringstream &os,
-                 const std::vector<std::string> &items)
+writeRegs(exp::JsonWriter &w, uint64_t mask)
 {
-    os << "[";
-    for (size_t i = 0; i < items.size(); ++i)
-        os << (i ? ", " : "") << "\"" << jsonEscape(items[i]) << "\"";
-    os << "]";
-}
-
-/** Write a register bitmask as an index array: [0, 1, 5]. */
-void
-writeRegArray(std::ostringstream &os, uint64_t mask)
-{
-    os << "[";
-    bool first = true;
+    w.beginArray();
     for (unsigned r = 0; r < 64; ++r) {
-        if ((mask >> r) & 1) {
-            os << (first ? "" : ", ") << r;
-            first = false;
-        }
+        if ((mask >> r) & 1)
+            w.value(r);
     }
-    os << "]";
+    w.endArray();
 }
 
 void
-writeFinding(std::ostringstream &os, const Finding &f)
+writeFinding(exp::JsonWriter &w, const Finding &f)
 {
-    os << "{\"code\": \"" << jsonEscape(f.code)
-       << "\", \"severity\": \"" << severityName(f.severity)
-       << "\", \"address\": " << f.address << ", \"line\": " << f.line
-       << ", \"message\": \"" << jsonEscape(f.message) << "\"";
-    if (!f.path.empty()) {
-        os << ", \"path\": ";
-        writeStringArray(os, f.path);
-    }
-    os << "}";
+    w.beginObject();
+    w.member("code", f.code);
+    w.member("severity", severityName(f.severity));
+    w.member("address", f.address);
+    w.member("line", f.line);
+    w.member("message", f.message);
+    if (!f.path.empty())
+        w.member("path", f.path);
+    w.endObject();
 }
 
 void
-writeRaceSite(std::ostringstream &os, const RaceSite &site)
+writeRaceSite(exp::JsonWriter &w, const RaceSite &site)
 {
-    os << "{\"address\": " << site.address << ", \"line\": "
-       << site.line << ", \"write\": "
-       << (site.write ? "true" : "false") << ", \"thread\": \""
-       << jsonEscape(site.thread) << "\", \"locks\": ";
-    writeStringArray(os, site.locks);
-    os << "}";
+    w.beginObject();
+    w.member("address", site.address);
+    w.member("line", site.line);
+    w.member("write", site.write);
+    w.member("thread", site.thread);
+    w.member("locks", site.locks);
+    w.endObject();
 }
 
 } // namespace
@@ -732,103 +632,111 @@ std::string
 renderJsonDocument(const std::vector<FileReport> &files,
                    const std::string &toolVersion, int exitCode)
 {
-    std::ostringstream os;
     unsigned errors = 0, warnings = 0, notes = 0;
+    exp::JsonWriter w;
+    w.beginObject();
+    w.member("schema", "rr.lint.v1");
+    w.key("tool");
+    w.beginObject();
+    w.member("name", "rrlint");
+    w.member("version", toolVersion);
+    w.endObject();
+    w.key("files");
+    w.beginArray();
+    for (const FileReport &file : files) {
+        const LintResult &result = file.result;
+        w.beginObject();
+        w.member("file", file.file);
+        w.member("readable", file.readable);
 
-    os << "{\n  \"schema\": \"rr.lint.v1\",\n";
-    os << "  \"tool\": {\"name\": \"rrlint\", \"version\": \""
-       << jsonEscape(toolVersion) << "\"},\n";
-    os << "  \"files\": [";
-    for (size_t fi = 0; fi < files.size(); ++fi) {
-        const FileReport &file = files[fi];
-        os << (fi ? "," : "") << "\n    {\n      \"file\": \""
-           << jsonEscape(file.file) << "\",\n      \"readable\": "
-           << (file.readable ? "true" : "false") << ",\n";
-
-        unsigned file_errors = file.result.errors;
-        os << "      \"findings\": [";
-        bool first = true;
+        unsigned file_errors = result.errors;
+        w.key("findings");
+        w.beginArray();
         for (const assembler::Diagnostic &diag : file.assemblyErrors) {
             Finding f;
             f.code = "assembly-error";
             f.severity = Severity::Error;
             f.line = diag.line;
             f.message = diag.message;
-            os << (first ? "" : ",") << "\n        ";
-            writeFinding(os, f);
-            first = false;
+            writeFinding(w, f);
             ++file_errors;
         }
-        for (const Finding &f : file.result.findings) {
-            os << (first ? "" : ",") << "\n        ";
-            writeFinding(os, f);
-            first = false;
-        }
-        os << (first ? "" : "\n      ") << "],\n";
+        for (const Finding &f : result.findings)
+            writeFinding(w, f);
+        w.endArray();
 
-        os << "      \"threads\": [";
-        for (size_t i = 0; i < file.result.threads.size(); ++i) {
-            const ThreadReport &t = file.result.threads[i];
-            os << (i ? "," : "") << "\n        {\"rrm\": " << t.rrm
-               << ", \"registers\": " << t.registers
-               << ", \"min_context\": " << t.minContext
-               << ", \"footprint\": ";
-            writeRegArray(os, t.footprint);
-            os << ", \"live_in\": ";
-            writeRegArray(os, t.liveIn);
-            os << "}";
+        w.key("threads");
+        w.beginArray();
+        for (const ThreadReport &t : result.threads) {
+            w.beginObject();
+            w.member("rrm", t.rrm);
+            w.member("registers", t.registers);
+            w.member("min_context", t.minContext);
+            w.key("footprint");
+            writeRegs(w, t.footprint);
+            w.key("live_in");
+            writeRegs(w, t.liveIn);
+            w.endObject();
         }
-        os << (file.result.threads.empty() ? "" : "\n      ")
-           << "],\n";
+        w.endArray();
 
-        os << "      \"procedures\": [";
-        for (size_t i = 0; i < file.result.procedures.size(); ++i) {
-            const ProcedureReport &p = file.result.procedures[i];
-            os << (i ? "," : "") << "\n        {\"name\": \""
-               << jsonEscape(p.name) << "\", \"entry\": " << p.entry
-               << ", \"registers\": " << p.registers
-               << ", \"min_context\": " << p.minContext
-               << ", \"reads\": ";
-            writeRegArray(os, p.regsRead);
-            os << ", \"writes\": ";
-            writeRegArray(os, p.regsWritten);
-            os << ", \"switches_rrm\": "
-               << (p.switchesRrm ? "true" : "false")
-               << ", \"returns\": " << (p.returns ? "true" : "false")
-               << ", \"call_path\": ";
-            writeStringArray(os, p.callPath);
-            os << "}";
+        w.key("procedures");
+        w.beginArray();
+        for (const ProcedureReport &p : result.procedures) {
+            w.beginObject();
+            w.member("name", p.name);
+            w.member("entry", p.entry);
+            w.member("registers", p.registers);
+            w.member("min_context", p.minContext);
+            w.key("reads");
+            writeRegs(w, p.regsRead);
+            w.key("writes");
+            writeRegs(w, p.regsWritten);
+            w.member("switches_rrm", p.switchesRrm);
+            w.member("returns", p.returns);
+            w.member("call_path", p.callPath);
+            w.endObject();
         }
-        os << (file.result.procedures.empty() ? "" : "\n      ")
-           << "],\n";
+        w.endArray();
 
-        os << "      \"races\": [";
-        for (size_t i = 0; i < file.result.races.size(); ++i) {
-            const RaceReport &race = file.result.races[i];
-            os << (i ? "," : "") << "\n        {\"mem\": " << race.mem
-               << ", \"symbol\": \"" << jsonEscape(race.symbol)
-               << "\", \"sites\": [";
-            writeRaceSite(os, race.first);
-            os << ", ";
-            writeRaceSite(os, race.second);
-            os << "]}";
+        w.key("races");
+        w.beginArray();
+        for (const RaceReport &race : result.races) {
+            w.beginObject();
+            w.member("mem", race.mem);
+            w.member("symbol", race.symbol);
+            w.key("sites");
+            w.beginArray();
+            writeRaceSite(w, race.first);
+            writeRaceSite(w, race.second);
+            w.endArray();
+            w.endObject();
         }
-        os << (file.result.races.empty() ? "" : "\n      ") << "],\n";
+        w.endArray();
 
-        os << "      \"summary\": {\"errors\": " << file_errors
-           << ", \"warnings\": " << file.result.warnings
-           << ", \"notes\": " << file.result.notes << "}\n    }";
+        w.key("summary");
+        w.beginObject();
+        w.member("errors", file_errors);
+        w.member("warnings", result.warnings);
+        w.member("notes", result.notes);
+        w.endObject();
+        w.endObject();
         errors += file_errors;
-        warnings += file.result.warnings;
-        notes += file.result.notes;
+        warnings += result.warnings;
+        notes += result.notes;
     }
-    os << (files.empty() ? "" : "\n  ") << "],\n";
+    w.endArray();
 
-    os << "  \"summary\": {\"files\": " << files.size()
-       << ", \"errors\": " << errors << ", \"warnings\": " << warnings
-       << ", \"notes\": " << notes << ", \"exit\": " << exitCode
-       << "}\n}\n";
-    return os.str();
+    w.key("summary");
+    w.beginObject();
+    w.member("files", files.size());
+    w.member("errors", errors);
+    w.member("warnings", warnings);
+    w.member("notes", notes);
+    w.member("exit", exitCode);
+    w.endObject();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 } // namespace rr::lint

@@ -191,10 +191,6 @@ LintResult lintProgram(const assembler::Program &program,
 std::string renderText(const LintResult &result,
                        const std::string &filename);
 
-/** Render @p result as a JSON document. */
-std::string renderJson(const LintResult &result,
-                       const std::string &filename);
-
 /**
  * One input file's contribution to an `rr.lint.v1` document.
  * Exactly one of three shapes: unreadable (readable == false),

@@ -181,4 +181,20 @@ JsonWriter::value(bool flag)
     out_ += flag ? "true" : "false";
 }
 
+void
+JsonWriter::null()
+{
+    prepare();
+    out_ += "null";
+}
+
+void
+JsonWriter::value(const std::vector<std::string> &items)
+{
+    beginArray();
+    for (const std::string &item : items)
+        value(item);
+    endArray();
+}
+
 } // namespace rr::exp

@@ -1,7 +1,10 @@
 /**
  * @file
- * Dependency-free streaming JSON writer for the benchmark results
- * layer (schema "rr.bench.v1", documented in docs/BENCH.md).
+ * Dependency-free streaming JSON writer: the one way the tree writes
+ * a JSON document (rr.bench.v1 reports, rrserve replies, rr.lint.v1
+ * and every tool's --json output; docs/ARCHITECTURE.md lists the
+ * schemas; the trace event records are the one hand-rolled
+ * exception). jsonQuote is the one string escaper.
  *
  * Output is fully deterministic: keys are emitted in call order,
  * indentation is fixed (two spaces), and doubles are formatted with
@@ -34,7 +37,7 @@ std::string jsonNumber(double value);
  *
  *   JsonWriter w;
  *   w.beginObject();
- *   w.key("schema"); w.value("rr.bench.v1");
+ *   w.member("schema", "rr.bench.v1");
  *   w.key("points"); w.beginArray();
  *   ...
  *   w.endArray();
@@ -62,6 +65,19 @@ class JsonWriter
     void value(int number);
     void value(unsigned number);
     void value(bool flag);
+    void null();
+
+    /** An array of strings, one element per line. */
+    void value(const std::vector<std::string> &items);
+
+    /** key(@p name) followed by value(@p v). */
+    template <typename T>
+    void
+    member(const std::string &name, const T &v)
+    {
+        key(name);
+        value(v);
+    }
 
     /** The complete document (call after the final end*). */
     const std::string &str() const { return out_; }

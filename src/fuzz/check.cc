@@ -375,45 +375,42 @@ checkHeap(const HeapSample &s)
 // ---------------------------------------------------------------------
 // json
 
-/** Compact serializer over the library's own quote/number routines. */
+/**
+ * Re-emit @p v through exp::JsonWriter, the writer behind every tool
+ * document, rr.bench.v1 report and rrserve reply.
+ */
 void
-writeCompact(const exp::JsonValue &v, std::string &out)
+writeValue(exp::JsonWriter &w, const exp::JsonValue &v)
 {
-    using Kind = exp::JsonValue::Kind;
-    switch (v.kind) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += v.boolean ? "true" : "false";
-        break;
-      case Kind::Number:
-        out += exp::jsonNumber(v.number);
-        break;
-      case Kind::String:
-        out += exp::jsonQuote(v.string);
-        break;
-      case Kind::Array:
-        out += '[';
-        for (size_t i = 0; i < v.elements.size(); ++i) {
-            if (i)
-                out += ',';
-            writeCompact(v.elements[i], out);
+    if (v.isArray()) {
+        w.beginArray();
+        for (const exp::JsonValue &e : v.elements)
+            writeValue(w, e);
+        w.endArray();
+    } else if (v.isObject()) {
+        w.beginObject();
+        for (const auto &[name, member] : v.members) {
+            w.key(name);
+            writeValue(w, member);
         }
-        out += ']';
-        break;
-      case Kind::Object:
-        out += '{';
-        for (size_t i = 0; i < v.members.size(); ++i) {
-            if (i)
-                out += ',';
-            out += exp::jsonQuote(v.members[i].first);
-            out += ':';
-            writeCompact(v.members[i].second, out);
-        }
-        out += '}';
-        break;
+        w.endObject();
+    } else if (v.isString()) {
+        w.value(v.string);
+    } else if (v.isNumber()) {
+        w.value(v.number);
+    } else if (v.isBool()) {
+        w.value(v.boolean);
+    } else {
+        w.null();
     }
+}
+
+std::string
+serialize(const exp::JsonValue &v)
+{
+    exp::JsonWriter w;
+    writeValue(w, v);
+    return w.str();
 }
 
 bool
@@ -524,8 +521,7 @@ checkJson(const JsonSample &s)
     if (!v1)
         return problems; // vacuous: unparseable input
 
-    std::string t2;
-    writeCompact(*v1, t2);
+    const std::string t2 = serialize(*v1);
     std::string error;
     const std::optional<exp::JsonValue> v2 =
         exp::parseJson(t2, &error);
@@ -538,9 +534,7 @@ checkJson(const JsonSample &s)
     if (!valuesEqual(*v1, *v2))
         problems.push_back(
             "json: value changed across a write/parse round trip");
-    std::string t3;
-    writeCompact(*v2, t3);
-    if (t3 != t2)
+    if (serialize(*v2) != t2)
         problems.push_back(
             "json: serialize(parse(serialize(v))) is not a fixpoint");
 

@@ -1,41 +1,17 @@
 #include "trace/chrome_export.hh"
 
-#include <cstdio>
 #include <set>
+
+#include "exp/json_out.hh"
 
 namespace rr::trace {
 
-namespace {
+// The event records below are appended by hand rather than through
+// exp::JsonWriter: they carry only fixed names and integers, one
+// record per line, and the TRACE_*.json bytes are a contract
+// (docs/TRACE.md). Labels, the only free text, go through jsonQuote.
 
-/** Minimal JSON string escape (labels are plain ASCII in practice). */
-std::string
-quoted(const std::string &text)
-{
-    std::string out = "\"";
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += "\"";
-    return out;
-}
+namespace {
 
 /** Viewer tid: simulated thread + 1; track 0 is the scheduler. */
 uint64_t
@@ -63,7 +39,7 @@ appendMeta(std::string &out, unsigned pid, const char *meta,
         out += std::to_string(tid);
     }
     out += ",\"args\":{\"name\":";
-    out += quoted(name);
+    out += exp::jsonQuote(name);
     out += "}}";
 }
 

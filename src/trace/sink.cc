@@ -78,10 +78,11 @@ RingBufferSink::snapshot() const
 std::string
 eventToJsonLine(const TraceEvent &event)
 {
-    // Hand-rolled: every field is a name, small integer, or bool, so
-    // no escaping is ever needed and the hot path stays allocation-
-    // light. Field order is fixed — byte-identical traces for
-    // identical event streams is part of the determinism contract.
+    // Hand-rolled, not exp::JsonWriter: every field is a name, small
+    // integer, or bool, so no escaping is ever needed, the record must
+    // stay on one line, and the hot path stays allocation-light. Field
+    // order is fixed — byte-identical traces for identical event
+    // streams is part of the determinism contract.
     std::string line;
     line.reserve(160);
     line += "{\"ev\":\"";

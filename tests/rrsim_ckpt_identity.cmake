@@ -31,12 +31,14 @@ endfunction()
 
 # Blank out the fields that legitimately differ between a straight
 # run and a resumed one: the input path (program vs checkpoint) and
-# the number of trace events this process emitted.
+# the number of trace events this process emitted. Both the compact
+# `"key":value` and the JSON writer's `"key": value` spacing match; the
+# input pattern steps over escaped characters inside the string.
 function(normalized_state in out)
     file(READ ${in} content)
-    string(REGEX REPLACE "\"input\":\"[^\"]*\"" "\"input\":\"-\""
-        content "${content}")
-    string(REGEX REPLACE "\"traceEvents\":[0-9]+" "\"traceEvents\":0"
+    string(REGEX REPLACE "\"input\": ?\"([^\"\\\\]|\\\\.)*\""
+        "\"input\": \"-\"" content "${content}")
+    string(REGEX REPLACE "\"traceEvents\": ?[0-9]+" "\"traceEvents\": 0"
         content "${content}")
     file(WRITE ${out} "${content}")
 endfunction()

@@ -3,13 +3,19 @@
  * Tests for the shared tools-layer CLI contract (tools/cli.hh,
  * tools/arg_num.hh): the strict numeric grammar at its edges —
  * INT64/UINT64 boundaries, signs, whitespace, 0x prefixes, leading
- * zeros — and the option parser's exit-status behaviour
- * (docs/TOOLS.md documents the accepted forms).
+ * zeros — the option parser's exit-status behaviour
+ * (docs/TOOLS.md documents the accepted forms), and the --json
+ * documents of rrasm, rrsim, rrbench and rrfuzz.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -172,19 +178,173 @@ TEST(CliParser, RequireUnsignedReportsGarbage)
     EXPECT_FALSE(requireUnsigned("t", "--n", "300", value, 255));
 }
 
-TEST(CliJsonEscape, ControlCharsSurviveTheParser)
+// ---- Tool --json documents ------------------------------------------
+//
+// Each tool's --json output is parsed with the strict exp:: parser,
+// run on the built binaries (paths injected by tests/CMakeLists.txt).
+
+/** Run @p command through the shell; returns its stdout. */
+std::string
+runTool(const std::string &command, int &status)
 {
-    // Every byte the tools may interpolate into --json output must
-    // come back unchanged through the strict exp:: JSON parser.
-    std::string all;
-    for (unsigned c = 1; c < 0x20; ++c)
-        all += static_cast<char>(c);
-    all += "plain \"quoted\" back\\slash";
-    const std::string doc = "\"" + jsonEscape(all) + "\"";
-    const auto parsed = exp::parseJson(doc);
-    ASSERT_TRUE(parsed.has_value()) << doc;
-    ASSERT_TRUE(parsed->isString());
-    EXPECT_EQ(parsed->string, all);
+    std::string out;
+    FILE *pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr) {
+        status = -1;
+        return out;
+    }
+    char buffer[4096];
+    std::size_t n;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
+        out.append(buffer, n);
+    const int raw = pclose(pipe);
+    status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+    return out;
+}
+
+/** Single-quote @p text for the shell. */
+std::string
+shellQuote(const std::string &text)
+{
+    std::string out = "'";
+    for (const char c : text)
+        out += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    return out + "'";
+}
+
+/** Parse @p text strictly, asserting it is an object with @p schema. */
+exp::JsonValue
+parseDocument(const std::string &text, const std::string &schema)
+{
+    std::string error;
+    const auto doc = exp::parseJson(text, &error);
+    EXPECT_TRUE(doc.has_value()) << error << "\n" << text;
+    if (!doc)
+        return {};
+    EXPECT_TRUE(doc->isObject()) << text;
+    EXPECT_FALSE(doc->members.empty()) << text;
+    if (!doc->members.empty()) {
+        EXPECT_EQ(doc->members.front().first, "schema");
+    }
+    EXPECT_EQ(doc->stringOr("schema", ""), schema) << text;
+    return *doc;
+}
+
+/** A fresh scratch directory for @p test under the build tree. */
+std::filesystem::path
+workDir(const std::string &test)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(RR_TEST_WORK_DIR) / test;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+TEST(CliToolJson, RrasmGoodAndFailingInput)
+{
+    const std::string good =
+        std::string(RR_SOURCE_DIR) + "/examples/asm/two_threads.s";
+    int status = 0;
+    const auto ok = parseDocument(
+        runTool(shellQuote(RR_RRASM) + " --check 16 --json " +
+                    shellQuote(good),
+                status),
+        "rr.rrasm.v1");
+    EXPECT_EQ(status, kExitOk);
+    EXPECT_EQ(ok.stringOr("input", ""), good);
+    ASSERT_NE(ok.find("ok"), nullptr);
+    EXPECT_TRUE(ok.find("ok")->boolean);
+    EXPECT_GT(ok.numberOr("words", 0), 0);
+    EXPECT_EQ(ok.numberOr("checkErrors", -1), 0);
+
+    // A path that needs escaping: the document must carry it intact.
+    const std::filesystem::path bad =
+        workDir("rrasm") / "bad \"name\" \\ 'x'.s";
+    std::ofstream(bad) << "frob r1, r2\n";
+    const auto failed = parseDocument(
+        runTool(shellQuote(RR_RRASM) + " --json " +
+                    shellQuote(bad.string()) + " 2>/dev/null",
+                status),
+        "rr.rrasm.v1");
+    EXPECT_EQ(status, kExitProblems);
+    EXPECT_EQ(failed.stringOr("input", ""), bad.string());
+    ASSERT_NE(failed.find("ok"), nullptr);
+    EXPECT_FALSE(failed.find("ok")->boolean);
+    const exp::JsonValue *errors = failed.find("errors");
+    ASSERT_NE(errors, nullptr);
+    ASSERT_TRUE(errors->isArray());
+    ASSERT_FALSE(errors->elements.empty());
+    EXPECT_TRUE(errors->elements.front().isString());
+}
+
+TEST(CliToolJson, RrsimFinalState)
+{
+    int status = 0;
+    const auto doc = parseDocument(
+        runTool(shellQuote(RR_RRSIM) + " --json " +
+                    shellQuote(std::string(RR_SOURCE_DIR) +
+                               "/examples/asm/fibonacci.s"),
+                status),
+        "rr.rrsim.v1");
+    EXPECT_EQ(status, kExitOk);
+    ASSERT_NE(doc.find("halted"), nullptr);
+    EXPECT_TRUE(doc.find("halted")->boolean);
+    EXPECT_GT(doc.numberOr("instructions", 0), 0);
+    EXPECT_EQ(doc.stringOr("trap", ""), "none");
+    EXPECT_EQ(doc.find("traceEvents"), nullptr);
+}
+
+TEST(CliToolJson, RrbenchRunSummary)
+{
+    const std::filesystem::path dir = workDir("rrbench");
+    int status = 0;
+    const auto doc = parseDocument(
+        runTool(shellQuote(RR_RRBENCH) +
+                    " --filter fig4_costs --fast --quiet --json"
+                    " --out-dir " +
+                    shellQuote(dir.string()),
+                status),
+        "rr.rrbench.v1");
+    EXPECT_EQ(status, kExitOk);
+    const exp::JsonValue *figures = doc.find("figures");
+    ASSERT_NE(figures, nullptr);
+    ASSERT_EQ(figures->elements.size(), 1u);
+    EXPECT_EQ(figures->elements[0].stringOr("name", ""), "fig4_costs");
+    EXPECT_EQ(doc.numberOr("regressions", -1), 0);
+    EXPECT_EQ(doc.numberOr("auditProblems", -1), 0);
+}
+
+TEST(CliToolJson, RrfuzzRunAndReplay)
+{
+    int status = 0;
+    const auto run = parseDocument(
+        runTool(shellQuote(RR_RRFUZZ) +
+                    " --seed 3 --samples 8 --kind json --quiet --json",
+                status),
+        "rr.rrfuzz.v1");
+    EXPECT_EQ(status, kExitOk);
+    EXPECT_EQ(run.stringOr("mode", ""), "fuzz");
+    EXPECT_EQ(run.numberOr("seed", 0), 3);
+    EXPECT_EQ(run.numberOr("samples", 0), 8);
+    ASSERT_NE(run.find("failures"), nullptr);
+    EXPECT_TRUE(run.find("failures")->elements.empty());
+
+    const std::string repro = std::string(RR_SOURCE_DIR) +
+                              "/tests/fuzz/corpus/json-surrogate-pair.repro";
+    const auto replay = parseDocument(
+        runTool(shellQuote(RR_RRFUZZ) + " --json " + shellQuote(repro),
+                status),
+        "rr.rrfuzz.v1");
+    EXPECT_EQ(status, kExitOk);
+    EXPECT_EQ(replay.stringOr("mode", ""), "replay");
+    EXPECT_EQ(replay.numberOr("files", 0), 1);
+    EXPECT_EQ(replay.numberOr("violations", -1), 0);
+    const exp::JsonValue *results = replay.find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->elements.size(), 1u);
+    EXPECT_EQ(results->elements[0].stringOr("file", ""), repro);
+    EXPECT_EQ(results->elements[0].stringOr("kind", ""), "json");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "base/rng.hh"
@@ -91,6 +92,59 @@ TEST(JsonRoundTrip, WriterUsesShortEscapes)
               "\"\\b\\f\\n\\r\\t\"");
     EXPECT_EQ(jsonQuote("\x01"), "\"\\u0001\"");
     EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+}
+
+TEST(JsonRoundTrip, WriterPinsContainerAndScalarBytes)
+{
+    // Every rr.bench.v1 file and rrserve reply is JsonWriter output,
+    // so its layout is a byte contract: pin the edge shapes.
+    const auto doc = [](auto &&build) {
+        JsonWriter w;
+        build(w);
+        return w.str();
+    };
+    EXPECT_EQ(doc([](JsonWriter &w) {
+                  w.beginObject();
+                  w.endObject();
+              }),
+              "{}");
+    EXPECT_EQ(doc([](JsonWriter &w) {
+                  w.beginArray();
+                  w.endArray();
+              }),
+              "[]");
+    EXPECT_EQ(doc([](JsonWriter &w) { w.null(); }), "null");
+    EXPECT_EQ(doc([](JsonWriter &w) {
+                  w.beginArray();
+                  w.beginObject();
+                  w.endObject();
+                  w.beginArray();
+                  w.endArray();
+                  w.endArray();
+              }),
+              "[\n  {},\n  []\n]");
+    EXPECT_EQ(doc([](JsonWriter &w) {
+                  w.beginObject();
+                  w.key("a");
+                  w.beginObject();
+                  w.endObject();
+                  w.key("b");
+                  w.beginArray();
+                  w.null();
+                  w.endArray();
+                  w.endObject();
+              }),
+              "{\n  \"a\": {},\n  \"b\": [\n    null\n  ]\n}");
+    EXPECT_EQ(doc([](JsonWriter &w) {
+                  w.beginArray();
+                  w.value(-0.0);
+                  w.value(std::numeric_limits<double>::infinity());
+                  w.value(-std::numeric_limits<double>::infinity());
+                  w.value(std::numeric_limits<double>::quiet_NaN());
+                  w.endArray();
+              }),
+              "[\n  -0,\n  null,\n  null,\n  null\n]");
+    EXPECT_EQ(jsonNumber(-0.0), "-0");
 }
 
 TEST(JsonRoundTrip, NonAsciiBytesPassThrough)

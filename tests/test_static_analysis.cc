@@ -423,7 +423,10 @@ TEST(Lint, RenderTextAndJsonCarrySourceLines)
     EXPECT_NE(text.find("[boundary]"), std::string::npos);
     EXPECT_NE(text.find("1 error(s)"), std::string::npos);
 
-    const std::string json = renderJson(result, "input.s");
+    FileReport report;
+    report.file = "input.s";
+    report.result = result;
+    const std::string json = renderJsonDocument({report}, "test", 1);
     EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"code\": \"boundary\""), std::string::npos);
     EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
@@ -432,9 +435,10 @@ TEST(Lint, RenderTextAndJsonCarrySourceLines)
 TEST(Lint, JsonEscapesSpecialCharacters)
 {
     const auto p = prog("halt\n");
-    const LintResult result = lintProgram(p, {});
-    const std::string json =
-        renderJson(result, "dir\\na\"me.s");
+    FileReport report;
+    report.file = "dir\\na\"me.s";
+    report.result = lintProgram(p, {});
+    const std::string json = renderJsonDocument({report}, "test", 0);
     EXPECT_NE(json.find("dir\\\\na\\\"me.s"), std::string::npos);
 }
 

@@ -340,32 +340,6 @@ class OptionParser
     std::vector<std::string> positionals_;
 };
 
-/** Minimal JSON string escaping for the tools' --json output. */
-inline std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace rr::tools
 
 #endif // RR_TOOLS_CLI_HH

@@ -28,6 +28,7 @@
 
 #include "analysis/static/lint.hh"
 #include "assembler/assembler.hh"
+#include "exp/json_out.hh"
 #include "isa/instruction.hh"
 #include "cli.hh"
 
@@ -82,14 +83,18 @@ main(int argc, char **argv)
         rr::assembler::assemble(source.str());
     if (!program.ok()) {
         if (json) {
-            std::printf("{\"schema\":\"rr.rrasm.v1\",\"input\":\"%s\","
-                        "\"ok\":false,\"errors\":[",
-                        jsonEscape(input).c_str());
-            for (size_t i = 0; i < program.errors.size(); ++i)
-                std::printf("%s\"%s\"", i != 0 ? "," : "",
-                            jsonEscape(program.errors[i].str())
-                                .c_str());
-            std::printf("]}\n");
+            rr::exp::JsonWriter w;
+            w.beginObject();
+            w.member("schema", "rr.rrasm.v1");
+            w.member("input", input);
+            w.member("ok", false);
+            w.key("errors");
+            w.beginArray();
+            for (const auto &error : program.errors)
+                w.value(error.str());
+            w.endArray();
+            w.endObject();
+            std::puts(w.str().c_str());
         }
         for (const auto &error : program.errors) {
             std::fprintf(stderr, "%s: %s\n", input.c_str(),
@@ -146,15 +151,19 @@ main(int argc, char **argv)
     }
 
     if (json) {
-        std::printf("{\"schema\":\"rr.rrasm.v1\",\"input\":\"%s\","
-                    "\"ok\":%s,\"words\":%zu,\"base\":%u",
-                    jsonEscape(input).c_str(),
-                    check.clean() ? "true" : "false",
-                    program.words.size(), program.base);
-        if (check_size != 0)
-            std::printf(",\"checkErrors\":%u,\"checkWarnings\":%u",
-                        check.errors, check.warnings);
-        std::printf("}\n");
+        rr::exp::JsonWriter w;
+        w.beginObject();
+        w.member("schema", "rr.rrasm.v1");
+        w.member("input", input);
+        w.member("ok", check.clean());
+        w.member("words", program.words.size());
+        w.member("base", program.base);
+        if (check_size != 0) {
+            w.member("checkErrors", check.errors);
+            w.member("checkWarnings", check.warnings);
+        }
+        w.endObject();
+        std::puts(w.str().c_str());
     }
     return check.clean() ? kExitOk : kExitProblems;
 }

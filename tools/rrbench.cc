@@ -46,6 +46,7 @@
 #include "exp/engine.hh"
 #include "exp/env.hh"
 #include "exp/json_in.hh"
+#include "exp/json_out.hh"
 #include "exp/registry.hh"
 #include "exp/report.hh"
 #include "exp/tracectl.hh"
@@ -201,30 +202,34 @@ void
 printRunSummaryJson(const std::vector<FigureOutcome> &outcomes,
                     unsigned regressions, uint64_t audit_problems)
 {
-    std::printf("{\"schema\":\"rr.rrbench.v1\",\"figures\":[");
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const FigureOutcome &o = outcomes[i];
-        std::printf("%s{\"name\":\"%s\",\"out\":\"%s\"",
-                    i != 0 ? "," : "", jsonEscape(o.name).c_str(),
-                    jsonEscape(o.out).c_str());
+    exp::JsonWriter w;
+    w.beginObject();
+    w.member("schema", "rr.rrbench.v1");
+    w.key("figures");
+    w.beginArray();
+    for (const FigureOutcome &o : outcomes) {
+        w.beginObject();
+        w.member("name", o.name);
+        w.member("out", o.out);
         if (!o.compare.empty())
-            std::printf(",\"compare\":\"%s\"", o.compare.c_str());
+            w.member("compare", o.compare);
         if (o.audited) {
-            std::printf(",\"audit\":{\"simulations\":%llu,"
-                        "\"events\":%llu,\"problems\":%llu}",
-                        static_cast<unsigned long long>(
-                            o.simulations),
-                        static_cast<unsigned long long>(o.events),
-                        static_cast<unsigned long long>(o.problems));
+            w.key("audit");
+            w.beginObject();
+            w.member("simulations", o.simulations);
+            w.member("events", o.events);
+            w.member("problems", o.problems);
+            w.endObject();
         }
         if (!o.trace.empty())
-            std::printf(",\"trace\":\"%s\"",
-                        jsonEscape(o.trace).c_str());
-        std::printf("}");
+            w.member("trace", o.trace);
+        w.endObject();
     }
-    std::printf("],\"regressions\":%u,\"auditProblems\":%llu}\n",
-                regressions,
-                static_cast<unsigned long long>(audit_problems));
+    w.endArray();
+    w.member("regressions", regressions);
+    w.member("auditProblems", audit_problems);
+    w.endObject();
+    std::puts(w.str().c_str());
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <sstream>
 
 #include "cli.hh"
+#include "exp/json_out.hh"
 #include "fuzz/fuzz.hh"
 
 namespace {
@@ -48,6 +49,14 @@ constexpr const char *kUsage =
     "  --quiet              suppress per-failure output\n"
     "  --help, --version\n";
 
+/** One replayed file's verdict, for the --json report. */
+struct ReplayResult
+{
+    std::string file;
+    const char *kind = "";
+    rr::fuzz::Problems problems;
+};
+
 int
 replayFiles(const std::vector<std::string> &paths, bool quiet,
             bool json)
@@ -55,7 +64,7 @@ replayFiles(const std::vector<std::string> &paths, bool quiet,
     using namespace rr;
     bool readError = false;
     unsigned violations = 0;
-    std::string jsonBody;
+    std::vector<ReplayResult> results;
     for (const std::string &path : paths) {
         std::ifstream in(path, std::ios::binary);
         if (!in) {
@@ -76,21 +85,8 @@ replayFiles(const std::vector<std::string> &paths, bool quiet,
             continue;
         }
         const fuzz::Problems problems = fuzz::checkSample(sample);
-        if (json) {
-            if (!jsonBody.empty())
-                jsonBody += ",";
-            jsonBody += "\n    {\"file\": \"" +
-                        tools::jsonEscape(path) + "\", \"kind\": \"" +
-                        fuzz::kindName(fuzz::kindOf(sample)) +
-                        "\", \"problems\": [";
-            for (size_t i = 0; i < problems.size(); ++i) {
-                if (i)
-                    jsonBody += ", ";
-                jsonBody +=
-                    "\"" + tools::jsonEscape(problems[i]) + "\"";
-            }
-            jsonBody += "]}";
-        }
+        results.push_back(
+            {path, fuzz::kindName(fuzz::kindOf(sample)), problems});
         if (problems.empty()) {
             if (!quiet && !json)
                 std::printf("PASS %s\n", path.c_str());
@@ -104,10 +100,24 @@ replayFiles(const std::vector<std::string> &paths, bool quiet,
         }
     }
     if (json) {
-        std::printf("{\n  \"mode\": \"replay\",\n  \"files\": %zu,\n"
-                    "  \"violations\": %u,\n  \"results\": [%s\n  ]\n"
-                    "}\n",
-                    paths.size(), violations, jsonBody.c_str());
+        exp::JsonWriter w;
+        w.beginObject();
+        w.member("schema", "rr.rrfuzz.v1");
+        w.member("mode", "replay");
+        w.member("files", paths.size());
+        w.member("violations", violations);
+        w.key("results");
+        w.beginArray();
+        for (const ReplayResult &r : results) {
+            w.beginObject();
+            w.member("file", r.file);
+            w.member("kind", r.kind);
+            w.member("problems", r.problems);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+        std::puts(w.str().c_str());
     }
     if (readError)
         return rr::tools::kExitFailure;
@@ -178,31 +188,25 @@ main(int argc, char **argv)
         fuzz::runFuzz(options, quiet ? nullptr : &std::cerr);
 
     if (json) {
-        std::printf("{\n  \"mode\": \"fuzz\",\n  \"seed\": %llu,\n"
-                    "  \"samples\": %llu,\n  \"failures\": [",
-                    static_cast<unsigned long long>(seed),
-                    static_cast<unsigned long long>(
-                        report.samplesRun));
-        for (size_t i = 0; i < report.failures.size(); ++i) {
-            const fuzz::Failure &f = report.failures[i];
-            if (i)
-                std::printf(",");
-            std::printf("\n    {\"kind\": \"%s\", \"index\": %llu, "
-                        "\"sampleSeed\": %llu, \"problems\": [",
-                        fuzz::kindName(f.kind),
-                        static_cast<unsigned long long>(f.index),
-                        static_cast<unsigned long long>(
-                            f.sampleSeed));
-            for (size_t j = 0; j < f.problems.size(); ++j) {
-                if (j)
-                    std::printf(", ");
-                std::printf(
-                    "\"%s\"",
-                    tools::jsonEscape(f.problems[j]).c_str());
-            }
-            std::printf("]}");
+        exp::JsonWriter w;
+        w.beginObject();
+        w.member("schema", "rr.rrfuzz.v1");
+        w.member("mode", "fuzz");
+        w.member("seed", seed);
+        w.member("samples", report.samplesRun);
+        w.key("failures");
+        w.beginArray();
+        for (const fuzz::Failure &f : report.failures) {
+            w.beginObject();
+            w.member("kind", fuzz::kindName(f.kind));
+            w.member("index", f.index);
+            w.member("sampleSeed", f.sampleSeed);
+            w.member("problems", f.problems);
+            w.endObject();
         }
-        std::printf("\n  ]\n}\n");
+        w.endArray();
+        w.endObject();
+        std::puts(w.str().c_str());
     } else if (!quiet) {
         std::fprintf(stderr, "rrfuzz: %llu samples, %zu failure(s)\n",
                      static_cast<unsigned long long>(

@@ -58,6 +58,7 @@
 
 #include "assembler/assembler.hh"
 #include "ckpt/io.hh"
+#include "exp/json_out.hh"
 #include "ckpt/snapshot.hh"
 #include "machine/cpu.hh"
 #include "trace/sink.hh"
@@ -404,24 +405,23 @@ main(int argc, char **argv)
 
     const bool step_limit = executed >= max_steps;
     if (json) {
-        std::printf(
-            "{\"schema\":\"rr.rrsim.v1\",\"input\":\"%s\","
-            "\"cycles\":%llu,\"instructions\":%llu,\"pc\":%u,"
-            "\"halted\":%s,\"stepLimit\":%s,\"trap\":\"%s\","
-            "\"psw\":%u,\"rrm\":%u,\"faults\":%llu",
-            jsonEscape(input).c_str(),
-            static_cast<unsigned long long>(cpu.cycles()),
-            static_cast<unsigned long long>(
-                cpu.instructionsRetired()),
-            cpu.pc(), cpu.halted() ? "true" : "false",
-            step_limit ? "true" : "false",
-            rr::machine::trapName(cpu.trap()), cpu.psw(), cpu.rrm(),
-            static_cast<unsigned long long>(cpu.faultCount()));
+        rr::exp::JsonWriter w;
+        w.beginObject();
+        w.member("schema", "rr.rrsim.v1");
+        w.member("input", input);
+        w.member("cycles", cpu.cycles());
+        w.member("instructions", cpu.instructionsRetired());
+        w.member("pc", cpu.pc());
+        w.member("halted", cpu.halted());
+        w.member("stepLimit", step_limit);
+        w.member("trap", rr::machine::trapName(cpu.trap()));
+        w.member("psw", cpu.psw());
+        w.member("rrm", cpu.rrm());
+        w.member("faults", cpu.faultCount());
         if (trace_sink != nullptr)
-            std::printf(",\"traceEvents\":%llu",
-                        static_cast<unsigned long long>(
-                            trace_sink->emitted()));
-        std::printf("}\n");
+            w.member("traceEvents", trace_sink->emitted());
+        w.endObject();
+        std::puts(w.str().c_str());
     } else if (!quiet) {
         std::printf("\ncycles: %lu  instructions: %lu  pc: %u\n",
                     static_cast<unsigned long>(cpu.cycles()),
