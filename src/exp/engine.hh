@@ -33,6 +33,7 @@ void setDefaultJobs(unsigned jobs);
  * The effective worker-pool size: the last setDefaultJobs() value,
  * or RR_BENCH_JOBS when unset (default 1); 0 is resolved to the
  * hardware concurrency.
+ * @throws EnvError when RR_BENCH_JOBS is read and is invalid.
  */
 unsigned defaultJobs();
 

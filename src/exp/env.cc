@@ -1,6 +1,5 @@
 #include "exp/env.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -17,10 +16,9 @@ envUnsigned(const char *name, unsigned fallback)
     uint64_t parsed = 0;
     if (!parseUnsigned(value, parsed,
                        std::numeric_limits<unsigned>::max())) {
-        std::fprintf(stderr,
-                     "%s: expected an unsigned integer, got '%s'\n",
-                     name, value);
-        std::exit(64);
+        throw EnvError(std::string(name) +
+                       ": expected an unsigned integer, got '" + value +
+                       "'");
     }
     return static_cast<unsigned>(parsed);
 }

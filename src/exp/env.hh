@@ -12,22 +12,37 @@
  *                    identical for every job count (engine.hh).
  *
  * Values must parse completely as unsigned integers: garbage such as
- * "3x" or "banana" terminates the process with exit code 64 instead
- * of being silently truncated by strtoul (the same bug class the
- * rrasm/rrsim CLIs fix with tools/arg_num.hh).
+ * "3x" or "banana" is an EnvError instead of being silently truncated
+ * by strtoul (the same bug class the rrasm/rrsim CLIs fix with
+ * tools/arg_num.hh). The tools turn it into exit code 64.
  */
 
 #ifndef RR_EXP_ENV_HH
 #define RR_EXP_ENV_HH
 
+#include <stdexcept>
+#include <string>
+
 namespace rr::exp {
 
 /**
+ * A set-but-invalid environment value. what() is the whole
+ * diagnostic: "NAME: expected an unsigned integer, got 'VALUE'".
+ */
+class EnvError : public std::runtime_error
+{
+  public:
+    explicit EnvError(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
+
+/**
  * Read an unsigned env var, or @p fallback when unset/empty.
- * A set-but-invalid value (non-numeric, trailing junk, out of
- * unsigned range) prints a diagnostic on stderr and exits with the
- * usage status (64) — a misconfigured benchmark run must not
- * silently measure the wrong thing.
+ * @throws EnvError for a set-but-invalid value (non-numeric,
+ *         trailing junk, out of unsigned range) — a misconfigured
+ *         benchmark run must not silently measure the wrong thing.
  */
 unsigned envUnsigned(const char *name, unsigned fallback);
 

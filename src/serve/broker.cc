@@ -27,7 +27,8 @@ runAuditedUnit(const SimUnit &unit)
 }
 
 Broker::Broker(std::size_t cache_entries, unsigned jobs)
-    : cache_(cache_entries), jobs_(jobs)
+    : cache_(cache_entries),
+      jobs_(jobs == 0 ? exp::defaultJobs() : jobs)
 {
 }
 

@@ -56,7 +56,9 @@ class Broker
     /**
      * @param cache_entries result-cache budget (entries; 0 disables)
      * @param jobs worker threads for the simulation fan-out
-     *             (0 = exp::defaultJobs())
+     *             (0 = exp::defaultJobs(), resolved once, here)
+     * @throws exp::EnvError when @p jobs is 0 and RR_BENCH_JOBS is
+     *         invalid, so a serve batch never reads the environment.
      */
     Broker(std::size_t cache_entries, unsigned jobs);
 

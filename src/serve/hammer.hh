@@ -43,6 +43,7 @@ struct HammerOptions
 /**
  * Run the load generator against an in-process server.
  * @return 0 when every phase passed, 1 otherwise.
+ * @throws exp::EnvError as Server does, for jobs = 0.
  */
 int runHammer(const HammerOptions &options, std::ostream &out);
 

@@ -52,6 +52,7 @@ struct ServeOptions
 class Server
 {
   public:
+    /** @throws exp::EnvError as Broker does, for jobs = 0. */
     explicit Server(const ServeOptions &options);
 
     /** Bind the listener. @return false with error() on failure. */

@@ -76,6 +76,13 @@ TraceAuditor::checkCharge(const TraceEvent &event, uint64_t expect,
 }
 
 void
+TraceAuditor::tidProblem(const TraceEvent &event, const char *what)
+{
+    problem("tid " + std::to_string(event.tid) + " " + what +
+            " (cycle " + std::to_string(event.cycle) + ")");
+}
+
+void
 TraceAuditor::emit(const TraceEvent &event)
 {
     ++eventsSeen_;
@@ -97,11 +104,13 @@ TraceAuditor::emit(const TraceEvent &event)
                 " cycles but ends at " + std::to_string(event.cycle));
     }
 
-    TidState *tid = nullptr;
-    if (event.tid != TraceEvent::kNoThread)
+    uint8_t *tid = nullptr;
+    if (event.tid != TraceEvent::kNoThread) {
+        if (event.tid >= tids_.size())
+            tids_.resize(std::size_t{event.tid} + 1, 0);
         tid = &tids_[event.tid];
-    const std::string who =
-        tid != nullptr ? "tid " + std::to_string(event.tid) : "scheduler";
+        *tid |= kSeen;
+    }
 
     switch (event.kind) {
       case EventKind::Alloc:
@@ -111,11 +120,10 @@ TraceAuditor::emit(const TraceEvent &event)
             if (tid == nullptr) {
                 problem("alloc with no thread at cycle " +
                         std::to_string(event.cycle));
-            } else if (tid->allocated) {
-                problem(who + " allocated twice without a free (cycle " +
-                        std::to_string(event.cycle) + ")");
+            } else if ((*tid & kAllocated) != 0) {
+                tidProblem(event, "allocated twice without a free");
             } else {
-                tid->allocated = true;
+                *tid |= kAllocated;
             }
         } else {
             ++allocFailed_;
@@ -126,23 +134,20 @@ TraceAuditor::emit(const TraceEvent &event)
       case EventKind::Load:
         checkCharge(event, costs_.loadCost(event.regs), "load");
         if (tid != nullptr) {
-            if (!tid->allocated)
-                problem(who + " loaded without an allocation (cycle " +
-                        std::to_string(event.cycle) + ")");
-            if (tid->loaded)
-                problem(who + " loaded twice without an unload (cycle " +
-                        std::to_string(event.cycle) + ")");
-            tid->loaded = true;
+            if ((*tid & kAllocated) == 0)
+                tidProblem(event, "loaded without an allocation");
+            if ((*tid & kLoaded) != 0)
+                tidProblem(event, "loaded twice without an unload");
+            *tid |= kLoaded;
         }
         break;
 
       case EventKind::Unload:
         checkCharge(event, costs_.unloadCost(event.regs), "unload");
         if (tid != nullptr) {
-            if (!tid->loaded)
-                problem(who + " unloaded while not loaded (cycle " +
-                        std::to_string(event.cycle) + ")");
-            tid->loaded = false;
+            if ((*tid & kLoaded) == 0)
+                tidProblem(event, "unloaded while not loaded");
+            *tid = static_cast<uint8_t>(*tid & ~kLoaded);
         }
         break;
 
@@ -151,19 +156,16 @@ TraceAuditor::emit(const TraceEvent &event)
         if (event.aux == TraceEvent::kFreeFinished)
             ++finishFrees_;
         if (tid != nullptr) {
-            if (!tid->allocated)
-                problem(who + " freed while not allocated (cycle " +
-                        std::to_string(event.cycle) + ")");
+            if ((*tid & kAllocated) == 0)
+                tidProblem(event, "freed while not allocated");
             // A finishing thread frees its loaded context directly; an
             // evicted context must already have paid its unload.
-            if (event.aux == TraceEvent::kFreeFinished && !tid->loaded)
-                problem(who + " finished without a loaded context (cycle " +
-                        std::to_string(event.cycle) + ")");
-            if (event.aux == TraceEvent::kFreeEvicted && tid->loaded)
-                problem(who + " evicted without paying an unload (cycle " +
-                        std::to_string(event.cycle) + ")");
-            tid->allocated = false;
-            tid->loaded = false;
+            const bool loaded = (*tid & kLoaded) != 0;
+            if (event.aux == TraceEvent::kFreeFinished && !loaded)
+                tidProblem(event, "finished without a loaded context");
+            if (event.aux == TraceEvent::kFreeEvicted && loaded)
+                tidProblem(event, "evicted without paying an unload");
+            *tid = kSeen;
         }
         break;
 
@@ -176,9 +178,8 @@ TraceAuditor::emit(const TraceEvent &event)
         break;
 
       case EventKind::RunSegment:
-        if (tid != nullptr && !tid->loaded)
-            problem(who + " ran without a loaded context (cycle " +
-                    std::to_string(event.cycle) + ")");
+        if (tid != nullptr && (*tid & kLoaded) == 0)
+            tidProblem(event, "ran without a loaded context");
         break;
 
       case EventKind::FaultIssue:
@@ -241,8 +242,8 @@ TraceAuditor::reconcile(const AuditTotals &totals) const
           totals.allocSuccesses); // every granted context is freed once
 
     // 3. No context is left mid-lifecycle at end of run.
-    for (const auto &[id, state] : tids_) {
-        if (state.allocated)
+    for (std::size_t id = 0; id < tids_.size(); ++id) {
+        if ((tids_[id] & kAllocated) != 0)
             out.push_back("tid " + std::to_string(id) +
                           " still holds an allocated context at end of "
                           "trace");
@@ -268,19 +269,14 @@ TraceAuditor::saveState(ckpt::Writer &writer) const
     writer.u64(7, finishFrees_);
     writer.u64(8, suppressed_);
 
-    // Thread lifecycle states, sorted by tid so identical auditor
-    // states always serialize to identical bytes (the unordered_map
-    // iteration order is not deterministic).
+    // Every tid an event named, ascending, with its allocated (1) /
+    // loaded (2) flags; a seen tid with neither flag is written as 0.
     std::vector<uint32_t> tids, flags;
-    tids.reserve(tids_.size());
-    for (const auto &[tid, state] : tids_)
-        tids.push_back(tid);
-    std::sort(tids.begin(), tids.end());
-    flags.reserve(tids.size());
-    for (const uint32_t tid : tids) {
-        const TidState &state = tids_.at(tid);
-        flags.push_back((state.allocated ? 1u : 0u) |
-                        (state.loaded ? 2u : 0u));
+    for (std::size_t tid = 0; tid < tids_.size(); ++tid) {
+        if ((tids_[tid] & kSeen) == 0)
+            continue;
+        tids.push_back(static_cast<uint32_t>(tid));
+        flags.push_back(tids_[tid] & (kAllocated | kLoaded));
     }
     writer.u32vec(9, tids);
     writer.u32vec(10, flags);
@@ -315,6 +311,17 @@ TraceAuditor::restoreState(const ckpt::Reader &reader)
         reader.u32vec(kCkptSection, 10);
     if (tids.size() != flags.size())
         throw ckpt::Error("auditor thread arrays disagree in length");
+    for (std::size_t i = 0; i < tids.size(); ++i) {
+        if (tids[i] >= kTidLimit)
+            throw ckpt::Error("auditor thread id " +
+                              std::to_string(tids[i]) +
+                              " is out of range");
+        if (i > 0 && tids[i] <= tids[i - 1])
+            throw ckpt::Error("auditor thread ids are not strictly "
+                              "increasing");
+        if ((flags[i] & ~uint32_t{kAllocated | kLoaded}) != 0)
+            throw ckpt::Error("auditor thread flags are invalid");
+    }
 
     eventsSeen_ = reader.u64(kCkptSection, 1);
     lastCycle_ = reader.u64(kCkptSection, 2);
@@ -325,13 +332,9 @@ TraceAuditor::restoreState(const ckpt::Reader &reader)
     finishFrees_ = reader.u64(kCkptSection, 7);
     suppressed_ = reader.u64(kCkptSection, 8);
 
-    tids_.clear();
-    for (std::size_t i = 0; i < tids.size(); ++i) {
-        TidState state;
-        state.allocated = (flags[i] & 1u) != 0;
-        state.loaded = (flags[i] & 2u) != 0;
-        tids_[tids[i]] = state;
-    }
+    tids_.assign(tids.empty() ? 0 : std::size_t{tids.back()} + 1, 0);
+    for (std::size_t i = 0; i < tids.size(); ++i)
+        tids_[tids[i]] = static_cast<uint8_t>(kSeen | flags[i]);
 
     const uint64_t problemCount = reader.u64(kCkptSection, 11);
     const std::vector<uint8_t> blob =

@@ -21,7 +21,11 @@
  *
  * TraceAuditor is itself a TraceSink, so auditing is streaming — it
  * keeps O(threads) state and never stores the event stream, which is
- * what lets rrbench audit every simulation of a full sweep.
+ * what lets rrbench audit every simulation of a full sweep. The
+ * per-thread state is one flag byte per tid, indexed directly (the
+ * simulators emit dense tids 0..N-1), and a diagnostic string is
+ * built only when its check fails, so a clean event costs a few
+ * adds and compares.
  */
 
 #ifndef RR_TRACE_AUDIT_HH
@@ -29,7 +33,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/snapshot.hh"
@@ -90,6 +93,14 @@ class TraceAuditor : public TraceSink, public ckpt::Restorable
     static constexpr uint32_t kCkptSection = 0x30;
 
     /**
+     * Restore rejects thread ids at or above this bound, so a hostile
+     * checkpoint cannot size the flag table to 2^32 entries. The
+     * simulators' tids are dense and far below it (rrbench caps
+     * --threads at 2^20, rrserve at 4096).
+     */
+    static constexpr uint32_t kTidLimit = 1u << 24;
+
+    /**
      * Check the accumulated trace against @p totals.
      * @return all violations (streaming problems + reconciliation
      *         mismatches); empty means the trace conserves.
@@ -107,14 +118,20 @@ class TraceAuditor : public TraceSink, public ckpt::Restorable
     uint64_t kindCount(EventKind kind) const;
 
   private:
-    /** Lifecycle state of one simulated thread's context charges. */
-    struct TidState
+    /**
+     * Lifecycle flags of one simulated thread's context charges. The
+     * allocated/loaded values are also the checkpoint encoding.
+     */
+    enum TidFlag : uint8_t
     {
-        bool allocated = false; ///< Alloc charged, not yet freed
-        bool loaded = false;    ///< Load charged, not yet un/freed
+        kAllocated = 1, ///< Alloc charged, not yet freed
+        kLoaded = 2,    ///< Load charged, not yet un/freed
+        kSeen = 4,      ///< some event named this tid
     };
 
     void problem(std::string text);
+    /** Records "tid N <what> (cycle C)" for @p event's thread. */
+    void tidProblem(const TraceEvent &event, const char *what);
     void checkCharge(const TraceEvent &event, uint64_t expect,
                      const char *what);
 
@@ -127,7 +144,7 @@ class TraceAuditor : public TraceSink, public ckpt::Restorable
     uint64_t allocFailed_ = 0;
     uint64_t finishFrees_ = 0;
     uint64_t suppressed_ = 0;
-    std::unordered_map<uint32_t, TidState> tids_;
+    std::vector<uint8_t> tids_; ///< TidFlag bits, indexed by tid
     std::vector<std::string> problems_;
 
     static constexpr std::size_t kMaxProblems = 32;

@@ -135,17 +135,23 @@ TEST(Env, UnsignedParsingAndDefaults)
     ::unsetenv("RR_TEST_ENV_VALUE");
 }
 
-// A set-but-unparseable value must abort the run (exit 64), not be
-// silently replaced by the default: a typo in RR_BENCH_SEEDS would
-// otherwise change every result without a trace.
-TEST(EnvDeath, GarbageValueDies)
+// A set-but-unparseable value must fail the run, not be silently
+// replaced by the default: a typo in RR_BENCH_SEEDS would otherwise
+// change every result without a trace. The library throws a typed
+// error; rrbench and rrserve turn it into exit 64 (test_cli.cc).
+TEST(Env, GarbageValueIsAnEnvError)
 {
     ::setenv("RR_TEST_ENV_VALUE", "junk", 1);
-    EXPECT_EXIT(exp::envUnsigned("RR_TEST_ENV_VALUE", 3),
-                ::testing::ExitedWithCode(64), "RR_TEST_ENV_VALUE");
+    try {
+        (void)exp::envUnsigned("RR_TEST_ENV_VALUE", 3);
+        ADD_FAILURE() << "garbage value was accepted";
+    } catch (const exp::EnvError &error) {
+        EXPECT_STREQ(error.what(), "RR_TEST_ENV_VALUE: expected an "
+                                   "unsigned integer, got 'junk'");
+    }
     ::setenv("RR_TEST_ENV_VALUE", "17x", 1);
-    EXPECT_EXIT(exp::envUnsigned("RR_TEST_ENV_VALUE", 3),
-                ::testing::ExitedWithCode(64), "17x");
+    EXPECT_THROW(exp::envUnsigned("RR_TEST_ENV_VALUE", 3),
+                 exp::EnvError);
     ::unsetenv("RR_TEST_ENV_VALUE");
 }
 

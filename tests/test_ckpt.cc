@@ -530,6 +530,138 @@ TEST(CkptAuditor, SplitAuditReconcilesLikeAWholeRun)
     EXPECT_EQ(tailAuditor.eventsSeen(), whole.eventsSeen());
 }
 
+TraceEvent
+auditEvent(trace::EventKind kind, uint32_t tid, uint64_t cycle,
+           uint64_t cycles)
+{
+    TraceEvent event;
+    event.kind = kind;
+    event.tid = tid;
+    event.cycle = cycle;
+    event.cycles = cycles;
+    return event;
+}
+
+std::string
+hexOf(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const uint8_t byte : bytes) {
+        out += digits[byte >> 4];
+        out += digits[byte & 0xf];
+    }
+    return out;
+}
+
+// A mid-run auditor over sparse tids: 0 allocated and loaded, 5
+// allocated only, 1000 seen by events that set no flag, plus
+// scheduler-only events and one streaming problem.
+void
+feedMidRunAuditor(trace::TraceAuditor &auditor)
+{
+    using trace::EventKind;
+    constexpr uint32_t none = TraceEvent::kNoThread;
+    auditor.emit(auditEvent(EventKind::SchedulerPoll, none, 10, 10));
+    auditor.emit(auditEvent(EventKind::Alloc, 0, 10, 0));
+    TraceEvent load = auditEvent(EventKind::Load, 0, 28, 18);
+    load.regs = 8;
+    auditor.emit(load);
+    auditor.emit(auditEvent(EventKind::Alloc, 5, 28, 0));
+    TraceEvent fault = auditEvent(EventKind::FaultIssue, 1000, 28, 0);
+    fault.aux = 200;
+    auditor.emit(fault);
+    auditor.emit(auditEvent(EventKind::RunSegment, 0, 100, 72));
+    auditor.emit(auditEvent(EventKind::Switch, none, 106, 6));
+    auditor.emit(auditEvent(EventKind::RunSegment, 1000, 110, 4));
+}
+
+// Section 0x30 is part of the rr.ckpt.v1 format: the auditor's
+// in-memory layout may change, its bytes may not.
+TEST(CkptAuditor, SectionBytesArePinned)
+{
+    trace::TraceAuditor auditor{runtime::CostModel{}};
+    feedMidRunAuditor(auditor);
+    ASSERT_EQ(auditor.problems().size(), 1u);
+    ckpt::Writer writer;
+    auditor.saveState(writer);
+    const std::vector<uint8_t> doc = writer.seal();
+    // Golden bytes: a change here is an rr.ckpt.v1 format change.
+    const char *const pinned =
+        "7272636b7074310a30000000b9010000000000000100000001080000"
+        "000000000002000000016e0000000000000003000000050d00000000"
+        "0000004c000000000000000600000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000001200000000"
+        "000000000000000000000000000000000000000a0000000000000000"
+        "00000000000000000000000000000000000000000000000400000005"
+        "0d000000000000000200000000000000010000000000000001000000"
+        "00000000000000000000000002000000000000000000000000000000"
+        "01000000000000000000000000000000000000000000000001000000"
+        "00000000000000000000000000000000000000000000000000000000"
+        "05000000010200000000000000060000000100000000000000000700"
+        "00000100000000000000000800000001000000000000000009000000"
+        "0603000000000000000000000005000000e80300000a000000060300"
+        "0000000000000300000001000000000000000b000000010100000000"
+        "0000000c000000043500000000000000310000007469642031303030"
+        "2072616e20776974686f75742061206c6f6164656420636f6e746578"
+        "7420286379636c652031313029ffffffffc63e2fb7034bf42e";
+    EXPECT_EQ(hexOf(doc), pinned);
+
+    // A restored auditor saves the same bytes again.
+    trace::TraceAuditor restored{runtime::CostModel{}};
+    restored.restoreState(ckpt::Reader(doc));
+    ckpt::Writer again;
+    restored.saveState(again);
+    EXPECT_EQ(again.seal(), doc);
+}
+
+/** An otherwise valid auditor section carrying @p tids / @p flags. */
+std::vector<uint8_t>
+auditorSection(const std::vector<uint32_t> &tids,
+               const std::vector<uint32_t> &flags)
+{
+    const std::vector<uint64_t> perKind(trace::numEventKinds, 0);
+    ckpt::Writer writer;
+    writer.beginSection(trace::TraceAuditor::kCkptSection);
+    for (uint32_t tag = 1; tag <= 8; ++tag) {
+        if (tag == 3 || tag == 4)
+            writer.u64vec(tag, perKind);
+        else
+            writer.u64(tag, 0);
+    }
+    writer.u32vec(9, tids);
+    writer.u32vec(10, flags);
+    writer.u64(11, 0);
+    writer.bytes(12, {});
+    writer.endSection();
+    return writer.seal();
+}
+
+// A hostile thread table is a ckpt::Error, never a 2^32-entry flag
+// table or a silently merged duplicate.
+TEST(CkptAuditor, RestoreRejectsHostileThreadTables)
+{
+    const auto restore = [](const std::vector<uint32_t> &tids,
+                            const std::vector<uint32_t> &flags) {
+        trace::TraceAuditor auditor{runtime::CostModel{}};
+        auditor.restoreState(ckpt::Reader(auditorSection(tids, flags)));
+        return auditor.reconcile(trace::AuditTotals{});
+    };
+    constexpr uint32_t limit = trace::TraceAuditor::kTidLimit;
+
+    EXPECT_NO_THROW(restore({0, 5, limit - 1}, {0, 0, 0}));
+    EXPECT_EQ(restore({7}, {1}),
+              std::vector<std::string>{
+                  "tid 7 still holds an allocated context at end of "
+                  "trace"});
+    EXPECT_THROW(restore({0xffffffffu}, {0}), ckpt::Error);
+    EXPECT_THROW(restore({0, limit}, {0, 0}), ckpt::Error);
+    EXPECT_THROW(restore({5, 5}, {0, 0}), ckpt::Error);
+    EXPECT_THROW(restore({5, 3}, {0, 0}), ckpt::Error);
+    EXPECT_THROW(restore({5}, {4}), ckpt::Error);
+    EXPECT_THROW(restore({5}, {}), ckpt::Error);
+}
+
 // ---------------------------------------------------------------------
 // RelocationUnit: the memo-epoch restore regression
 

@@ -4,8 +4,9 @@
  * tools/arg_num.hh): the strict numeric grammar at its edges —
  * INT64/UINT64 boundaries, signs, whitespace, 0x prefixes, leading
  * zeros — the option parser's exit-status behaviour
- * (docs/TOOLS.md documents the accepted forms), and the --json
- * documents of rrasm, rrsim, rrbench and rrfuzz.
+ * (docs/TOOLS.md documents the accepted forms), the --json
+ * documents of rrasm, rrsim, rrbench and rrfuzz, and the usage exit
+ * for a garbage RR_BENCH_JOBS in rrbench and rrserve.
  */
 
 #include <gtest/gtest.h>
@@ -345,6 +346,67 @@ TEST(CliToolJson, RrfuzzRunAndReplay)
     ASSERT_EQ(results->elements.size(), 1u);
     EXPECT_EQ(results->elements[0].stringOr("file", ""), repro);
     EXPECT_EQ(results->elements[0].stringOr("kind", ""), "json");
+}
+
+// With --json, stdout is exactly one document: the --compare verdict
+// and note lines go to stderr, for a matched and a skipped figure.
+TEST(CliToolJson, RrbenchCompareKeepsStdoutOneDocument)
+{
+    const std::filesystem::path dir = workDir("rrbench-compare");
+    const std::string baselines =
+        std::string(RR_SOURCE_DIR) + "/bench/baselines";
+    int status = 0;
+    const std::string out =
+        runTool(shellQuote(RR_RRBENCH) +
+                    " --filter fig5_cache --filter fig4_costs --fast"
+                    " --jobs 2 --quiet --json --out-dir " +
+                    shellQuote(dir.string()) + " --compare " +
+                    shellQuote(baselines) + " 2>/dev/null",
+                status);
+    EXPECT_EQ(status, kExitOk);
+    const auto doc = parseDocument(out, "rr.rrbench.v1");
+    EXPECT_EQ(out.find("compare:"), std::string::npos) << out;
+    const exp::JsonValue *figures = doc.find("figures");
+    ASSERT_NE(figures, nullptr);
+    ASSERT_EQ(figures->elements.size(), 2u);
+    EXPECT_EQ(figures->elements[0].stringOr("name", ""), "fig4_costs");
+    EXPECT_EQ(figures->elements[0].stringOr("compare", ""), "skipped");
+    EXPECT_EQ(figures->elements[1].stringOr("name", ""), "fig5_cache");
+    EXPECT_EQ(figures->elements[1].stringOr("compare", ""), "ok");
+
+    const std::string err =
+        runTool(shellQuote(RR_RRBENCH) +
+                    " --filter fig4_costs --fast --quiet --json"
+                    " --out-dir " +
+                    shellQuote(dir.string()) + " --compare " +
+                    shellQuote(baselines) + " 2>&1 >/dev/null",
+                status);
+    EXPECT_EQ(status, kExitOk);
+    EXPECT_EQ(err, "compare: no baseline for fig4_costs, skipped\n");
+}
+
+// A garbage RR_BENCH_JOBS is a usage error (exit 64) carrying the
+// same one-line diagnostic from every tool that reads it, on the
+// rrserve miss path included.
+TEST(CliToolEnv, GarbageJobsEnvIsAUsageError)
+{
+    const std::string expected =
+        "RR_BENCH_JOBS: expected an unsigned integer, got 'abc'\n";
+    const std::filesystem::path dir = workDir("rrbench-env");
+    const std::vector<std::string> commands = {
+        shellQuote(RR_RRSERVE) + " --hammer --requests 8 --quiet",
+        shellQuote(RR_RRSERVE) + " --port 0 --quiet",
+        shellQuote(RR_RRBENCH) + " --filter fig4_costs --fast --quiet" +
+            " --out-dir " + shellQuote(dir.string()),
+    };
+    for (const std::string &command : commands) {
+        int status = 0;
+        const std::string err = runTool(
+            "RR_BENCH_JOBS=abc timeout 60 " + command + " 2>&1 >/dev/null",
+            status);
+        EXPECT_EQ(status, kExitUsage) << command;
+        EXPECT_EQ(err, expected) << command;
+    }
 }
 
 } // namespace

@@ -11,11 +11,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/env.hh"
 #include "exp/json_in.hh"
 #include "exp/report.hh"
 #include "serve/admission.hh"
@@ -24,6 +27,7 @@
 #include "serve/coalesce.hh"
 #include "serve/http.hh"
 #include "serve/protocol.hh"
+#include "serve/server.hh"
 
 namespace {
 
@@ -230,6 +234,36 @@ TEST(ServeBroker, ServedDocumentValidatesAsBenchV1)
     const auto doc = exp::parseJson(result.body, &error);
     ASSERT_TRUE(doc) << error;
     EXPECT_TRUE(exp::validateReportJson(*doc).empty());
+}
+
+// The worker count is resolved when the broker is built: a garbage
+// RR_BENCH_JOBS is a typed error there, never an exit from inside a
+// serve batch, and an explicit count never reads the environment.
+TEST(ServeBroker, WorkerCountIsResolvedAtConstruction)
+{
+    ::setenv("RR_BENCH_JOBS", "abc", 1);
+    try {
+        Broker broker(8, 0);
+        ADD_FAILURE() << "garbage RR_BENCH_JOBS was accepted";
+    } catch (const exp::EnvError &error) {
+        EXPECT_STREQ(error.what(), "RR_BENCH_JOBS: expected an "
+                                   "unsigned integer, got 'abc'");
+    }
+    ServeOptions options;
+    options.port = 0;
+    EXPECT_THROW(Server server(options), exp::EnvError);
+
+    Broker explicitJobs(8, 2);
+    EXPECT_EQ(explicitJobs.serveBody("{\"spec\": {\"threads\": 8}}")
+                  .status,
+              200);
+    ::unsetenv("RR_BENCH_JOBS");
+
+    Broker fromEnv(8, 0);
+    ::setenv("RR_BENCH_JOBS", "abc", 1);
+    EXPECT_EQ(fromEnv.serveBody("{\"spec\": {\"threads\": 8}}").status,
+              200);
+    ::unsetenv("RR_BENCH_JOBS");
 }
 
 TEST(ServeBroker, AuditedUnitConservesCycles)

@@ -198,6 +198,180 @@ TEST(Audit, CatchesMischargedCosts)
     EXPECT_NE(problems.front().find("alloc"), std::string::npos);
 }
 
+/** Distinct nonzero charges, so a mis-charge names its own check. */
+runtime::CostModel
+auditCosts()
+{
+    runtime::CostModel costs;
+    costs.allocSucceed = 3;
+    costs.allocFail = 2;
+    costs.dealloc = 4;
+    return costs;
+}
+
+/** A correctly charged lifecycle event for @p tid ending at @p cycle. */
+trace::TraceEvent
+charged(trace::EventKind kind, uint32_t tid, uint64_t cycle,
+        uint64_t aux = 0)
+{
+    const runtime::CostModel costs = auditCosts();
+    trace::TraceEvent event = makeEvent(kind, cycle);
+    event.tid = tid;
+    event.aux = aux;
+    event.regs = 8;
+    switch (kind) {
+      case trace::EventKind::Alloc:
+        event.cycles = costs.allocSucceed;
+        break;
+      case trace::EventKind::Load:
+        event.cycles = costs.loadCost(event.regs);
+        break;
+      case trace::EventKind::Unload:
+        event.cycles = costs.unloadCost(event.regs);
+        break;
+      case trace::EventKind::Free:
+        event.cycles = costs.dealloc;
+        break;
+      default:
+        break;
+    }
+    return event;
+}
+
+/** The streaming problems of a fresh auditor fed @p events. */
+std::vector<std::string>
+streamingProblems(const std::vector<trace::TraceEvent> &events)
+{
+    trace::TraceAuditor auditor(auditCosts());
+    for (const trace::TraceEvent &event : events)
+        auditor.emit(event);
+    return auditor.problems();
+}
+
+using Lines = std::vector<std::string>;
+
+// Every streaming diagnostic, pinned to the byte: the auditor builds
+// these strings only when a check fails, so each failure path is
+// driven here by a hand-built event sequence.
+TEST(AuditMessages, LifecycleViolationsAreReportedVerbatim)
+{
+    using trace::EventKind;
+    constexpr uint64_t finished = trace::TraceEvent::kFreeFinished;
+    constexpr uint64_t evicted = trace::TraceEvent::kFreeEvicted;
+
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 3, 10),
+                                 charged(EventKind::Alloc, 3, 20)}),
+              Lines{"tid 3 allocated twice without a free (cycle 20)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Load, 4, 30)}),
+              Lines{"tid 4 loaded without an allocation (cycle 30)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 5, 10),
+                                 charged(EventKind::Load, 5, 30),
+                                 charged(EventKind::Load, 5, 50)}),
+              Lines{"tid 5 loaded twice without an unload (cycle 50)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 6, 10),
+                                 charged(EventKind::Unload, 6, 30)}),
+              Lines{"tid 6 unloaded while not loaded (cycle 30)"});
+    EXPECT_EQ(
+        streamingProblems({charged(EventKind::Free, 7, 30, evicted)}),
+        Lines{"tid 7 freed while not allocated (cycle 30)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 8, 10),
+                                 charged(EventKind::Free, 8, 30,
+                                         finished)}),
+              Lines{"tid 8 finished without a loaded context "
+                    "(cycle 30)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, 9, 10),
+                                 charged(EventKind::Load, 9, 30),
+                                 charged(EventKind::Free, 9, 50,
+                                         evicted)}),
+              Lines{"tid 9 evicted without paying an unload "
+                    "(cycle 50)"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::RunSegment, 10, 40)}),
+              Lines{"tid 10 ran without a loaded context (cycle 40)"});
+
+    // One event can fail several checks; they report in check order.
+    EXPECT_EQ(streamingProblems({charged(EventKind::Load, 11, 30),
+                                 charged(EventKind::Load, 11, 50)}),
+              (Lines{"tid 11 loaded without an allocation (cycle 30)",
+                     "tid 11 loaded without an allocation (cycle 50)",
+                     "tid 11 loaded twice without an unload "
+                     "(cycle 50)"}));
+    EXPECT_EQ(streamingProblems({charged(EventKind::Free, 12, 30,
+                                         finished)}),
+              (Lines{"tid 12 freed while not allocated (cycle 30)",
+                     "tid 12 finished without a loaded context "
+                     "(cycle 30)"}));
+}
+
+TEST(AuditMessages, OrderingChargeAndThreadProblemsAreVerbatim)
+{
+    using trace::EventKind;
+    constexpr uint32_t none = trace::TraceEvent::kNoThread;
+
+    EXPECT_EQ(streamingProblems({makeEvent(EventKind::SchedulerPoll, 100),
+                                 makeEvent(EventKind::SchedulerPoll, 50)}),
+              Lines{"time went backwards: event 'poll' ends at 50 "
+                    "after an event ending at 100"});
+    EXPECT_EQ(streamingProblems({makeEvent(EventKind::Switch, 5, 6)}),
+              Lines{"event 'switch' spans 6 cycles but ends at 5"});
+    EXPECT_EQ(streamingProblems({charged(EventKind::Alloc, none, 10)}),
+              Lines{"alloc with no thread at cycle 10"});
+
+    trace::TraceEvent overcharged = charged(EventKind::Alloc, 2, 20);
+    overcharged.cycles = 5;
+    trace::TraceEvent failed = makeEvent(EventKind::Alloc, 30, 9);
+    failed.ok = false;
+    EXPECT_EQ(streamingProblems({overcharged, failed,
+                                 makeEvent(EventKind::Queue, 40, 1)}),
+              (Lines{"successful alloc charged 5 cycles, cost model "
+                     "says 3 (cycle 20, tid 2)",
+                     "failed alloc charged 9 cycles, cost model says 2 "
+                     "(cycle 30)",
+                     "queue operation charged 1 cycles, cost model "
+                     "says 10 (cycle 40)"}));
+}
+
+// Contexts still allocated at the end report after the mismatches,
+// in ascending tid order whatever order the threads appeared in.
+TEST(AuditMessages, LeftoverContextsReportInTidOrder)
+{
+    using trace::EventKind;
+    trace::TraceAuditor auditor(auditCosts());
+    for (const uint32_t tid : {1000u, 0u, 5u})
+        auditor.emit(charged(EventKind::Alloc, tid, 10));
+    trace::AuditTotals totals;
+    totals.totalCycles = 9;
+    totals.allocCycles = 9;
+    totals.allocSuccesses = 3;
+    EXPECT_EQ(auditor.reconcile(totals),
+              (Lines{"frees: trace 0 != stats 3",
+                     "tid 0 still holds an allocated context at end "
+                     "of trace",
+                     "tid 5 still holds an allocated context at end "
+                     "of trace",
+                     "tid 1000 still holds an allocated context at "
+                     "end of trace"}));
+}
+
+// Past kMaxProblems (32) the auditor stops storing diagnostics and
+// only counts them; reconcile() reports the count on one line.
+TEST(AuditMessages, ProblemsPastTheCapAreCountedNotStored)
+{
+    using trace::EventKind;
+    trace::TraceAuditor auditor(auditCosts());
+    for (uint64_t i = 0; i < 40; ++i)
+        auditor.emit(charged(EventKind::RunSegment, 1, 10 + i));
+    ASSERT_EQ(auditor.problems().size(), 32u);
+    EXPECT_EQ(auditor.problems().front(),
+              "tid 1 ran without a loaded context (cycle 10)");
+    EXPECT_EQ(auditor.problems().back(),
+              "tid 1 ran without a loaded context (cycle 41)");
+
+    const Lines lines = auditor.reconcile(trace::AuditTotals{});
+    ASSERT_EQ(lines.size(), 33u);
+    EXPECT_EQ(lines[31], auditor.problems().back());
+    EXPECT_EQ(lines[32], "... and 8 more streaming problems");
+}
+
 // Tracing must not change a single digit of any result: the sink
 // observes charges that are made regardless.
 TEST(Trace, AttachingASinkIsBehaviorNeutral)

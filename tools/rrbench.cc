@@ -316,13 +316,19 @@ main(int argc, char **argv)
                  std::to_string(threads).c_str(), 1);
     if (fast)
         ::setenv("RR_BENCH_FAST", "1", 1);
-    if (jobs_seen)
-        exp::setDefaultJobs(static_cast<unsigned>(jobs));
-
+    // Resolve every RR_BENCH_* value once, up front: a garbage value
+    // is a usage error before any figure runs.
     exp::RunMeta run;
-    run.seeds = exp::benchSeeds();
-    run.threads = exp::benchThreads();
-    run.fast = exp::benchFast();
+    try {
+        exp::setDefaultJobs(jobs_seen ? static_cast<unsigned>(jobs)
+                                      : exp::benchJobs());
+        run.seeds = exp::benchSeeds();
+        run.threads = exp::benchThreads();
+        run.fast = exp::benchFast();
+    } catch (const exp::EnvError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return kExitUsage;
+    }
 
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
@@ -443,8 +449,9 @@ main(int argc, char **argv)
         if (compare_seen) {
             const auto base_path = baselinePath(compare, figure.name);
             if (!base_path) {
-                std::printf("compare: no baseline for %s, skipped\n",
-                            figure.name.c_str());
+                std::fprintf(stderr,
+                             "compare: no baseline for %s, skipped\n",
+                             figure.name.c_str());
                 outcome.compare = "skipped";
                 outcomes.push_back(outcome);
                 continue;
@@ -457,12 +464,13 @@ main(int argc, char **argv)
             const exp::CompareResult result =
                 exp::compareReports(*reparsed, *baseline, copts);
             for (const std::string &note : result.notes)
-                std::printf("compare: %s\n", note.c_str());
+                std::fprintf(stderr, "compare: %s\n", note.c_str());
             if (result.ok()) {
-                std::printf("compare: %s matches %s "
-                            "(tolerance %.2f)\n",
-                            figure.name.c_str(), base_path->c_str(),
-                            tolerance);
+                std::fprintf(stderr,
+                             "compare: %s matches %s "
+                             "(tolerance %.2f)\n",
+                             figure.name.c_str(), base_path->c_str(),
+                             tolerance);
                 outcome.compare = "ok";
             } else {
                 ++regressions;

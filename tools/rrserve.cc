@@ -12,8 +12,10 @@
 #include <csignal>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "cli.hh"
+#include "exp/env.hh"
 #include "serve/hammer.hh"
 #include "serve/server.hh"
 
@@ -103,9 +105,14 @@ main(int argc, char **argv)
         options.jobs = static_cast<unsigned>(jobs);
         options.json = json;
         options.quiet = quiet;
-        return serve::runHammer(options, std::cout) == 0
-                   ? tools::kExitOk
-                   : tools::kExitProblems;
+        try {
+            return serve::runHammer(options, std::cout) == 0
+                       ? tools::kExitOk
+                       : tools::kExitProblems;
+        } catch (const exp::EnvError &error) {
+            std::fprintf(stderr, "%s\n", error.what());
+            return tools::kExitUsage;
+        }
     }
 
     serve::ServeOptions options;
@@ -117,9 +124,15 @@ main(int argc, char **argv)
     options.maxBody = max_body;
     options.stopFlag = &g_stop;
 
-    serve::Server server(options);
-    if (!server.start()) {
-        std::fprintf(stderr, "rrserve: %s\n", server.error().c_str());
+    std::optional<serve::Server> server;
+    try {
+        server.emplace(options);
+    } catch (const exp::EnvError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return tools::kExitUsage;
+    }
+    if (!server->start()) {
+        std::fprintf(stderr, "rrserve: %s\n", server->error().c_str());
         return tools::kExitFailure;
     }
 
@@ -129,11 +142,11 @@ main(int argc, char **argv)
 
     if (!quiet) {
         std::printf("rrserve: listening on 127.0.0.1:%u\n",
-                    static_cast<unsigned>(server.port()));
+                    static_cast<unsigned>(server->port()));
         std::fflush(stdout);
     }
 
-    server.run(); // returns after the stop signal, fully drained
+    server->run(); // returns after the stop signal, fully drained
 
     if (!quiet)
         std::printf("rrserve: drained, exiting\n");
