@@ -3,13 +3,12 @@
  * rr::fuzz — seeded, deterministic property testing and differential
  * fuzzing across the repo's redundant implementations.
  *
- * The subsystem is four orthogonal pieces, all pure functions of
- * their inputs so the whole pipeline is replayable from a seed:
- *
- *   generate   (gen.cc)     seed -> sample, per SampleKind
- *   check      (check.cc)   sample -> Problems (empty = pass)
- *   shrink     (shrink.cc)  failing sample -> minimal failing sample
- *   repro      (repro.cc)   sample <-> self-contained text file
+ * Every sample kind contributes four pure functions — generate
+ * (seed -> sample), check (sample -> Problems, empty = pass), shrink
+ * (failing sample -> minimal failing sample) and a repro codec
+ * (sample <-> self-contained text file) — defined together in
+ * src/fuzz/kinds/<kind>.cc and reached through one descriptor table
+ * (src/fuzz/kind.hh), so the whole pipeline replays from a seed.
  *
  * runFuzz() ties them together: draw per-sample seeds from a master
  * xoshiro stream, round-robin over the enabled kinds, check every

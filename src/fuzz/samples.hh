@@ -3,36 +3,26 @@
  * Sample domains for rrfuzz (rr::fuzz).
  *
  * A *sample* is one self-contained, deterministic test case drawn by
- * a generator. Each domain pairs a generator (samples.hh + gen.cc)
- * with an oracle (check.cc) and a shrinker (shrink.cc); repro.cc can
- * serialize any sample to a standalone text file and back, which is
- * the format pinned under tests/fuzz/corpus/.
+ * a generator. Each domain's generator, oracle, shrinker and repro
+ * codec live in src/fuzz/kinds/<kind>.cc; the codec serializes a
+ * sample to a standalone text file and back, the format pinned under
+ * tests/fuzz/corpus/.
  *
  * The domains and the cross-implementation redundancy each one
- * reconciles (docs/FUZZ.md has the full oracle list):
+ * reconciles (the structs below and docs/FUZZ.md have the details):
  *
- *   reloc    RelocationUnit::relocate() vs the memoized table()
- *   heap     EventCore vs a reference lazy-deletion priority_queue
- *   json     exp:: JSON writer/parser round-trip properties
- *   num      strict CLI numeric parsing vs its documented grammar
- *   phase    sequence-indexed fault draws actually advance phases
- *   program  machine::Cpu predecode on vs off, plus rrlint claims
- *            vs registers actually touched at runtime
- *   mt       SimulationSpec runs audited by TraceAuditor, replayed
- *            for determinism
- *   xsim     machine-MT kernel cycle accounting vs the rr::mt model
- *            under a matched scripted fault schedule
- *   callgraph
- *            rrlint's interprocedural summaries and lockset race
- *            detector vs a constructed call forest with lock idioms:
- *            claims checked against both the construction's ground
- *            truth and the registers/memory the machine actually
- *            touches when each thread root runs
- *   ckpt     rr.ckpt.v1 snapshot/restore vs a straight run: snapshot
- *            an mt simulation at a generated event boundary, restore
- *            into a fresh processor, and require the remaining trace
- *            and final statistics to match bit-for-bit; a corrupted
- *            copy of the document must be rejected with ckpt::Error
+ *   reloc      RelocationUnit::relocate() vs the memoized table()
+ *   heap       EventCore vs a reference lazy-deletion priority_queue
+ *   json       exp:: JSON writer/parser round-trip properties
+ *   num        strict CLI numeric parsing vs its documented grammar
+ *   phase      sequence-indexed fault draws actually advance phases
+ *   program    machine::Cpu predecode on vs off, plus rrlint claims
+ *              vs registers actually touched at runtime
+ *   mt         SimulationSpec runs audited by TraceAuditor, replayed
+ *   xsim       machine-MT kernel vs the rr::mt model, one fault script
+ *   callgraph  rrlint's interprocedural and lockset claims vs a
+ *              constructed call forest and its runtime behaviour
+ *   ckpt       rr.ckpt.v1 snapshot/restore vs a straight mt run
  */
 
 #ifndef RR_FUZZ_SAMPLES_HH
@@ -45,7 +35,7 @@
 
 namespace rr::fuzz {
 
-/** The sample domains (one generator + oracle + shrinker each). */
+/** The sample domains, in KindOps table order (src/fuzz/kind.cc). */
 enum class SampleKind : uint8_t
 {
     Reloc,

@@ -8,18 +8,26 @@
  * machinery those runs depend on.
  */
 
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzz.hh"
+#include "serve/cache.hh"
 
 namespace rr::fuzz {
 namespace {
 
-const SampleKind kAllKinds[] = {
-    SampleKind::Reloc,   SampleKind::Heap, SampleKind::Json,
-    SampleKind::Num,     SampleKind::Phase, SampleKind::Program,
-    SampleKind::Mt,      SampleKind::Xsim, SampleKind::Callgraph,
-};
+/** Every kind, built from the count so none can be left out. */
+const auto kAllKinds = [] {
+    std::array<SampleKind, numSampleKinds> kinds{};
+    for (unsigned i = 0; i < numSampleKinds; ++i)
+        kinds[i] = static_cast<SampleKind>(i);
+    return kinds;
+}();
 
 TEST(FuzzGen, SameSeedSameSample)
 {
@@ -103,6 +111,54 @@ TEST(FuzzRepro, RejectsOutOfDomainValues)
                             "latency1 100\nnumRegs 128\nseed 1\n"
                             "end\n",
                             out, error));
+
+    // Values too wide for the field's type are out of range too; they
+    // must not wrap into a plausible smaller value (32 regs, mode 0,
+    // one thread) and replay as something else.
+    EXPECT_FALSE(parseRepro("rrfuzz.repro.v1\nkind reloc\n"
+                            "numRegs 4294967328\noperandWidth 5\n"
+                            "banks 1\nmode 0\nend\n",
+                            out, error));
+    EXPECT_NE(error.find("numRegs out of range"), std::string::npos)
+        << error;
+    EXPECT_FALSE(parseRepro("rrfuzz.repro.v1\nkind reloc\n"
+                            "numRegs 32\noperandWidth 5\nbanks 1\n"
+                            "mode 256\nend\n",
+                            out, error));
+    EXPECT_NE(error.find("mode out of range"), std::string::npos)
+        << error;
+    EXPECT_FALSE(parseRepro("rrfuzz.repro.v1\nkind phase\n"
+                            "threads 4294967297\nworkPerThread 1024\n"
+                            "phase0Faults 1\nmeanRun 8\nlatency0 10\n"
+                            "latency1 100\nnumRegs 128\nseed 1\n"
+                            "end\n",
+                            out, error));
+    EXPECT_NE(error.find("threads out of range"), std::string::npos)
+        << error;
+}
+
+TEST(FuzzRepro, CorpusFilesAreCanonical)
+{
+    // Every pinned repro is already in canonical form: parsing and
+    // re-serializing gives back the file's exact bytes.
+    namespace fs = std::filesystem;
+    unsigned files = 0;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(RR_FUZZ_CORPUS_DIR)) {
+        if (entry.path().extension() != ".repro")
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+
+        AnySample sample;
+        std::string error;
+        ASSERT_TRUE(parseRepro(text.str(), sample, error))
+            << entry.path() << ": " << error;
+        EXPECT_EQ(serializeRepro(sample), text.str()) << entry.path();
+        ++files;
+    }
+    EXPECT_GE(files, 11u); // the corpus only grows
 }
 
 TEST(FuzzRepro, RejectsMalformedCallgraphs)
@@ -233,6 +289,52 @@ TEST(FuzzShrink, IsDeterministic)
     const AnySample b = shrinkSample(sample, 200, steps2);
     EXPECT_EQ(serializeRepro(a), serializeRepro(b));
     EXPECT_EQ(steps1, steps2);
+}
+
+TEST(FuzzGen, GeneratedBytesArePinned)
+{
+    // Golden digests: any change to a generator, or to the repro
+    // writer, changes these. Update them only for an intended change
+    // and record it (docs/FUZZ.md, "Determinism").
+    const uint64_t pinned[numSampleKinds] = {
+        0xb0ed16cd737d6fdeull, // reloc
+        0x46b88ffbdcc6ef1bull, // heap
+        0x6ec36b8296b56c78ull, // json
+        0x0a30fa89664e34c7ull, // num
+        0x99cd4068a5a069cdull, // phase
+        0xc4573b8d30f9b3fbull, // program
+        0xbf2136b0ae6ad2f2ull, // mt
+        0x8876a803be65c72cull, // xsim
+        0x555252a4a46e72ecull, // callgraph
+        0x662089b18db35af4ull, // ckpt
+    };
+    for (const SampleKind kind : kAllKinds) {
+        std::string texts;
+        for (uint64_t seed = 1; seed <= 16; ++seed) {
+            Rng rng(seed);
+            texts += serializeRepro(generateSample(kind, rng));
+        }
+        EXPECT_EQ(serve::fnv1a64(texts),
+                  pinned[static_cast<unsigned>(kind)])
+            << kindName(kind) << " 0x" << std::hex
+            << serve::fnv1a64(texts);
+    }
+
+    // The phase ladder's values and order, end to end.
+    unsigned steps = 0;
+    const AnySample shrunk =
+        shrinkSample(degeneratePhaseSample(), 200, steps);
+    EXPECT_EQ(serializeRepro(shrunk), "rrfuzz.repro.v1\n"
+                                      "kind phase\n"
+                                      "threads 1\n"
+                                      "workPerThread 64\n"
+                                      "phase0Faults 1\n"
+                                      "meanRun 8\n"
+                                      "latency0 50\n"
+                                      "latency1 50\n"
+                                      "numRegs 128\n"
+                                      "seed 1\n"
+                                      "end\n");
 }
 
 TEST(FuzzCheck, GeneratedSamplesPassAllOracles)
