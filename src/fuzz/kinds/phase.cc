@@ -1,14 +1,13 @@
 /**
  * @file
- * The `phase` fuzz kind: sequence-indexed fault draws must carry
- * threads from phase 0 into a much slower phase 1.
+ * The `phase` fuzz kind: MtProcessor's sequence-indexed fault draws
+ * must carry threads from phase 0 into a much slower phase 1.
  */
 
 #include "fuzz/kind.hh"
 
-#include "base/distributions.hh"
-#include "ext/context_cache.hh"
 #include "multithread/fault_model.hh"
+#include "multithread/simulation_spec.hh"
 
 namespace rr::fuzz {
 
@@ -36,7 +35,7 @@ Problems
 checkPhase(const PhaseSample &s)
 {
     Problems problems;
-    const auto makeModel = [&](uint64_t phase1_latency) {
+    const auto run = [&](uint64_t phase1_latency) {
         std::vector<mt::PhasedFaultModel::Phase> phases;
         phases.push_back({s.phase0Faults, s.meanRun,
                           static_cast<double>(s.latency0), false,
@@ -44,21 +43,20 @@ checkPhase(const PhaseSample &s)
         phases.push_back({1ull << 60, s.meanRun,
                           static_cast<double>(phase1_latency), false,
                           mt::FaultClass::Cache});
-        return std::make_shared<mt::PhasedFaultModel>(
-            std::move(phases));
+        return mt::SimulationSpec()
+            .faultModel(std::make_shared<mt::PhasedFaultModel>(
+                            std::move(phases)),
+                        s.meanRun)
+            .arch(mt::ArchKind::AddReloc)
+            .numRegs(s.numRegs)
+            .registerDemand(12)
+            .threads(s.threads)
+            .workPerThread(s.workPerThread)
+            .seed(s.seed)
+            .run();
     };
-
-    ext::ContextCacheConfig config;
-    config.numThreads = s.threads;
-    config.workDist = makeConstant(s.workPerThread);
-    config.regsDist = makeConstant(12);
-    config.numRegs = s.numRegs;
-    config.seed = s.seed;
-
-    config.faultModel = makeModel(s.latency1);
-    const ext::ContextCacheStats slow = simulateContextCache(config);
-    config.faultModel = makeModel(s.latency0);
-    const ext::ContextCacheStats fast = simulateContextCache(config);
+    const mt::MtStats slow = run(s.latency1);
+    const mt::MtStats fast = run(s.latency0);
 
     // Identical phase-0 behaviour and identical rng consumption
     // (constant latencies draw nothing), so the useful work must

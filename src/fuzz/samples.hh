@@ -145,7 +145,7 @@ struct NumSample
 // phase: sequence-indexed fault draws
 
 /**
- * A context-cache simulation under a two-phase fault model whose
+ * An MtProcessor simulation under a two-phase fault model whose
  * second phase has a much larger latency. If the simulator draws
  * faults without the per-thread sequence index, threads are pinned
  * to phase 0 and the run is bit-identical to the phase-0-only model

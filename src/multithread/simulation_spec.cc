@@ -14,6 +14,25 @@ SimulationSpec::fail(const std::string &what)
     throw SpecError("SimulationSpec: " + what);
 }
 
+void
+SimulationSpec::checkRun(const char *family, double mean_run)
+{
+    // GeometricDist needs a mean >= 1; the negated form rejects NaN.
+    if (!(mean_run >= 1.0 && mean_run <= kMaxCycles))
+        fail(std::string(family) +
+             " mean run length must be in [1, 2^32] cycles (got " +
+             std::to_string(mean_run) + ")");
+}
+
+void
+SimulationSpec::checkLatency(const char *family, double latency)
+{
+    if (!(latency <= kMaxCycles))
+        fail(std::string(family) +
+             " latency must be at most 2^32 cycles (got " +
+             std::to_string(latency) + ")");
+}
+
 SimulationSpec &
 SimulationSpec::threads(unsigned count)
 {
@@ -57,9 +76,8 @@ SimulationSpec::cacheFaults(double mean_run, uint64_t latency)
     if (family_ != FaultFamily::None)
         fail("fault process set twice; pick one of cacheFaults(), "
              "syncFaults(), combinedFaults(), deterministicFaults()");
-    if (mean_run <= 0.0)
-        fail("cache-fault mean run length must be positive (got " +
-             std::to_string(mean_run) + ")");
+    checkRun("cache-fault", mean_run);
+    checkLatency("cache-fault", static_cast<double>(latency));
     family_ = FaultFamily::Cache;
     faultModel_ = std::make_shared<CacheFaultModel>(mean_run, latency);
     meanRun_ = mean_run;
@@ -72,9 +90,8 @@ SimulationSpec::syncFaults(double mean_run, double mean_latency)
     if (family_ != FaultFamily::None)
         fail("fault process set twice; pick one of cacheFaults(), "
              "syncFaults(), combinedFaults(), deterministicFaults()");
-    if (mean_run <= 0.0)
-        fail("sync-fault mean run length must be positive (got " +
-             std::to_string(mean_run) + ")");
+    checkRun("sync-fault", mean_run);
+    checkLatency("sync-fault", mean_latency);
     family_ = FaultFamily::Sync;
     faultModel_ =
         std::make_shared<SyncFaultModel>(mean_run, mean_latency);
@@ -89,8 +106,11 @@ SimulationSpec::combinedFaults(double cache_run, uint64_t cache_latency,
     if (family_ != FaultFamily::None)
         fail("fault process set twice; pick one of cacheFaults(), "
              "syncFaults(), combinedFaults(), deterministicFaults()");
-    if (cache_run <= 0.0 || sync_run <= 0.0)
-        fail("combined-fault mean run lengths must be positive");
+    checkRun("combined cache-fault", cache_run);
+    checkRun("combined sync-fault", sync_run);
+    checkLatency("combined cache-fault",
+                 static_cast<double>(cache_latency));
+    checkLatency("combined sync-fault", sync_latency);
     family_ = FaultFamily::Combined;
     faultModel_ = std::make_shared<CombinedFaultModel>(
         cache_run, cache_latency, sync_run, sync_latency);
@@ -104,8 +124,8 @@ SimulationSpec::deterministicFaults(uint64_t run, uint64_t latency)
     if (family_ != FaultFamily::None)
         fail("fault process set twice; pick one of cacheFaults(), "
              "syncFaults(), combinedFaults(), deterministicFaults()");
-    if (run == 0)
-        fail("deterministic run length must be positive");
+    checkRun("deterministic", static_cast<double>(run));
+    checkLatency("deterministic", static_cast<double>(latency));
     family_ = FaultFamily::Deterministic;
     faultModel_ =
         std::make_shared<DeterministicFaultModel>(run, latency);
@@ -122,10 +142,7 @@ SimulationSpec::faultModel(std::shared_ptr<const FaultModel> model,
              "syncFaults(), combinedFaults(), deterministicFaults()");
     if (model == nullptr)
         fail("custom fault model is null");
-    if (mean_run <= 0.0)
-        fail("custom fault model mean run length must be positive "
-             "(got " +
-             std::to_string(mean_run) + ")");
+    checkRun("custom fault model", mean_run);
     family_ = FaultFamily::Custom;
     faultModel_ = std::move(model);
     meanRun_ = mean_run;

@@ -44,6 +44,13 @@
 
 namespace rr::mt {
 
+/**
+ * Largest run length or latency, in cycles, a spec accepts. Finite so
+ * a double narrows to uint64_t without overflow and so 4096 threads x
+ * ~250 faults x (run + latency) stays far below 2^64.
+ */
+inline constexpr double kMaxCycles = 4294967296.0; // 2^32
+
 /** An invalid simulation specification (message names the setting). */
 class SpecError : public std::runtime_error
 {
@@ -197,6 +204,12 @@ class SimulationSpec
     };
 
     [[noreturn]] static void fail(const std::string &what);
+
+    /** Reject a mean run length outside [1, kMaxCycles]. */
+    static void checkRun(const char *family, double mean_run);
+
+    /** Reject a latency above kMaxCycles. */
+    static void checkLatency(const char *family, double latency);
 
     // Thread supply.
     unsigned threads_ = defaultThreadCount;

@@ -333,17 +333,29 @@ parseRequest(const std::string &body)
                    " simulations; the limit is " +
                    std::to_string(kMaxUnits));
 
-    // Probe the SimulationSpec validator once, so invalid settings
-    // (a non-power-of-two minContextSize, a demand that cannot fit a
-    // context) fail here with a protocol error instead of mid-batch.
+    // Probe the SimulationSpec validator, so invalid settings (a
+    // non-power-of-two minContextSize, a demand that cannot fit a
+    // context, a cycle value out of range) fail here with a protocol
+    // error instead of mid-batch. Run length and latency are each
+    // checked against a range, so the smallest and the largest sweep
+    // values cover every unit.
+    const std::vector<double> &runs = request.runLengths;
+    const std::vector<double> &lats = request.latencies;
+    const bool swept = runs.size() > 1 || lats.size() > 1;
     for (mt::ArchKind arch : request.archs) {
-        SimUnit probe;
-        probe.point = request.base;
-        probe.arch = arch;
-        try {
-            (void)makeSpec(probe).build();
-        } catch (const mt::SpecError &e) {
-            reject(ErrorCode::BadSpec, e.what());
+        for (bool largest : {false, true}) {
+            if (largest && !swept)
+                break;
+            SimUnit probe;
+            probe.point = request.base;
+            probe.point.runLength = largest ? runs.back() : runs.front();
+            probe.point.latency = largest ? lats.back() : lats.front();
+            probe.arch = arch;
+            try {
+                (void)makeSpec(probe).build();
+            } catch (const mt::SpecError &e) {
+                reject(ErrorCode::BadSpec, e.what());
+            }
         }
     }
     return request;
@@ -406,6 +418,13 @@ mt::SimulationSpec
 makeSpec(const SimUnit &unit)
 {
     const PointSpec &p = unit.point;
+    // Bound the cycle values before any narrowing: past 2^64 a
+    // double has no uint64_t value.
+    if (!(p.runLength <= mt::kMaxCycles && p.latency <= mt::kMaxCycles))
+        throw mt::SpecError(
+            "runLength and latency must be at most 2^32 cycles (got " +
+            exp::jsonNumber(p.runLength) + " and " +
+            exp::jsonNumber(p.latency) + ")");
     mt::SimulationSpec spec;
     switch (p.family) {
       case Family::Cache:

@@ -316,6 +316,24 @@ TEST(CliToolJson, RrbenchRunSummary)
     EXPECT_EQ(doc.numberOr("auditProblems", -1), 0);
 }
 
+// Without --quiet the text reports stay off stdout under --json.
+TEST(CliToolJson, RrbenchJsonStdoutIsOneDocumentWithoutQuiet)
+{
+    const std::filesystem::path dir = workDir("rrbench-json");
+    int status = 0;
+    const auto doc = parseDocument(
+        runTool(shellQuote(RR_RRBENCH) +
+                    " --filter fig4_costs --fast --json --out-dir " +
+                    shellQuote(dir.string()),
+                status),
+        "rr.rrbench.v1");
+    EXPECT_EQ(status, kExitOk);
+    const exp::JsonValue *figures = doc.find("figures");
+    ASSERT_NE(figures, nullptr);
+    ASSERT_EQ(figures->elements.size(), 1u);
+    EXPECT_EQ(figures->elements[0].stringOr("name", ""), "fig4_costs");
+}
+
 TEST(CliToolJson, RrfuzzRunAndReplay)
 {
     int status = 0;

@@ -10,7 +10,6 @@
 
 #include "assembler/assembler.hh"
 #include "ext/adaptive.hh"
-#include "ext/context_cache.hh"
 #include "ext/multi_rrm.hh"
 #include "ext/software_only.hh"
 #include "machine/cpu.hh"
@@ -228,76 +227,6 @@ TEST(Adaptive, NoInterferenceFavoursMoreContexts)
                   result.samples[i - 1].efficiency);
     }
     EXPECT_EQ(result.best.cap, 8u);
-}
-
-
-TEST(ContextCache, CompletesAndAccountsCycles)
-{
-    ContextCacheConfig config;
-    config.numThreads = 16;
-    config.workDist = makeConstant(6000);
-    config.regsDist = makeUniformInt(6, 24);
-    config.faultModel =
-        std::make_shared<mt::CacheFaultModel>(32.0, 200);
-    config.numRegs = 128;
-    const ContextCacheStats stats = simulateContextCache(config);
-    EXPECT_EQ(stats.usefulCycles, 16u * 6000u);
-    EXPECT_EQ(stats.totalCycles,
-              stats.usefulCycles + stats.idleCycles +
-                  stats.switchCycles + stats.spillFillCycles);
-    EXPECT_GT(stats.efficiencyCentral, 0.0);
-    EXPECT_LE(stats.efficiencyCentral, 1.0);
-}
-
-TEST(ContextCache, NoRefillsWhenEverythingFits)
-{
-    ContextCacheConfig config;
-    config.numThreads = 8;
-    config.workDist = makeConstant(4000);
-    config.regsDist = makeConstant(8); // 64 regs total
-    config.faultModel =
-        std::make_shared<mt::CacheFaultModel>(32.0, 200);
-    config.numRegs = 128;
-    const ContextCacheStats stats = simulateContextCache(config);
-    // One cold fill per thread, never evicted afterwards.
-    EXPECT_EQ(stats.refills, 8u);
-}
-
-TEST(ContextCache, OversubscriptionCausesRefills)
-{
-    ContextCacheConfig config;
-    config.numThreads = 32;
-    config.workDist = makeConstant(4000);
-    config.regsDist = makeConstant(16); // 512 regs of demand
-    config.faultModel =
-        std::make_shared<mt::CacheFaultModel>(16.0, 2000);
-    config.numRegs = 128;
-    const ContextCacheStats stats = simulateContextCache(config);
-    EXPECT_GT(stats.refills, 32u);
-    EXPECT_GT(stats.spillFillCycles, 0u);
-}
-
-TEST(ContextCache, FinerBindingBeatsFixedContexts)
-{
-    // The Section 4 granularity ordering at a latency-starved point.
-    ContextCacheConfig config;
-    config.numThreads = 32;
-    config.workDist = makeConstant(20000);
-    config.regsDist = makeUniformInt(6, 24);
-    config.faultModel =
-        std::make_shared<mt::CacheFaultModel>(16.0, 512);
-    config.numRegs = 64;
-    const ContextCacheStats cache = simulateContextCache(config);
-
-    mt::MtConfig fixed = mt::SimulationSpec()
-                             .cacheFaults(16.0, 512)
-                             .arch(mt::ArchKind::FixedHw)
-                             .numRegs(64)
-                             .threads(32)
-                             .build();
-    const double fixed_eff =
-        mt::simulate(std::move(fixed)).efficiencyCentral;
-    EXPECT_GT(cache.efficiencyCentral, 2.0 * fixed_eff);
 }
 
 } // namespace

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "base/stats.hh"
-#include "ext/context_cache.hh"
 #include "multithread/fault_model.hh"
 #include "multithread/mt_processor.hh"
+#include "multithread/simulation_spec.hh"
 
 namespace rr::mt {
 namespace {
@@ -222,28 +222,29 @@ TEST(FaultModelContract, PhasedModelDependsOnlyOnSequence)
     }
 }
 
-/** Run the context-cache simulator under @p model twice. */
+/** Run MtProcessor under @p model twice. */
 void
-expectContextCacheDeterministic(
-    std::shared_ptr<const FaultModel> model)
+expectSimulationDeterministic(std::shared_ptr<const FaultModel> model)
 {
-    ext::ContextCacheConfig config;
-    config.numThreads = 8;
-    config.workDist = makeConstant(4000);
-    config.regsDist = makeUniformInt(8, 16);
-    config.faultModel = std::move(model);
-    config.numRegs = 96;
-    config.seed = 77;
-
-    const ext::ContextCacheStats a = simulateContextCache(config);
-    const ext::ContextCacheStats b = simulateContextCache(config);
+    const SimulationSpec spec = SimulationSpec()
+                                    .faultModel(std::move(model), 64.0)
+                                    .arch(ArchKind::AddReloc)
+                                    .numRegs(96)
+                                    .registerDemand(8, 16)
+                                    .threads(8)
+                                    .workPerThread(4000)
+                                    .seed(77);
+    const MtStats a = spec.run();
+    const MtStats b = spec.run();
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.usefulCycles, b.usefulCycles);
     EXPECT_EQ(a.idleCycles, b.idleCycles);
     EXPECT_EQ(a.switchCycles, b.switchCycles);
-    EXPECT_EQ(a.spillFillCycles, b.spillFillCycles);
+    EXPECT_EQ(a.allocCycles, b.allocCycles);
+    EXPECT_EQ(a.loadCycles, b.loadCycles);
     EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.refills, b.refills);
+    EXPECT_EQ(a.cacheFaults, b.cacheFaults);
+    EXPECT_EQ(a.syncFaults, b.syncFaults);
     EXPECT_DOUBLE_EQ(a.efficiencyTotal, b.efficiencyTotal);
     EXPECT_DOUBLE_EQ(a.efficiencyCentral, b.efficiencyCentral);
 }
@@ -253,48 +254,48 @@ TEST(FaultModelContract, SimulationRepeatsExactlyForEveryFamily)
     // The jobs-invariance pin: identical configuration => identical
     // statistics, for every fault-model family. This is what makes
     // parallel benchmark sweeps byte-identical to serial ones.
-    expectContextCacheDeterministic(
+    expectSimulationDeterministic(
         std::make_shared<CacheFaultModel>(32.0, 100));
-    expectContextCacheDeterministic(
+    expectSimulationDeterministic(
         std::make_shared<SyncFaultModel>(64.0, 300.0));
-    expectContextCacheDeterministic(
+    expectSimulationDeterministic(
         std::make_shared<CombinedFaultModel>(64.0, 100, 128.0,
                                              400.0));
-    expectContextCacheDeterministic(
+    expectSimulationDeterministic(
         std::make_shared<DeterministicFaultModel>(50, 200));
-    expectContextCacheDeterministic(std::make_shared<PhasedFaultModel>(
+    expectSimulationDeterministic(std::make_shared<PhasedFaultModel>(
         std::vector<PhasedFaultModel::Phase>{
             {2, 128.0, 40.0, false, FaultClass::Cache},
             {2, 16.0, 600.0, true, FaultClass::Synchronization},
         }));
 }
 
-TEST(FaultModelContract, ContextCacheAdvancesThroughPhases)
+TEST(FaultModelContract, MtProcessorAdvancesThroughPhases)
 {
     // Unit version of the rrfuzz phase oracle: raising only the
     // phase-1 latency must slow the clock without changing the work,
     // which can only happen if the simulator passes a per-thread
     // fault sequence index into the model.
-    const auto makeModel = [](uint64_t phase1_latency) {
-        return std::make_shared<PhasedFaultModel>(
-            std::vector<PhasedFaultModel::Phase>{
-                {2, 32.0, 20.0, false, FaultClass::Cache},
-                {1ull << 60, 32.0,
-                 static_cast<double>(phase1_latency), false,
-                 FaultClass::Cache},
-            });
+    const auto run = [](uint64_t phase1_latency) {
+        return SimulationSpec()
+            .faultModel(std::make_shared<PhasedFaultModel>(
+                            std::vector<PhasedFaultModel::Phase>{
+                                {2, 32.0, 20.0, false,
+                                 FaultClass::Cache},
+                                {1ull << 60, 32.0,
+                                 static_cast<double>(phase1_latency),
+                                 false, FaultClass::Cache},
+                            }),
+                        32.0)
+            .arch(ArchKind::AddReloc)
+            .registerDemand(12)
+            .threads(4)
+            .workPerThread(4096)
+            .seed(5)
+            .run();
     };
-    ext::ContextCacheConfig config;
-    config.numThreads = 4;
-    config.workDist = makeConstant(4096);
-    config.regsDist = makeConstant(12);
-    config.numRegs = 128;
-    config.seed = 5;
-
-    config.faultModel = makeModel(20);
-    const ext::ContextCacheStats fast = simulateContextCache(config);
-    config.faultModel = makeModel(2000);
-    const ext::ContextCacheStats slow = simulateContextCache(config);
+    const MtStats fast = run(20);
+    const MtStats slow = run(2000);
 
     EXPECT_EQ(fast.usefulCycles, slow.usefulCycles);
     EXPECT_NE(fast.totalCycles, slow.totalCycles);

@@ -375,6 +375,53 @@ TEST(ServeHostile, SpecValidatorRejectionsAreBadSpec)
               ErrorCode::BadSpec);
 }
 
+TEST(ServeHostile, CycleValuesAbove2To32AreBadSpec)
+{
+    // A latency past 2^64 used to narrow to the rows of latency 1,
+    // and a 1e17 run length rounded the geometric divisor to 0.
+    EXPECT_EQ(rejectionCode(
+                  "{\"spec\": {\"family\": \"cache\", "
+                  "\"latency\": 2e19}}"),
+              ErrorCode::BadSpec);
+    EXPECT_EQ(rejectionCode(
+                  "{\"spec\": {\"family\": \"cache\", "
+                  "\"latency\": 1e30}}"),
+              ErrorCode::BadSpec);
+    EXPECT_EQ(rejectionCode(
+                  "{\"spec\": {\"family\": \"sync\", "
+                  "\"runLength\": 1e17}}"),
+              ErrorCode::BadSpec);
+    // Both ends of a sweep list are probed.
+    EXPECT_EQ(rejectionCode(
+                  "{\"spec\": {}, \"sweep\": {\"latencies\": "
+                  "[100, 1e30]}}"),
+              ErrorCode::BadSpec);
+    EXPECT_EQ(rejectionCode(
+                  "{\"spec\": {}, \"sweep\": {\"runLengths\": "
+                  "[0.5, 16]}}"),
+              ErrorCode::BadSpec);
+    EXPECT_NO_THROW(
+        (void)parseRequest("{\"spec\": {\"latency\": 4294967296}}"));
+}
+
+TEST(ServeHostile, SubUnitRunLengthIsBadSpecAndServingContinues)
+{
+    Broker broker(0, 1);
+    for (const std::string family : {"cache", "sync"}) {
+        const ServeResult bad = broker.serveBody(
+            "{\"spec\": {\"family\": \"" + family +
+            "\", \"runLength\": 0.5}}");
+        EXPECT_EQ(bad.status, 400) << family;
+        EXPECT_NE(bad.body.find("bad-spec"), std::string::npos)
+            << family;
+        const ServeResult good = broker.serveBody(
+            "{\"spec\": {\"family\": \"" + family +
+            "\", \"runLength\": 16, \"threads\": 4, "
+            "\"seeds\": 1}}");
+        EXPECT_EQ(good.status, 200) << family;
+    }
+}
+
 TEST(ServeHostile, ErrorsBecomeCleanDocumentsNotAborts)
 {
     Broker broker(0, 1);

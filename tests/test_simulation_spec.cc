@@ -67,6 +67,26 @@ TEST(SimulationSpec, RejectsNonPositiveRunLengths)
     EXPECT_THROW(b.syncFaults(-1.0, 400.0), SpecError);
     SimulationSpec c;
     EXPECT_THROW(c.deterministicFaults(0, 100), SpecError);
+    // Positive but below the geometric distribution's mean of 1.
+    SimulationSpec d;
+    EXPECT_THROW(d.cacheFaults(0.5, 100), SpecError);
+    SimulationSpec e;
+    EXPECT_THROW(e.syncFaults(0.5, 400.0), SpecError);
+}
+
+TEST(SimulationSpec, RejectsCycleValuesAbove2To32)
+{
+    const uint64_t over = (uint64_t{1} << 32) + 1;
+    SimulationSpec a;
+    EXPECT_THROW(a.cacheFaults(16.0, over), SpecError);
+    SimulationSpec b;
+    EXPECT_THROW(b.syncFaults(1e17, 400.0), SpecError);
+    SimulationSpec c;
+    EXPECT_THROW(c.syncFaults(16.0, 1e30), SpecError);
+    SimulationSpec d;
+    EXPECT_THROW(d.deterministicFaults(over, 100), SpecError);
+    SimulationSpec e;
+    EXPECT_NO_THROW(e.cacheFaults(mt::kMaxCycles, uint64_t{1} << 32));
 }
 
 TEST(SimulationSpec, RejectsImpossibleGeometry)

@@ -83,6 +83,7 @@ const char *const kUsage =
     "  --trace-figure N   capture a representative trace of figure N\n"
     "                     and write TRACE_<N>.json (repeatable)\n"
     "  --json             print a machine-readable run summary\n"
+    "                     as the only stdout output\n"
     "  --perf             run the performance microbenchmarks\n"
     "                     (simulator throughput) instead of the\n"
     "                     paper figures\n"
@@ -330,6 +331,9 @@ main(int argc, char **argv)
         return kExitUsage;
     }
 
+    // Under --json stdout carries only the run summary.
+    const bool text = !quiet && !json;
+
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     if (ec) {
@@ -366,7 +370,7 @@ main(int argc, char **argv)
         const exp::Report report = exp::Registry::run(figure, run);
         exp::TraceController::activate(nullptr);
 
-        if (!quiet) {
+        if (text) {
             std::fputs(report.renderText().c_str(), stdout);
             std::fputc('\n', stdout);
         }
@@ -383,7 +387,7 @@ main(int argc, char **argv)
                     std::fprintf(stderr, "AUDIT: %s: %s\n",
                                  figure.name.c_str(),
                                  problem.c_str());
-                if (!quiet) {
+                if (text) {
                     std::printf(
                         "audit: %s: %llu simulation(s), %llu "
                         "event(s), %llu violation(s)\n",
@@ -410,7 +414,7 @@ main(int argc, char **argv)
                 }
                 out << trace::exportChromeTrace(summary.captures);
                 outcome.trace = trace_path;
-                if (!quiet)
+                if (text)
                     std::printf("trace: %s: %s (%zu stream(s))\n",
                                 figure.name.c_str(),
                                 trace_path.c_str(),
