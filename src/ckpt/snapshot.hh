@@ -47,7 +47,7 @@ enum MetaField : uint32_t
  * through an rr.ckpt.v1 document. Implementations must be exact:
  * after restoreState(), continuing the simulation produces output
  * byte-identical to never having snapshotted. Derived or memoized
- * state (predecode caches, relocation tables) is rebuilt, not
+ * state (superblock caches, relocation tables) is rebuilt, not
  * trusted.
  */
 class Restorable

@@ -83,15 +83,13 @@ struct CpuConfig
     PipelineTimingConfig timing;
 
     /**
-     * Use the predecoded instruction cache: each memory word is
-     * decoded once into a side table validated by raw-word tag and
-     * invalidated on stores, so step() skips isa::decode and the
-     * per-operand relocation arithmetic on the hot path. Architectural
+     * Let run() execute cached superblocks (docs/PERF.md): runs of
+     * instructions decoded once, invalidated on stores and host
+     * writes, and dispatched descriptor to descriptor. Architectural
      * behaviour (registers, memory, traps, cycles, instret, timing
-     * stats, traces) is identical with the cache on or off; only
-     * wall-clock speed changes. With the cache active, run() executes
-     * cached superblocks (docs/PERF.md); step() always takes the
-     * per-instruction path. Defaults from RR_CPU_PREDECODE.
+     * stats, traces) is identical on or off; only wall-clock speed
+     * changes. step() is always the decode-per-step reference.
+     * Defaults from RR_CPU_PREDECODE.
      */
     bool predecode = defaultPredecode();
 };
@@ -154,13 +152,15 @@ class Cpu : public ckpt::Restorable
     // ---- execution ------------------------------------------------------
 
     /**
-     * Execute one instruction.
+     * Execute one instruction, decoded from memory on every call: the
+     * reference the superblock engine is checked against.
      * @return false when the CPU is halted or trapped.
      */
     bool step();
 
     /**
-     * Run until HALT, a trap, or @p max_steps instructions.
+     * Run until HALT, a trap, or @p max_steps instructions: cached
+     * superblocks when predecodeActive(), else a step() loop.
      * @return number of instructions executed.
      */
     uint64_t run(uint64_t max_steps);
@@ -198,14 +198,15 @@ class Cpu : public ckpt::Restorable
     uint64_t faultCount() const { return faultCount_; }
 
     /**
-     * True when the predecoded instruction cache is in use (config
-     * requested it and the memory is small enough to shadow).
+     * True when run() executes superblocks (config requested it and
+     * the memory is small enough to shadow).
      */
     bool predecodeActive() const { return predecode_; }
 
     /**
-     * Memories larger than this are not shadowed (the side table costs
-     * 16 bytes/word); such CPUs fall back to the decode-per-step path.
+     * Memories larger than this are not shadowed (the block index and
+     * cover map cost 6 bytes/word); such CPUs run() through the
+     * decode-per-step reference.
      */
     static constexpr size_t kPredecodeMaxWords = size_t{1} << 22;
 
@@ -242,8 +243,8 @@ class Cpu : public ckpt::Restorable
      * Save the complete architectural and timing state: registers,
      * memory, relocation masks, PC/PSW/trap, pending LDRRM delay
      * slots, cycle and stall counters, and the cross-step hazard
-     * window. The predecode cache is derived state (entries
-     * self-validate against memory words) and is never serialized.
+     * window. The superblock cache is derived state and is never
+     * serialized.
      */
     void saveState(ckpt::Writer &writer) const override;
 
@@ -265,20 +266,6 @@ class Cpu : public ckpt::Restorable
     };
 
     /**
-     * One predecoded instruction. @c word is the raw memory word the
-     * entry was decoded from: a mismatch against current memory (a
-     * store through any path, including host writes via mem()) makes
-     * the entry self-invalidating, so the cache can never execute a
-     * stale decode.
-     */
-    struct ICacheEntry
-    {
-        uint32_t word = 0;
-        bool valid = false;
-        isa::Instruction inst{};
-    };
-
-    /**
      * Most register reads any instruction performs. Audit over
      * isa::FormatInfo: R3 and B read rs1+rs2, ST (Format::I with a
      * source rd) reads rs1+rd, every other format reads at most one
@@ -293,11 +280,9 @@ class Cpu : public ckpt::Restorable
     uint32_t readOperand(unsigned operand) const;
     void writeOperand(unsigned operand, uint32_t value);
 
-    /** Table-driven operand access for the predecode fast path. */
+    /** Cold paths kept out of line so operand access inlines. */
     [[noreturn]] static void throwTrap(TrapKind kind);
     void recordOperandRead(unsigned physical) const;
-    uint32_t readOperandFast(unsigned operand) const;
-    void writeOperandFast(unsigned operand, uint32_t value);
 
     /**
      * Re-cache the relocation table after a mask/context change.
@@ -314,11 +299,8 @@ class Cpu : public ckpt::Restorable
         relocEpoch_ = relocation_.epoch();
     }
 
-    bool stepSlow();
-    bool stepFast();
-
-    template <bool Fast>
-    void executeImpl(const isa::Instruction &inst);
+    /** Execute one decoded instruction (the reference semantics). */
+    void execute(const isa::Instruction &inst);
 
     // ---- threaded superblock dispatch (cpu_dispatch.cc) -----------------
 
@@ -338,8 +320,8 @@ class Cpu : public ckpt::Restorable
 
     /**
      * A decoded run of instructions starting at @c entry and covering
-     * @c words memory words. Derived state: built from the predecode
-     * cache, invalidated whenever a covered word changes (simulated
+     * @c words memory words. Derived state: decoded straight from
+     * memory, invalidated whenever a covered word changes (simulated
      * stores, host writes, restores), and never serialized.
      *
      * @c raw snapshots the covered memory words at build time and
@@ -417,11 +399,9 @@ class Cpu : public ckpt::Restorable
     Memory mem_;
     RelocationUnit relocation_;
 
-    // Predecode fast path: instruction side table plus cached raw
-    // pointers (Memory and RegisterFile never reallocate) and the
-    // epoch-validated relocation table.
+    // Superblock engine: cached raw pointers (Memory and RegisterFile
+    // never reallocate) and the epoch-validated relocation table.
     bool predecode_ = false;
-    std::vector<ICacheEntry> icache_;
     uint32_t *memData_ = nullptr;
     uint32_t *regsData_ = nullptr;
     uint64_t memWords_ = 0;

@@ -2,27 +2,26 @@
  * @file
  * Token-threaded superblock dispatch for the RRISC interpreter.
  *
- * With the predecode cache active, Cpu::run executes cached
- * *superblocks*: runs of predecoded instructions keyed by entry PC,
- * decoded once from the per-word predecode cache and then executed
- * descriptor-to-descriptor with computed-goto dispatch (a portable
- * switch fallback covers non-GNU compilers). A straight-line run pays
- * one validity check per block instead of a raw-word tag compare, a
- * decode-hook check, and a relocation-epoch check per instruction.
+ * With predecode active, Cpu::run executes cached *superblocks*:
+ * runs of instructions keyed by entry PC, decoded once from memory
+ * and then executed descriptor-to-descriptor with computed-goto
+ * dispatch. A straight-line run pays one validity check per block
+ * instead of a decode and a relocation-epoch check per instruction.
  *
- * Invalidation mirrors the predecode cache's contract exactly:
+ * A cached block never runs stale code:
  *
  *  - simulated stores check the per-word cover map and mark the cache
  *    stale when they hit a word any block decoded (self-modifying
  *    code), ending the current block before a stale descriptor could
  *    execute;
- *  - host writes through Memory's public API are caught by the memory
- *    version counter / bounded write journal at block boundaries; a
- *    journal hit demotes blocks to "unverified" rather than dropping
- *    them — each block re-proves itself at its next entry by comparing
- *    the covered words against its build-time snapshot, so reloading
- *    an identical image (the common bench/runtime reset) keeps the
- *    whole cache warm;
+ *  - host writes through Memory's public API, and stores made by the
+ *    reference step(), are caught by the memory version counter /
+ *    bounded write journal at block boundaries; a journal hit demotes
+ *    blocks to "unverified" rather than dropping them — each block
+ *    re-proves itself at its next entry by comparing the covered
+ *    words against its build-time snapshot, so reloading an identical
+ *    image (the common bench/runtime reset) keeps the whole cache
+ *    warm;
  *  - checkpoint restore flushes everything — superblocks are derived
  *    state and never serialized (docs/CKPT.md).
  *
@@ -37,15 +36,6 @@
 #include <algorithm>
 
 #include "base/bitops.hh"
-#include "base/logging.hh"
-
-// Computed goto is a GNU extension; the switch fallback shares every
-// handler body via the RR_CASE/RR_DISPATCH macros below.
-#if defined(__GNUC__) || defined(__clang__)
-#define RR_COMPUTED_GOTO 1
-#else
-#define RR_COMPUTED_GOTO 0
-#endif
 
 namespace rr::machine {
 
@@ -98,23 +88,6 @@ Cpu::buildBlock(uint32_t entry)
     if (blocks_.size() >= kMaxSuperblocks)
         flushBlocks();
 
-    // Decode through the predecode cache so entries stay warm for
-    // step() interleavings and re-decode costs are shared.
-    auto decodeCached = [&](uint32_t pc, Instruction &out) -> bool {
-        const uint32_t word = memData_[pc];
-        ICacheEntry &slot = icache_[pc];
-        if (slot.valid && slot.word == word) {
-            out = slot.inst;
-            return true;
-        }
-        if (!isa::decode(word, out))
-            return false;
-        slot.word = word;
-        slot.inst = out;
-        slot.valid = true;
-        return true;
-    };
-
     const uint32_t limit = static_cast<uint32_t>(std::min<uint64_t>(
         memWords_, uint64_t{entry} + kMaxBlockWords));
 
@@ -125,7 +98,7 @@ Cpu::buildBlock(uint32_t entry)
     uint32_t pc = entry;
     while (pc < limit) {
         Instruction inst;
-        if (!decodeCached(pc, inst))
+        if (!isa::decode(memData_[pc], inst))
             break; // undecodable: the block ends just before it
 
         MicroOp op;
@@ -258,12 +231,10 @@ Cpu::runBlocks(uint64_t max_steps)
         if (blk == nullptr) {
             blk = buildBlock(pc_);
             if (blk == nullptr) {
-                // Undecodable entry word: take one per-instruction
-                // step so the InvalidOpcode trap is raised with
-                // identical semantics (no trace event, no retire).
-                const uint64_t before = instret_;
-                stepFast();
-                executed += instret_ - before;
+                // Undecodable entry word: take one reference step so
+                // the InvalidOpcode trap is raised with identical
+                // semantics (no trace event, no retire).
+                step();
                 continue;
             }
         }
@@ -279,7 +250,7 @@ Cpu::runBlocks(uint64_t max_steps)
 // ---------------------------------------------------------------------
 // The token-threaded executor.
 //
-// Retirement contract (identical to stepFast): per instruction —
+// Retirement contract (identical to step()): per instruction —
 // budget check, delay-slot advance, trace hook (careful), execute,
 // ++cycles_/++instret_, applyTiming (careful). Fast mode accumulates
 // the counters in a register and flushes them at every exit (and
@@ -394,13 +365,8 @@ Cpu::runBlocks(uint64_t max_steps)
         RR_EXIT();                                                     \
     } while (0)
 
-#if RR_COMPUTED_GOTO
 #define RR_CASE(label) L_##label:
 #define RR_DISPATCH() goto *kLabels[op->token]
-#else
-#define RR_CASE(label) case tok_##label:
-#define RR_DISPATCH() goto dispatch
-#endif
 
 // Retire a straight-line instruction and dispatch the next one.
 #define RR_NEXT()                                                      \
@@ -485,7 +451,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
     };
 
     try {
-#if RR_COMPUTED_GOTO
         static const void *const kLabels[] = {
 #define X(n) &&L_##n,
             RR_TOKENS(X)
@@ -494,10 +459,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
         static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                       tok_Count);
         RR_DISPATCH();
-#else
-    dispatch:
-        switch (op->token) {
-#endif
 
         RR_CASE(NOP)
         {
@@ -672,7 +633,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             if (addr >= memSz) [[unlikely]]
                 throwTrap(TrapKind::MemOutOfRange);
             mem[addr] = value;
-            icache_[addr].valid = false;
             if (cover[addr] != 0) [[unlikely]] {
                 // The store clobbered cached code — possibly a later
                 // descriptor of this very block. Mark the cache stale
@@ -801,14 +761,6 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             pc_ = op->pc;
             RR_EXIT();
         }
-
-#if !RR_COMPUTED_GOTO
-          default:
-            rr_assert(false, "invalid dispatch token ", op->token);
-        }
-        rr_assert(false, "unreachable");
-        return done;
-#endif
     } catch (const TrapSignal &signal) {
         RR_FLUSH();
         trap_ = signal.kind;

@@ -36,7 +36,7 @@ class RegisterFile
 
     /**
      * Raw register storage for pre-validated fast paths (the Cpu
-     * predecode core). Indices must come from a relocation table whose
+     * superblock engine). Indices must come from a relocation table whose
      * entries were range-checked at build time; the pointer stays
      * valid for the file's lifetime (the size is fixed at
      * construction).

@@ -1,10 +1,10 @@
 # Runs rrsim over the example programs (examples/asm and examples/os)
-# twice — with the predecoded instruction cache forced off
-# (RR_CPU_PREDECODE=0, the decode-per-step reference) and on (run()
-# executes cached superblocks) — and fails unless the structured
-# traces and final-state JSON dumps are byte-identical: the cache and
-# the superblock engine must be architecturally invisible
-# (docs/PERF.md). Invoked by ctest; see tests/CMakeLists.txt.
+# twice — with predecode forced off (RR_CPU_PREDECODE=0, the
+# decode-per-step reference) and on (run() executes cached
+# superblocks) — and fails unless the structured traces and
+# final-state JSON dumps are byte-identical: the superblock engine
+# must be architecturally invisible (docs/PERF.md). Invoked by ctest;
+# see tests/CMakeLists.txt.
 
 foreach(var RRSIM EXAMPLES_DIR WORK_DIR)
     if(NOT DEFINED ${var})

@@ -9,7 +9,8 @@
  *  - a step budget that expires anywhere inside a block retires
  *    exactly the reference's instruction prefix, for every possible
  *    split point;
- *  - step() and run() can be interleaved freely;
+ *  - step() and run() can be interleaved freely, including a store
+ *    made by step() into code run() has cached;
  *  - host writes demote superblocks to unverified and the next
  *    lookup re-proves them against memory (cache kept) or flushes
  *    (code actually changed), visible through the diagnostic
@@ -157,8 +158,32 @@ TEST(Dispatch, BudgetSplitsAtEveryPrefixExactly)
     }
 }
 
+// Self-modifying code whose patching store sits outside the patched
+// block: 'warm' runs once (so run() caches it), then 'patcher'
+// overwrites its first word with "addi r3, r0, 2" and calls it again.
+constexpr const char *kPatchWarm = R"(
+entry:
+    jal   r9, warm
+    la    r4, patch
+    la    r5, newinst
+    ld    r6, 0(r5)
+patcher:
+    st    r6, 0(r4)
+    jal   r9, warm
+    halt
+warm:
+patch:
+    addi  r3, r0, 1
+    jmp   r9
+newinst:
+    addi  r3, r0, 2
+)";
+
 // step() must observe and produce exactly the state the block engine
-// left behind, at any interleaving.
+// left behind, at any interleaving. That includes a store made by
+// step() into code run() has cached: it reaches the block cache only
+// through Memory's write journal, and the next run() must execute the
+// new word.
 TEST(Dispatch, StepAndRunInterleaveFreely)
 {
     const assembler::Program prog = assembleOrDie(kHotLoop);
@@ -174,6 +199,36 @@ TEST(Dispatch, StepAndRunInterleaveFreely)
         for (int i = 0; i < 5; ++i)
             cpu.step();
         cpu.run(100'000);
+        const Observation got = observe(cpu);
+        if (first) {
+            want = got;
+            first = false;
+            continue;
+        }
+        EXPECT_EQ(got, want) << legName(predecode);
+    }
+
+    const assembler::Program smc = assembleOrDie(kPatchWarm);
+    first = true;
+    for (const bool predecode : kLegs) {
+        Cpu cpu(configWith(predecode));
+        loadAndStart(cpu, smc);
+        // jal, addi, jmp, la (2 words), la (2 words), ld: stop on the
+        // store with 'warm' cached.
+        cpu.run(8);
+        ASSERT_EQ(cpu.pc(), smc.addressOf("patcher"))
+            << legName(predecode);
+        EXPECT_EQ(cpu.regs().read(3), 1u) << legName(predecode);
+        const uint64_t flushes = cpu.superblockFlushes();
+        ASSERT_TRUE(cpu.step()) << legName(predecode);
+        cpu.run(100'000);
+        ASSERT_TRUE(cpu.halted()) << legName(predecode);
+        EXPECT_EQ(cpu.regs().read(3), 2u)
+            << "stale block served after a step() store, "
+            << legName(predecode);
+        if (predecode) {
+            EXPECT_GT(cpu.superblockFlushes(), flushes);
+        }
         const Observation got = observe(cpu);
         if (first) {
             want = got;

@@ -1,14 +1,14 @@
 /**
  * @file
- * The predecoded instruction cache must be architecturally invisible:
- * identical registers, memory, counters, traps, timing stats, and
- * traces with the cache off (the decode-per-step reference) or on
- * (run() executes cached superblocks) over every example program and
- * the configurations that exercise each relocation mode. Plus the
- * two invalidation paths that keep it sound — simulated stores
+ * The superblock cache must be architecturally invisible: identical
+ * registers, memory, counters, traps, timing stats, and traces with
+ * predecode off (the decode-per-step reference) or on (run() executes
+ * cached superblocks) over every example program and the
+ * configurations that exercise each relocation mode. Plus the two
+ * invalidation paths that keep it sound — simulated stores
  * (self-modifying code) and host writes through Memory — and the
- * fall-back to the uncached path for oversized memories, including
- * the exact cap boundary.
+ * fall-back to the reference for oversized memories, including the
+ * exact cap boundary.
  */
 
 #include <algorithm>
@@ -238,12 +238,12 @@ entry:
 }
 
 // Self-modifying code: the program overwrites an upcoming
-// instruction word; the cached predecode of the old word must be
-// dropped at the store, not served stale.
+// instruction word; the cached superblock holding the old word must
+// be dropped at the store, not served stale.
 TEST(Predecode, StoreInvalidatesCachedInstruction)
 {
     // 'patch' starts as "addi r3, r0, 1"; the program first executes
-    // it (so it is hot in the predecode cache), then overwrites it
+    // it (so it is cached in a superblock), then overwrites it
     // with "addi r3, r0, 2" and loops back through it.
     const assembler::Program prog = assembleOrDie(R"(
 entry:
@@ -277,8 +277,8 @@ newinst:
 }
 
 // Host writes bypass the CPU's store path entirely (kernels patch
-// completion flags this way); the word-tag compare must still catch
-// the change.
+// completion flags this way); the write journal must still catch the
+// change and drop the cached superblock.
 TEST(Predecode, HostMemoryWriteInvalidatesCachedInstruction)
 {
     const assembler::Program prog = assembleOrDie(R"(
@@ -294,8 +294,7 @@ entry:
         loadAndStart(cpu, prog);
 
         // Let the two-instruction loop get cached.
-        for (int i = 0; i < 6; ++i)
-            cpu.step();
+        cpu.run(6);
         EXPECT_EQ(cpu.regs().read(3), 1u);
 
         // Patch the first instruction to "addi r3, r0, 3" from the
@@ -305,16 +304,18 @@ entry:
         patched.imm = 3;
         cpu.mem().write(0, isa::encode(patched));
 
-        for (int i = 0; i < 2; ++i)
-            cpu.step();
+        cpu.run(2);
         EXPECT_EQ(cpu.regs().read(3), 3u)
-            << "tag compare missed a host write";
+            << "cached block missed a host write";
+        if (predecode) {
+            EXPECT_GT(cpu.superblockFlushes(), 0u);
+        }
     }
 }
 
 // Memories past the predecode cap silently fall back to the uncached
-// path rather than allocating a giant side table; run() then never
-// builds a superblock.
+// reference rather than allocating a giant block index; run() then
+// never builds a superblock.
 TEST(Predecode, OversizedMemoryFallsBackToUncached)
 {
     const assembler::Program prog = assembleOrDie(R"(
