@@ -6,6 +6,7 @@
 #include "analysis/static/callgraph.hh"
 #include "base/bitops.hh"
 #include "base/logging.hh"
+#include "isa/semantics.hh"
 
 namespace rr::lint {
 
@@ -375,91 +376,42 @@ RrmAnalysis::transferInstruction(State &state,
     auto r1 = [&] { return readReg(state, inst.rs1); };
     auto r2 = [&] { return readReg(state, inst.rs2); };
     auto wr = [&](const AbsVal &v) { writeReg(state, inst.rd, v); };
-    auto fold2 = [&](auto op) {
-        const AbsVal a = r1(), b = r2();
-        wr(a.isConst() && b.isConst()
-               ? AbsVal::constant(op(a.value, b.value))
-               : AbsVal::top());
-    };
-    auto fold_imm = [&](auto op) {
+    // Fold through the machine's own semantics: a constant result when
+    // rs1 and the second operand are both known.
+    auto fold = [&](const AbsVal &b) {
         const AbsVal a = r1();
-        wr(a.isConst() ? AbsVal::constant(
-                             op(a.value,
-                                static_cast<uint32_t>(inst.imm)))
-                       : AbsVal::top());
+        wr(a.isConst() && b.isConst()
+               ? AbsVal::constant(isa::alu(inst.op, a.value, b.value))
+               : AbsVal::top());
     };
 
     switch (inst.op) {
       case Opcode::ADD:
-        fold2([](uint32_t a, uint32_t b) { return a + b; });
-        break;
       case Opcode::SUB:
-        fold2([](uint32_t a, uint32_t b) { return a - b; });
-        break;
       case Opcode::AND:
-        fold2([](uint32_t a, uint32_t b) { return a & b; });
-        break;
       case Opcode::OR:
-        fold2([](uint32_t a, uint32_t b) { return a | b; });
-        break;
       case Opcode::XOR:
-        fold2([](uint32_t a, uint32_t b) { return a ^ b; });
-        break;
       case Opcode::SLL:
-        fold2([](uint32_t a, uint32_t b) { return a << (b & 31); });
-        break;
       case Opcode::SRL:
-        fold2([](uint32_t a, uint32_t b) { return a >> (b & 31); });
-        break;
       case Opcode::SRA:
-        fold2([](uint32_t a, uint32_t b) {
-            return static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                         (b & 31));
-        });
-        break;
       case Opcode::SLT:
-        fold2([](uint32_t a, uint32_t b) {
-            return static_cast<int32_t>(a) < static_cast<int32_t>(b)
-                       ? 1u
-                       : 0u;
-        });
-        break;
       case Opcode::SLTU:
-        fold2([](uint32_t a, uint32_t b) { return a < b ? 1u : 0u; });
+        fold(r2());
         break;
-
       case Opcode::ADDI:
-        fold_imm([](uint32_t a, uint32_t i) { return a + i; });
-        break;
       case Opcode::ANDI:
-        fold_imm([](uint32_t a, uint32_t i) { return a & i; });
-        break;
       case Opcode::ORI:
-        fold_imm([](uint32_t a, uint32_t i) { return a | i; });
-        break;
       case Opcode::XORI:
-        fold_imm([](uint32_t a, uint32_t i) { return a ^ i; });
-        break;
       case Opcode::SLTI:
-        fold_imm([&](uint32_t a, uint32_t) {
-            return static_cast<int32_t>(a) < inst.imm ? 1u : 0u;
-        });
-        break;
       case Opcode::SLLI:
-        fold_imm([](uint32_t a, uint32_t i) { return a << (i & 31); });
-        break;
       case Opcode::SRLI:
-        fold_imm([](uint32_t a, uint32_t i) { return a >> (i & 31); });
-        break;
       case Opcode::SRAI:
-        fold_imm([](uint32_t a, uint32_t i) {
-            return static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                         (i & 31));
-        });
+        fold(AbsVal::constant(static_cast<uint32_t>(inst.imm)));
         break;
 
       case Opcode::LUI:
-        wr(AbsVal::constant(static_cast<uint32_t>(inst.imm) << 12));
+        wr(AbsVal::constant(
+            isa::alu(inst.op, 0, static_cast<uint32_t>(inst.imm))));
         break;
 
       case Opcode::LD:
@@ -508,13 +460,9 @@ RrmAnalysis::transferInstruction(State &state,
       case Opcode::MFPSW:
         wr(AbsVal::top());
         break;
-      case Opcode::FF1: {
-        const AbsVal a = r1();
-        wr(a.isConst() ? AbsVal::constant(static_cast<uint32_t>(
-                             findFirstSet(a.value)))
-                       : AbsVal::top());
+      case Opcode::FF1:
+        fold(AbsVal::constant(0));
         break;
-      }
 
       case Opcode::BEQ:
       case Opcode::BNE:

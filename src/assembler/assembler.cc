@@ -58,6 +58,12 @@ Program::labelsAt(uint32_t addr) const
 
 namespace {
 
+/**
+ * Largest li/la value: above it, the rounded-up LUI immediate of the
+ * bit-11 expansion (hi + 1) would be 2^18, one past its field.
+ */
+constexpr int64_t kLiMax = 0x3ffff7ff;
+
 /** A parsed source statement: a mnemonic/directive plus operands. */
 struct Statement
 {
@@ -254,6 +260,28 @@ class AsmContext
     void emitInst(const Instruction &inst, int line)
     {
         emitWord(isa::encode(inst), line);
+    }
+
+    /**
+     * Check @p imm against @p op's immediate field before it reaches
+     * isa::encode (which aborts on a misfit): false, with a line error,
+     * when it does not fit.
+     */
+    bool checkImm(Opcode op, int64_t imm, int line)
+    {
+        const isa::Format fmt = isa::formatOf(op);
+        const isa::FormatInfo info = isa::formatInfo(fmt);
+        if (isa::immFits(info, imm))
+            return true;
+        std::ostringstream os;
+        os << isa::mnemonicOf(op)
+           << (fmt == isa::Format::B || fmt == isa::Format::J
+                   ? " offset "
+                   : " immediate ")
+           << imm << " out of " << (info.immSigned ? "signed " : "unsigned ")
+           << info.immBits << "-bit range";
+        error(line, os.str());
+        return false;
     }
 
     void emitStatement(const Statement &stmt);
@@ -564,18 +592,28 @@ AsmContext::emitPseudo(const Statement &stmt)
             error(line, "cannot resolve '" + ops[1] + "'");
             return;
         }
-        if (*v < 0 || *v >= (int64_t{1} << 30)) {
-            error(line, "li/la value out of 30-bit range");
+        if (*v < 0 || *v > kLiMax) {
+            error(line, "li/la value out of range [0, 0x3ffff7ff]");
             return;
         }
         noteAddressTaken(ops[1]);
         const auto value = static_cast<uint32_t>(*v);
-        emitInst(isa::makeJ(Opcode::LUI, *rd,
-                            static_cast<int32_t>(value >> 12)),
-                 line);
-        emitInst(isa::makeI(Opcode::ORI, *rd, *rd,
-                            static_cast<int32_t>(value & 0xfff)),
-                 line);
+        // ORI's immediate is signed 12-bit: with bit 11 set, round LUI
+        // up and subtract with ADDI. Always two words, because pass 1
+        // sizes la before its label resolves.
+        const auto low = static_cast<int32_t>(value & 0xfff);
+        if (low < 0x800) {
+            emitInst(isa::makeJ(Opcode::LUI, *rd,
+                                static_cast<int32_t>(value >> 12)),
+                     line);
+            emitInst(isa::makeI(Opcode::ORI, *rd, *rd, low), line);
+        } else {
+            emitInst(isa::makeJ(Opcode::LUI, *rd,
+                                static_cast<int32_t>(value >> 12) + 1),
+                     line);
+            emitInst(isa::makeI(Opcode::ADDI, *rd, *rd, low - 0x1000),
+                     line);
+        }
         return;
     }
 
@@ -590,6 +628,8 @@ AsmContext::emitPseudo(const Statement &stmt)
             return;
         }
         const int64_t offset = *v - static_cast<int64_t>(cursor_);
+        if (!checkImm(Opcode::BEQ, offset, line))
+            return;
         emitInst(isa::makeB(Opcode::BEQ, 0, 0,
                             static_cast<int32_t>(offset)),
                  line);
@@ -636,8 +676,11 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         return true;
     };
 
+    // Each format parses its operands into inst and its immediate or
+    // PC-relative offset into imm, which is range-checked once below.
     Instruction inst;
     inst.op = op;
+    int64_t imm = 0;
 
     switch (fmt) {
       case Format::None:
@@ -709,11 +752,9 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
             const std::string reg_text =
                 ops[1].substr(open + 1, close - open - 1);
             unsigned rs1;
-            int64_t imm;
             if (!get_reg(reg_text, rs1) || !get_value(imm_text, imm))
                 return;
-            inst = isa::makeI(op, rd, rs1,
-                              static_cast<int32_t>(imm));
+            inst = isa::makeI(op, rd, rs1, 0);
             break;
         }
         if (op == Opcode::JALR && ops.size() == 2) {
@@ -726,12 +767,11 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         if (!need(3))
             return;
         unsigned rd, rs1;
-        int64_t imm;
         if (!get_reg(ops[0], rd) || !get_reg(ops[1], rs1) ||
             !get_value(ops[2], imm)) {
             return;
         }
-        inst = isa::makeI(op, rd, rs1, static_cast<int32_t>(imm));
+        inst = isa::makeI(op, rd, rs1, 0);
         break;
       }
 
@@ -748,12 +788,10 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         // literals small enough to be offsets are used as-is only via
         // .equ, so treat every resolved value as an absolute target
         // unless it parses as a plain literal.
-        int64_t offset;
-        if (parseIntLiteral(ops[2]))
-            offset = target;
-        else
-            offset = target - static_cast<int64_t>(cursor_);
-        inst = isa::makeB(op, rs1, rs2, static_cast<int32_t>(offset));
+        imm = parseIntLiteral(ops[2])
+                  ? target
+                  : target - static_cast<int64_t>(cursor_);
+        inst = isa::makeB(op, rs1, rs2, 0);
         break;
       }
 
@@ -764,12 +802,10 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         int64_t target;
         if (!get_reg(ops[0], rd) || !get_value(ops[1], target))
             return;
-        int64_t offset;
-        if (parseIntLiteral(ops[1]))
-            offset = target;
-        else
-            offset = target - static_cast<int64_t>(cursor_);
-        inst = isa::makeJ(op, rd, static_cast<int32_t>(offset));
+        imm = parseIntLiteral(ops[1])
+                  ? target
+                  : target - static_cast<int64_t>(cursor_);
+        inst = isa::makeJ(op, rd, 0);
         break;
       }
 
@@ -777,20 +813,17 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         if (!need(2))
             return;
         unsigned rd;
-        int64_t imm;
         if (!get_reg(ops[0], rd) || !get_value(ops[1], imm))
             return;
-        inst = isa::makeJ(op, rd, static_cast<int32_t>(imm));
+        inst = isa::makeJ(op, rd, 0);
         break;
       }
 
       case Format::Imm: {
         if (!need(1))
             return;
-        int64_t imm;
         if (!get_value(ops[0], imm))
             return;
-        inst.imm = static_cast<int32_t>(imm);
         break;
       }
 
@@ -798,15 +831,16 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
         if (!need(2))
             return;
         unsigned rs1;
-        int64_t imm;
         if (!get_reg(ops[0], rs1) || !get_value(ops[1], imm))
             return;
         inst.rs1 = static_cast<uint8_t>(rs1);
-        inst.imm = static_cast<int32_t>(imm);
         break;
       }
     }
 
+    if (!checkImm(op, imm, line))
+        return;
+    inst.imm = static_cast<int32_t>(imm);
     emitInst(inst, line);
 }
 

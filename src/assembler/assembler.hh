@@ -31,7 +31,9 @@
  *   mov rd, rs       -> addi rd, rs, 0
  *   mov rd, psw      -> mfpsw rd
  *   mov psw, rs      -> mtpsw rs
- *   li  rd, imm      -> lui rd, hi; ori rd, rd, lo   (30-bit range)
+ *   li  rd, imm      -> lui rd, hi; ori rd, rd, lo   (0 .. 0x3ffff7ff;
+ *                       lui rd, hi + 1; addi rd, rd, lo - 4096 when
+ *                       bit 11 of imm is set)
  *   la  rd, label    -> li with the label's word address
  *   b   label        -> beq r0, r0, label
  *

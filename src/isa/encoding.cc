@@ -30,20 +30,11 @@ checkReg(unsigned r, const char *what)
 }
 
 void
-checkImm(int32_t imm, unsigned bits, bool is_signed)
+checkImm(int32_t imm, const FormatInfo &info)
 {
-    if (is_signed) {
-        const int32_t lo = -(1 << (bits - 1));
-        const int32_t hi = (1 << (bits - 1)) - 1;
-        rr_assert(imm >= lo && imm <= hi,
-                  "immediate ", imm, " out of signed ", bits,
-                  "-bit range");
-    } else {
-        rr_assert(imm >= 0 && static_cast<uint32_t>(imm) <
-                                  (1u << bits),
-                  "immediate ", imm, " out of unsigned ", bits,
-                  "-bit range");
-    }
+    rr_assert(immFits(info, imm), "immediate ", imm, " out of ",
+              info.immSigned ? "signed " : "unsigned ", info.immBits,
+              "-bit range");
 }
 
 } // namespace
@@ -83,7 +74,7 @@ encode(const Instruction &inst)
       case Format::I:
         checkReg(inst.rd, "rd");
         checkReg(inst.rs1, "rs1");
-        checkImm(inst.imm, info.immBits, info.immSigned);
+        checkImm(inst.imm, info);
         word |= (inst.rd & slotMask) << slotAShift;
         word |= (inst.rs1 & slotMask) << slotBShift;
         word |= static_cast<uint32_t>(inst.imm) & imm12Mask;
@@ -91,7 +82,7 @@ encode(const Instruction &inst)
       case Format::B:
         checkReg(inst.rs1, "rs1");
         checkReg(inst.rs2, "rs2");
-        checkImm(inst.imm, info.immBits, info.immSigned);
+        checkImm(inst.imm, info);
         word |= (inst.rs1 & slotMask) << slotAShift;
         word |= (inst.rs2 & slotMask) << slotBShift;
         word |= static_cast<uint32_t>(inst.imm) & imm12Mask;
@@ -99,17 +90,17 @@ encode(const Instruction &inst)
       case Format::J:
       case Format::UI:
         checkReg(inst.rd, "rd");
-        checkImm(inst.imm, info.immBits, info.immSigned);
+        checkImm(inst.imm, info);
         word |= (inst.rd & slotMask) << slotAShift;
         word |= static_cast<uint32_t>(inst.imm) & imm18Mask;
         break;
       case Format::Imm:
-        checkImm(inst.imm, info.immBits, info.immSigned);
+        checkImm(inst.imm, info);
         word |= static_cast<uint32_t>(inst.imm) & imm12Mask;
         break;
       case Format::Rs1Imm:
         checkReg(inst.rs1, "rs1");
-        checkImm(inst.imm, info.immBits, info.immSigned);
+        checkImm(inst.imm, info);
         word |= (inst.rs1 & slotMask) << slotBShift;
         word |= static_cast<uint32_t>(inst.imm) & imm12Mask;
         break;

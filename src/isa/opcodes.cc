@@ -130,4 +130,12 @@ formatInfo(Format fmt)
     rr_panic("unhandled format");
 }
 
+bool
+immFits(const FormatInfo &info, int64_t imm)
+{
+    const int64_t span = int64_t{1} << info.immBits;
+    return info.immSigned ? imm >= -span / 2 && imm < span / 2
+                          : imm >= 0 && imm < span;
+}
+
 } // namespace rr::isa

@@ -119,6 +119,12 @@ struct FormatInfo
 /** @return slot usage for @p fmt. */
 FormatInfo formatInfo(Format fmt);
 
+/**
+ * @return true when @p imm fits the immediate field @p info describes
+ * (only 0 fits a format without one).
+ */
+bool immFits(const FormatInfo &info, int64_t imm);
+
 } // namespace rr::isa
 
 #endif // RR_ISA_OPCODES_HH

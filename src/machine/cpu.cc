@@ -6,6 +6,7 @@
 
 #include "base/bitops.hh"
 #include "base/logging.hh"
+#include "isa/semantics.hh"
 
 namespace rr::machine {
 
@@ -258,87 +259,25 @@ Cpu::execute(const Instruction &inst)
         halted_ = true;
         break;
 
-      case Opcode::ADD:
-        writeOperand(inst.rd, readOperand(inst.rs1) + readOperand(inst.rs2));
+      case Opcode::ADD: case Opcode::SUB: case Opcode::AND:
+      case Opcode::OR: case Opcode::XOR: case Opcode::SLL:
+      case Opcode::SRL: case Opcode::SRA: case Opcode::SLT:
+      case Opcode::SLTU: {
+        // rs1 is read before rs2, as in execBlock, so that an
+        // instruction with two bad operands raises the same trap.
+        const uint32_t a = readOperand(inst.rs1);
+        writeOperand(inst.rd, isa::alu(inst.op, a, readOperand(inst.rs2)));
         break;
-      case Opcode::SUB:
-        writeOperand(inst.rd, readOperand(inst.rs1) - readOperand(inst.rs2));
+      }
+      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
+      case Opcode::XORI: case Opcode::SLTI: case Opcode::SLLI:
+      case Opcode::SRLI: case Opcode::SRAI:
+        writeOperand(inst.rd, isa::alu(inst.op, readOperand(inst.rs1),
+                                       static_cast<uint32_t>(inst.imm)));
         break;
-      case Opcode::AND:
-        writeOperand(inst.rd, readOperand(inst.rs1) & readOperand(inst.rs2));
-        break;
-      case Opcode::OR:
-        writeOperand(inst.rd, readOperand(inst.rs1) | readOperand(inst.rs2));
-        break;
-      case Opcode::XOR:
-        writeOperand(inst.rd, readOperand(inst.rs1) ^ readOperand(inst.rs2));
-        break;
-      case Opcode::SLL:
-        writeOperand(inst.rd, readOperand(inst.rs1)
-                                   << (readOperand(inst.rs2) & 31));
-        break;
-      case Opcode::SRL:
-        writeOperand(inst.rd, readOperand(inst.rs1) >>
-                                   (readOperand(inst.rs2) & 31));
-        break;
-      case Opcode::SRA:
-        writeOperand(inst.rd,
-                     static_cast<uint32_t>(
-                         static_cast<int32_t>(readOperand(inst.rs1)) >>
-                         (readOperand(inst.rs2) & 31)));
-        break;
-      case Opcode::SLT:
-        writeOperand(inst.rd,
-                     static_cast<int32_t>(readOperand(inst.rs1)) <
-                             static_cast<int32_t>(readOperand(inst.rs2))
-                         ? 1
-                         : 0);
-        break;
-      case Opcode::SLTU:
-        writeOperand(inst.rd,
-                     readOperand(inst.rs1) < readOperand(inst.rs2) ? 1 : 0);
-        break;
-
-      case Opcode::ADDI:
-        writeOperand(inst.rd,
-                     readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm));
-        break;
-      case Opcode::ANDI:
-        writeOperand(inst.rd,
-                     readOperand(inst.rs1) & static_cast<uint32_t>(inst.imm));
-        break;
-      case Opcode::ORI:
-        writeOperand(inst.rd,
-                     readOperand(inst.rs1) | static_cast<uint32_t>(inst.imm));
-        break;
-      case Opcode::XORI:
-        writeOperand(inst.rd,
-                     readOperand(inst.rs1) ^ static_cast<uint32_t>(inst.imm));
-        break;
-      case Opcode::SLTI:
-        writeOperand(inst.rd,
-                     static_cast<int32_t>(readOperand(inst.rs1)) < inst.imm
-                         ? 1
-                         : 0);
-        break;
-      case Opcode::SLLI:
-        writeOperand(inst.rd, readOperand(inst.rs1)
-                                   << (static_cast<uint32_t>(inst.imm) &
-                                       31));
-        break;
-      case Opcode::SRLI:
-        writeOperand(inst.rd, readOperand(inst.rs1) >>
-                                   (static_cast<uint32_t>(inst.imm) & 31));
-        break;
-      case Opcode::SRAI:
-        writeOperand(inst.rd,
-                     static_cast<uint32_t>(
-                         static_cast<int32_t>(readOperand(inst.rs1)) >>
-                         (static_cast<uint32_t>(inst.imm) & 31)));
-        break;
-
       case Opcode::LUI:
-        writeOperand(inst.rd, static_cast<uint32_t>(inst.imm) << 12);
+        writeOperand(inst.rd,
+                     isa::alu(inst.op, 0, static_cast<uint32_t>(inst.imm)));
         break;
 
       case Opcode::LD: {
@@ -361,26 +300,13 @@ Cpu::execute(const Instruction &inst)
         break;
       }
 
-      case Opcode::BEQ:
-        if (readOperand(inst.rs1) == readOperand(inst.rs2))
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE: {
+        const uint32_t a = readOperand(inst.rs1);
+        if (isa::branchTaken(inst.op, a, readOperand(inst.rs2)))
             next = pc_ + static_cast<uint32_t>(inst.imm);
         break;
-      case Opcode::BNE:
-        if (readOperand(inst.rs1) != readOperand(inst.rs2))
-            next = pc_ + static_cast<uint32_t>(inst.imm);
-        break;
-      case Opcode::BLT:
-        if (static_cast<int32_t>(readOperand(inst.rs1)) <
-            static_cast<int32_t>(readOperand(inst.rs2))) {
-            next = pc_ + static_cast<uint32_t>(inst.imm);
-        }
-        break;
-      case Opcode::BGE:
-        if (static_cast<int32_t>(readOperand(inst.rs1)) >=
-            static_cast<int32_t>(readOperand(inst.rs2))) {
-            next = pc_ + static_cast<uint32_t>(inst.imm);
-        }
-        break;
+      }
 
       case Opcode::JAL:
         writeOperand(inst.rd, pc_ + 1);
@@ -431,11 +357,9 @@ Cpu::execute(const Instruction &inst)
         psw_ = readOperand(inst.rs1);
         break;
 
-      case Opcode::FF1: {
-        const int bit = findFirstSet(readOperand(inst.rs1));
-        writeOperand(inst.rd, static_cast<uint32_t>(bit));
+      case Opcode::FF1:
+        writeOperand(inst.rd, isa::alu(inst.op, readOperand(inst.rs1), 0));
         break;
-      }
 
       case Opcode::FAULT:
         lastFaultClass_ = static_cast<uint32_t>(inst.imm);

@@ -35,7 +35,7 @@
 
 #include <algorithm>
 
-#include "base/bitops.hh"
+#include "isa/semantics.hh"
 
 namespace rr::machine {
 
@@ -385,14 +385,25 @@ Cpu::runBlocks(uint64_t max_steps)
         RR_DISPATCH();                                                 \
     } while (0)
 
+// ALU instruction: rs1 (read first) op rhs, through isa::alu. The
+// opcode is a literal, so the call folds to the one operation.
+#define RR_ALU_HANDLER(name, rhs)                                      \
+    RR_CASE(name)                                                      \
+    {                                                                  \
+        RR_PROLOG();                                                   \
+        const uint32_t lhs = rdop(op->inst.rs1);                       \
+        wrop(op->inst.rd, isa::alu(Opcode::name, lhs, (rhs)));         \
+        RR_NEXT();                                                     \
+    }
+
 // Conditional branch: fall through in-block when not taken.
-#define RR_BRANCH_HANDLER(name, takenExpr)                             \
+#define RR_BRANCH_HANDLER(name)                                        \
     RR_CASE(name)                                                      \
     {                                                                  \
         RR_PROLOG();                                                   \
         const uint32_t lhs = rdop(op->inst.rs1);                       \
         const uint32_t rhs = rdop(op->inst.rs2);                       \
-        if (takenExpr) {                                               \
+        if (isa::branchTaken(Opcode::name, lhs, rhs)) {                \
             RR_RETIRE_EXIT(op->pc +                                    \
                            static_cast<uint32_t>(op->inst.imm));       \
         }                                                              \
@@ -473,144 +484,30 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             RR_RETIRE_STOP(op->pc + 1);
         }
 
-        RR_CASE(ADD)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd, rdop(op->inst.rs1) + rdop(op->inst.rs2));
-            RR_NEXT();
-        }
-        RR_CASE(SUB)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd, rdop(op->inst.rs1) - rdop(op->inst.rs2));
-            RR_NEXT();
-        }
-        RR_CASE(AND)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd, rdop(op->inst.rs1) & rdop(op->inst.rs2));
-            RR_NEXT();
-        }
-        RR_CASE(OR)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd, rdop(op->inst.rs1) | rdop(op->inst.rs2));
-            RR_NEXT();
-        }
-        RR_CASE(XOR)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd, rdop(op->inst.rs1) ^ rdop(op->inst.rs2));
-            RR_NEXT();
-        }
-        RR_CASE(SLL)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) << (rdop(op->inst.rs2) & 31));
-            RR_NEXT();
-        }
-        RR_CASE(SRL)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) >> (rdop(op->inst.rs2) & 31));
-            RR_NEXT();
-        }
-        RR_CASE(SRA)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(rdop(op->inst.rs1)) >>
-                     (rdop(op->inst.rs2) & 31)));
-            RR_NEXT();
-        }
-        RR_CASE(SLT)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 static_cast<int32_t>(rdop(op->inst.rs1)) <
-                         static_cast<int32_t>(rdop(op->inst.rs2))
-                     ? 1
-                     : 0);
-            RR_NEXT();
-        }
-        RR_CASE(SLTU)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) < rdop(op->inst.rs2) ? 1 : 0);
-            RR_NEXT();
-        }
-
-        RR_CASE(ADDI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) + static_cast<uint32_t>(op->inst.imm));
-            RR_NEXT();
-        }
-        RR_CASE(ANDI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) & static_cast<uint32_t>(op->inst.imm));
-            RR_NEXT();
-        }
-        RR_CASE(ORI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) | static_cast<uint32_t>(op->inst.imm));
-            RR_NEXT();
-        }
-        RR_CASE(XORI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) ^ static_cast<uint32_t>(op->inst.imm));
-            RR_NEXT();
-        }
-        RR_CASE(SLTI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 static_cast<int32_t>(rdop(op->inst.rs1)) < op->inst.imm
-                     ? 1
-                     : 0);
-            RR_NEXT();
-        }
-        RR_CASE(SLLI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1)
-                     << (static_cast<uint32_t>(op->inst.imm) & 31));
-            RR_NEXT();
-        }
-        RR_CASE(SRLI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 rdop(op->inst.rs1) >>
-                     (static_cast<uint32_t>(op->inst.imm) & 31));
-            RR_NEXT();
-        }
-        RR_CASE(SRAI)
-        {
-            RR_PROLOG();
-            wrop(op->inst.rd,
-                 static_cast<uint32_t>(
-                     static_cast<int32_t>(rdop(op->inst.rs1)) >>
-                     (static_cast<uint32_t>(op->inst.imm) & 31)));
-            RR_NEXT();
-        }
+        RR_ALU_HANDLER(ADD, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SUB, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(AND, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(OR, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(XOR, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SLL, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SRL, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SRA, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SLT, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(SLTU, rdop(op->inst.rs2))
+        RR_ALU_HANDLER(ADDI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(ANDI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(ORI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(XORI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(SLTI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(SLLI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(SRLI, static_cast<uint32_t>(op->inst.imm))
+        RR_ALU_HANDLER(SRAI, static_cast<uint32_t>(op->inst.imm))
 
         RR_CASE(LUI)
         {
             RR_PROLOG();
-            wrop(op->inst.rd, static_cast<uint32_t>(op->inst.imm) << 12);
+            wrop(op->inst.rd, isa::alu(Opcode::LUI, 0,
+                                       static_cast<uint32_t>(op->inst.imm)));
             RR_NEXT();
         }
 
@@ -643,12 +540,10 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             RR_NEXT();
         }
 
-        RR_BRANCH_HANDLER(BEQ, lhs == rhs)
-        RR_BRANCH_HANDLER(BNE, lhs != rhs)
-        RR_BRANCH_HANDLER(BLT, static_cast<int32_t>(lhs) <
-                                   static_cast<int32_t>(rhs))
-        RR_BRANCH_HANDLER(BGE, static_cast<int32_t>(lhs) >=
-                                   static_cast<int32_t>(rhs))
+        RR_BRANCH_HANDLER(BEQ)
+        RR_BRANCH_HANDLER(BNE)
+        RR_BRANCH_HANDLER(BLT)
+        RR_BRANCH_HANDLER(BGE)
 
         RR_CASE(JAL)
         {
@@ -723,8 +618,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
         RR_CASE(FF1)
         {
             RR_PROLOG();
-            const int bit = findFirstSet(rdop(op->inst.rs1));
-            wrop(op->inst.rd, static_cast<uint32_t>(bit));
+            wrop(op->inst.rd, isa::alu(Opcode::FF1, rdop(op->inst.rs1), 0));
             RR_NEXT();
         }
 
@@ -778,6 +672,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
 #undef RR_CASE
 #undef RR_DISPATCH
 #undef RR_NEXT
+#undef RR_ALU_HANDLER
 #undef RR_BRANCH_HANDLER
 #undef RR_TOKENS
 

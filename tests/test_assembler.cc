@@ -10,6 +10,7 @@
 #include "assembler/assembler.hh"
 #include "base/rng.hh"
 #include "isa/instruction.hh"
+#include "machine/cpu.hh"
 
 namespace rr::assembler {
 namespace {
@@ -111,6 +112,21 @@ TEST(Assembler, LiExpandsToLuiOri)
     const uint32_t value = (static_cast<uint32_t>(lui.imm) << 12) |
                            static_cast<uint32_t>(ori.imm);
     EXPECT_EQ(value, 0x12345u);
+
+    // Bit 11 set: ORI's signed immediate cannot hold the low part, so
+    // the expansion becomes lui (hi + 1) + addi (lo - 4096). Still two
+    // words; the machine must end up with the literal value.
+    for (const uint32_t v : {0x800u, 0x1fffu, 0x12345u, 0x3ffff7ffu}) {
+        const Program li = assemble("li r1, " + std::to_string(v) +
+                                    "\nhalt\n");
+        ASSERT_TRUE(li.ok()) << v;
+        ASSERT_EQ(li.words.size(), 3u) << v;
+        machine::Cpu cpu{machine::CpuConfig{}};
+        cpu.mem().loadImage(li.base, li.words);
+        cpu.run(10);
+        ASSERT_TRUE(cpu.halted()) << v;
+        EXPECT_EQ(cpu.readContextReg(1), v) << v;
+    }
 }
 
 TEST(Assembler, LaResolvesLabelAddress)
@@ -196,6 +212,41 @@ TEST(AssemblerErrors, UndefinedLabel)
     ASSERT_FALSE(prog.ok());
     EXPECT_NE(prog.errors[0].message.find("nowhere"),
               std::string::npos);
+}
+
+TEST(AssemblerErrors, ImmediateOutOfRange)
+{
+    // Each immediate or offset that misses its field is a line error,
+    // never an encoder abort.
+    const char *const bad[] = {
+        "addi r1, r0, 5000\n",       // signed 12-bit
+        "addi r1, r0, -2049\n",
+        "addi r1, r0, 0x100000001\n", // would truncate to 1
+        "ld r1, 4096(r2)\n",
+        "slti r1, r2, 2048\n",
+        "lui r1, 0x40000\n",         // unsigned 18-bit
+        "lui r1, -1\n",
+        "fault 4096\n",              // unsigned 12-bit
+        "ldrrmx r1, -1\n",
+        "beq r1, r2, 2048\n",        // signed 12-bit offset
+        "jal r1, -131073\n",         // signed 18-bit offset
+        "b far\n.org 3000\nfar: halt\n",
+        "li r1, 0x3ffff800\n",       // needs LUI immediate 2^18
+        "la r1, 0x40000000\n",
+    };
+    for (const char *source : bad) {
+        const Program prog = assemble(source);
+        ASSERT_FALSE(prog.ok()) << source;
+        EXPECT_EQ(prog.errors[0].line, 1) << source;
+        EXPECT_NE(prog.errors[0].message.find("range"),
+                  std::string::npos)
+            << source << prog.errors[0].message;
+    }
+    // The field edges themselves assemble.
+    EXPECT_TRUE(assemble("addi r1, r0, 2047\naddi r1, r0, -2048\n"
+                         "lui r1, 0x3ffff\nfault 4095\n"
+                         "jal r1, 131071\n")
+                    .ok());
 }
 
 TEST(AssemblerErrors, DuplicateLabel)

@@ -277,6 +277,23 @@ TEST(CliToolJson, RrasmGoodAndFailingInput)
     ASSERT_TRUE(errors->isArray());
     ASSERT_FALSE(errors->elements.empty());
     EXPECT_TRUE(errors->elements.front().isString());
+
+    // An immediate too wide for its field is an assembly error (exit
+    // 1 with an errors entry), not an encoder abort.
+    const std::filesystem::path wide = workDir("rrasm") / "wide.s";
+    std::ofstream(wide) << "addi r1, r0, 5000\nhalt\n";
+    const auto rejected = parseDocument(
+        runTool(shellQuote(RR_RRASM) + " --json " +
+                    shellQuote(wide.string()) + " 2>/dev/null",
+                status),
+        "rr.rrasm.v1");
+    EXPECT_EQ(status, kExitProblems);
+    const exp::JsonValue *wide_errors = rejected.find("errors");
+    ASSERT_NE(wide_errors, nullptr);
+    ASSERT_TRUE(wide_errors->isArray());
+    ASSERT_EQ(wide_errors->elements.size(), 1u);
+    EXPECT_NE(wide_errors->elements.front().string.find("out of"),
+              std::string::npos);
 }
 
 TEST(CliToolJson, RrsimFinalState)
