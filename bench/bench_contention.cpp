@@ -88,7 +88,8 @@ RR_BENCH_FIGURE(fig_contention,
             const SyncWorkloadResult result =
                 kernel::runSyncWorkload(config);
             rr_assert(result.halted, "scenario did not halt: ",
-                      runtime::syncScenarioName(scenario));
+                      runtime::syncScenarioName(scenario), ": ",
+                      result.stop.str());
 
             uint64_t issues = 0, completes = 0, polls = 0;
             for (const auto &event : sink.events()) {

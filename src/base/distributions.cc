@@ -34,13 +34,15 @@ ConstantDist::describe() const
 
 // The divisor is std::log(1.0 - 1.0 / mean), not std::log1p(-p):
 // log1p is more accurate for large means but rounds differently, so
-// it would change samples and every published figure. That change
-// (with saturation of huge means) belongs to the numeric-domain
-// hardening work, where output bytes are allowed to move.
+// it would change samples and every published figure. From 2^53 on,
+// 1 - 1/mean rounds to 1 and every draw would be 1, so such means
+// are outside the domain. The cast in sample() cannot overflow: a
+// draw is at most about 36.7 * 2^53 < 2^59.
 GeometricDist::GeometricDist(double mean)
     : mean_(mean), logOneMinusP_(std::log(1.0 - 1.0 / mean))
 {
-    rr_assert(mean >= 1.0, "geometric mean must be >= 1, got ", mean);
+    rr_assert(mean >= 1.0 && mean < 0x1p53,
+              "geometric mean must be in [1, 2^53), got ", mean);
 }
 
 uint64_t
@@ -88,7 +90,11 @@ ExponentialDist::sample(Rng &rng) const
     const double v = -mean_ * std::log(u);
     if (v < 1.0)
         return 1;
-    return static_cast<uint64_t>(std::llround(v));
+    if (v < 0x1p63)
+        return static_cast<uint64_t>(std::llround(v));
+    // Past llround's range every double is an integer: the cast is
+    // exact up to 2^64, and larger draws saturate.
+    return v < 0x1p64 ? static_cast<uint64_t>(v) : UINT64_MAX;
 }
 
 double

@@ -128,7 +128,8 @@ checkXsim(const XsimSample &s)
     const kernel::KernelResult machine =
         kernel::runMachineKernel(kconfig);
     if (!machine.halted) {
-        problems.push_back("xsim: machine kernel did not halt");
+        problems.push_back("xsim: machine kernel did not halt: " +
+                           machine.stop.str());
         return problems;
     }
 

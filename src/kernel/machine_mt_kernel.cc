@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "assembler/assembler.hh"
-#include "base/bitops.hh"
 #include "base/logging.hh"
 #include "runtime/asm_routines.hh"
-#include "runtime/context_loader.hh"
 
 namespace rr::kernel {
 
@@ -17,19 +14,6 @@ namespace {
 constexpr uint64_t liveCounterAddr = 0x4000;
 constexpr uint64_t flagBase = 0x4010;
 constexpr uint64_t tableBase = 0x4100;
-
-/** Machine-kernel event stamped at @p cycle for thread @p tid. */
-trace::TraceEvent
-kernelEvent(trace::EventKind kind, uint64_t cycle, unsigned tid,
-            uint32_t rrm)
-{
-    trace::TraceEvent event;
-    event.kind = kind;
-    event.cycle = cycle;
-    event.tid = tid;
-    event.ctx = rrm;
-    return event;
-}
 
 unsigned
 segmentCount(const KernelConfig &config, unsigned tid)
@@ -51,7 +35,11 @@ maxSegmentCount(const KernelConfig &config)
 } // namespace
 
 MachineMtKernel::MachineMtKernel(KernelConfig config)
-    : config_(std::move(config)), rng_(config_.seed)
+    : config_(std::move(config)), rng_(config_.seed),
+      mem_(config_.numRegs, config_.operandWidth,
+           tableBase + static_cast<uint64_t>(config_.numThreads) *
+                           (maxSegmentCount(config_) + 1),
+           config_.traceSink)
 {
     rr_assert(config_.segmentUnits != nullptr,
               "segment distribution missing");
@@ -64,21 +52,6 @@ MachineMtKernel::MachineMtKernel(KernelConfig config)
     rr_assert(config_.segmentsByThread.empty() ||
                   config_.segmentsByThread.size() == config_.numThreads,
               "segmentsByThread must name every thread");
-    tracer_.attach(config_.traceSink);
-
-    machine::CpuConfig cpu_config;
-    cpu_config.numRegs = config_.numRegs;
-    cpu_config.operandWidth = config_.operandWidth;
-    cpu_config.ldrrmDelaySlots = 1;
-    const uint64_t table_words =
-        static_cast<uint64_t>(config_.numThreads) *
-        (maxSegmentCount(config_) + 1);
-    cpu_config.memWords = std::max<size_t>(
-        1u << 16, static_cast<size_t>(tableBase + table_words + 64));
-    cpu_ = std::make_unique<machine::Cpu>(cpu_config);
-
-    allocator_ = std::make_unique<runtime::ContextAllocator>(
-        config_.numRegs, config_.operandWidth);
 
     buildProgram();
     createThreads();
@@ -124,10 +97,7 @@ parked:
     b    parked
 )";
 
-    const assembler::Program prog = assembler::assemble(os.str());
-    for (const auto &error : prog.errors)
-        rr_panic("kernel program: ", error.str());
-    cpu_->mem().loadImage(prog.base, prog.words);
+    const assembler::Program prog = mem_.load(os.str(), "kernel program");
     entryAddr_ = prog.addressOf("thread_start");
     workAddr_ = prog.addressOf("work");
     pollFailAddr_ = prog.addressOf("poll_fail");
@@ -139,142 +109,72 @@ MachineMtKernel::createThreads()
     const unsigned context_regs =
         config_.forcedContextSize != 0 ? config_.forcedContextSize
                                        : config_.regsUsed;
+    mem_.createRing(config_.numThreads, context_regs, flagBase,
+                    [this](unsigned) { return entryAddr_; });
+
+    machine::Memory &memory = mem_.cpu().mem();
     const uint64_t table_stride = maxSegmentCount(config_) + 1;
-
     for (unsigned tid = 0; tid < config_.numThreads; ++tid) {
-        const auto context = allocator_->allocate(context_regs);
-        rr_assert(context.has_value(),
-                  "thread ", tid, " does not fit the register file; "
-                  "reduce numThreads or the context size");
-
-        ThreadInfo info;
-        info.rrm = context->rrm;
-        info.flagAddr = flagBase + tid;
-        info.tableAddr = tableBase + tid * table_stride;
-
         // Fill the segment table (terminated by a 0 sentinel).
+        const uint64_t table = tableBase + tid * table_stride;
         const unsigned segments = segmentCount(config_, tid);
         for (unsigned s = 0; s < segments; ++s) {
             const uint64_t units =
                 std::max<uint64_t>(1, config_.segmentUnits->sample(rng_));
-            cpu_->mem().write(info.tableAddr + s,
-                              static_cast<uint32_t>(units));
-            info.totalUnits += units;
+            memory.write(table + s, static_cast<uint32_t>(units));
         }
-        cpu_->mem().write(info.tableAddr + segments, 0);
+        memory.write(table + segments, 0);
 
-        // Architectural register images.
-        runtime::pokeContextReg(*cpu_, info.rrm, 0, entryAddr_);
-        runtime::pokeContextReg(*cpu_, info.rrm, 1, 0);
-        runtime::pokeContextReg(*cpu_, info.rrm, 6, 1);
-        runtime::pokeContextReg(*cpu_, info.rrm, 7, 0);
-        runtime::pokeContextReg(*cpu_, info.rrm, 9,
-                                static_cast<uint32_t>(info.flagAddr));
-        runtime::pokeContextReg(*cpu_, info.rrm, 10,
-                                static_cast<uint32_t>(info.tableAddr));
-        runtime::pokeContextReg(*cpu_, info.rrm, 11,
-                                static_cast<uint32_t>(liveCounterAddr));
-
-        rrmToThread_[info.rrm] = tid;
-        threads_.push_back(info);
+        mem_.poke(tid, 9, static_cast<uint32_t>(flagBase + tid));
+        mem_.poke(tid, 10, static_cast<uint32_t>(table));
+        mem_.poke(tid, 11, static_cast<uint32_t>(liveCounterAddr));
     }
 
-    // Wire the NextRRM ring (Figure 3 / Section 2.2).
-    for (size_t i = 0; i < threads_.size(); ++i) {
-        const ThreadInfo &cur = threads_[i];
-        const ThreadInfo &next = threads_[(i + 1) % threads_.size()];
-        runtime::pokeContextReg(*cpu_, cur.rrm, 2, next.rrm);
-    }
-
-    cpu_->mem().write(liveCounterAddr,
-                      static_cast<uint32_t>(threads_.size()));
-    cpu_->setRrmImmediate(threads_.front().rrm);
-    cpu_->setPc(entryAddr_);
-    result_.residentContexts =
-        static_cast<unsigned>(threads_.size());
+    memory.write(liveCounterAddr, config_.numThreads);
+    result_.residentContexts = config_.numThreads;
 }
 
 void
-MachineMtKernel::onFault(uint32_t)
+MachineMtKernel::onFault()
 {
-    const auto it = rrmToThread_.find(cpu_->rrm());
-    rr_assert(it != rrmToThread_.end(), "fault from unknown context");
-    const unsigned tid = it->second;
-
-    cpu_->mem().write(threads_[tid].flagAddr, 0);
+    const unsigned tid = mem_.currentThread();
+    rr_assert(tid != MemorySystem::kNoThread, "fault from unknown context");
     ++result_.faults;
 
     if (config_.service == FaultService::Barrier) {
         if (arrived_.empty())
-            arrived_.assign(threads_.size(), false);
+            arrived_.assign(config_.numThreads, false);
         if (!arrived_[tid]) {
             arrived_[tid] = true;
             ++arrivalCount_;
         }
-        if (tracer_.enabled()) {
-            tracer_.emit(kernelEvent(trace::EventKind::FaultIssue,
-                                     cpu_->cycles(), tid,
-                                     threads_[tid].rrm));
-        }
-        return; // released in onStep when everyone has arrived
+        mem_.issue(tid); // released in onStep when everyone has arrived
+        return;
     }
 
-    const uint64_t latency =
-        std::max<uint64_t>(1, config_.latency->sample(rng_));
-    pending_.push({cpu_->cycles() + latency, tid});
-    if (tracer_.enabled()) {
-        auto e = kernelEvent(trace::EventKind::FaultIssue,
-                             cpu_->cycles(), tid, threads_[tid].rrm);
-        e.aux = latency;
-        tracer_.emit(e);
-    }
+    mem_.issue(tid, std::max<uint64_t>(1, config_.latency->sample(rng_)));
 }
 
 void
 MachineMtKernel::onStep(uint64_t cycle, uint32_t pc)
 {
-    // The harness plays the memory system: completion flags mature
-    // as machine time advances.
-    while (!pending_.empty() && pending_.top().completion <= cycle) {
-        const PendingFault fault = pending_.top();
-        pending_.pop();
-        cpu_->mem().write(threads_[fault.tid].flagAddr, 1);
-        if (tracer_.enabled()) {
-            tracer_.emit(kernelEvent(trace::EventKind::FaultComplete,
-                                     cycle, fault.tid,
-                                     threads_[fault.tid].rrm));
-        }
-    }
-
     // Barrier release: every still-running thread has arrived. The
     // live counter is the machine's own memory word, so threads that
     // finished no longer count toward the barrier.
-    if (config_.service == FaultService::Barrier &&
-        arrivalCount_ > 0 &&
-        arrivalCount_ >=
-            cpu_->mem().read(liveCounterAddr)) {
+    if (config_.service == FaultService::Barrier && arrivalCount_ > 0 &&
+        arrivalCount_ >= mem_.cpu().mem().read(liveCounterAddr)) {
         unsigned released = 0;
-        for (unsigned tid = 0; tid < threads_.size(); ++tid) {
+        for (unsigned tid = 0; tid < config_.numThreads; ++tid) {
             if (arrived_[tid]) {
-                cpu_->mem().write(threads_[tid].flagAddr, 1);
+                mem_.complete(tid, cycle);
                 arrived_[tid] = false;
                 ++released;
-                if (tracer_.enabled()) {
-                    tracer_.emit(
-                        kernelEvent(trace::EventKind::FaultComplete,
-                                    cycle, tid, threads_[tid].rrm));
-                }
             }
         }
         arrivalCount_ = 0;
         ++result_.barriers;
-        if (tracer_.enabled()) {
-            trace::TraceEvent e;
-            e.kind = trace::EventKind::Barrier;
-            e.cycle = cycle;
-            e.aux = released;
-            tracer_.emit(e);
-        }
+        mem_.emit(trace::EventKind::Barrier, cycle, MemorySystem::kNoThread,
+                  MemorySystem::kNoContext, released);
     }
 
     if (pc == workAddr_) {
@@ -282,42 +182,21 @@ MachineMtKernel::onStep(uint64_t cycle, uint32_t pc)
         recorder_.record(cycle, result_.workUnits);
     } else if (pc == pollFailAddr_) {
         ++result_.failedPolls;
-        if (tracer_.enabled()) {
-            const auto it = rrmToThread_.find(cpu_->rrm());
-            if (it != rrmToThread_.end()) {
-                auto e = kernelEvent(trace::EventKind::SchedulerPoll,
-                                     cycle, it->second,
-                                     threads_[it->second].rrm);
-                e.aux = 1;
-                tracer_.emit(e);
-            }
-        }
+        mem_.pollFailed(cycle);
     }
 }
 
 KernelResult
 MachineMtKernel::run()
 {
-    cpu_->setFaultHook(
-        [this](machine::Cpu &, uint32_t fault_class) {
-            onFault(fault_class);
+    mem_.run(
+        config_.maxSteps, result_, [this](uint32_t) { onFault(); },
+        [this](const machine::TraceEntry &entry) {
+            onStep(entry.cycle, entry.pc);
         });
-    cpu_->setTraceHook([this](const machine::TraceEntry &entry) {
-        onStep(entry.cycle, entry.pc);
-    });
 
-    cpu_->run(config_.maxSteps);
-
-    result_.halted = cpu_->halted() &&
-                     cpu_->trap() == machine::TrapKind::None;
-    result_.totalCycles = cpu_->cycles();
-    result_.usefulCycles = 2 * result_.workUnits;
     recorder_.record(result_.totalCycles, result_.workUnits);
-    result_.efficiencyTotal =
-        result_.totalCycles == 0
-            ? 0.0
-            : static_cast<double>(result_.usefulCycles) /
-                  static_cast<double>(result_.totalCycles);
+    result_.efficiencyTotal = result_.efficiency();
     result_.efficiencyCentral = 2.0 * recorder_.centralRate();
     return result_;
 }

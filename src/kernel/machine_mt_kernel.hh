@@ -28,15 +28,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "base/distributions.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
-#include "machine/cpu.hh"
-#include "runtime/context_allocator.hh"
-#include "trace/tracer.hh"
+#include "kernel/memory_system.hh"
 
 namespace rr::kernel {
 
@@ -111,12 +108,8 @@ struct KernelConfig
 };
 
 /** Results of one run. */
-struct KernelResult
+struct KernelResult : KernelRun
 {
-    uint64_t totalCycles = 0;   ///< machine cycles elapsed
-    uint64_t workUnits = 0;     ///< work-loop passes executed
-    uint64_t usefulCycles = 0;  ///< 2 * workUnits (sub + bne)
-    uint64_t faults = 0;        ///< FAULT instructions executed
     uint64_t failedPolls = 0;   ///< resumptions that found the fault
                                 ///< still outstanding
     uint64_t barriers = 0;      ///< barrier releases (Barrier mode)
@@ -127,8 +120,6 @@ struct KernelResult
 
     /** Useful rate over the central 20-80% window. */
     double efficiencyCentral = 0.0;
-
-    bool halted = false;        ///< machine reached HALT cleanly
 };
 
 /**
@@ -144,52 +135,21 @@ class MachineMtKernel
     KernelResult run();
 
     /** The machine (valid after construction; inspectable after run). */
-    machine::Cpu &cpu() { return *cpu_; }
-
-    /** Program listing address of the shared thread body. */
-    uint32_t threadBodyAddress() const { return workAddr_; }
+    machine::Cpu &cpu() { return mem_.cpu(); }
 
   private:
-    struct PendingFault
-    {
-        uint64_t completion;
-        unsigned tid;
-
-        bool operator>(const PendingFault &other) const
-        {
-            return completion > other.completion;
-        }
-    };
-
-    /** Per-thread bookkeeping. */
-    struct ThreadInfo
-    {
-        uint32_t rrm = 0;
-        uint64_t flagAddr = 0;
-        uint64_t tableAddr = 0;
-        uint64_t totalUnits = 0;
-    };
-
     void buildProgram();
     void createThreads();
-    void onFault(uint32_t fault_class);
+    void onFault();
     void onStep(uint64_t cycle, uint32_t pc);
 
     KernelConfig config_;
     Rng rng_;
-    trace::Tracer tracer_;
-    std::unique_ptr<machine::Cpu> cpu_;
-    std::unique_ptr<runtime::ContextAllocator> allocator_;
-    std::vector<ThreadInfo> threads_;
-    std::unordered_map<uint32_t, unsigned> rrmToThread_;
+    MemorySystem mem_;
 
     uint32_t entryAddr_ = 0;
     uint32_t workAddr_ = 0;
     uint32_t pollFailAddr_ = 0;
-
-    std::priority_queue<PendingFault, std::vector<PendingFault>,
-                        std::greater<PendingFault>>
-        pending_;
 
     // Barrier-mode bookkeeping.
     std::vector<bool> arrived_;

@@ -1,0 +1,175 @@
+#include "kernel/memory_system.hh"
+
+#include <algorithm>
+
+#include "base/logging.hh"
+#include "runtime/context_allocator.hh"
+#include "runtime/context_loader.hh"
+
+namespace rr::kernel {
+
+namespace {
+
+machine::CpuConfig
+kernelCpuConfig(unsigned num_regs, unsigned operand_width,
+                uint64_t data_end, bool predecode)
+{
+    machine::CpuConfig config;
+    config.numRegs = num_regs;
+    config.operandWidth = operand_width;
+    config.ldrrmDelaySlots = 1;
+    config.memWords =
+        std::max<size_t>(1u << 16, static_cast<size_t>(data_end + 64));
+    config.predecode = predecode;
+    return config;
+}
+
+} // namespace
+
+std::string
+KernelStop::str() const
+{
+    const std::string what =
+        reason == StopReason::Halted    ? "halted"
+        : reason == StopReason::Trapped ? std::string("trapped (") +
+                                              machine::trapName(trap) + ")"
+                                        : "hit the step cap";
+    return what + " after " + std::to_string(steps) + " steps";
+}
+
+double
+KernelRun::efficiency() const
+{
+    return totalCycles == 0 ? 0.0
+                            : static_cast<double>(usefulCycles) /
+                                  static_cast<double>(totalCycles);
+}
+
+MemorySystem::MemorySystem(unsigned num_regs, unsigned operand_width,
+                           uint64_t data_end, trace::TraceSink *sink,
+                           bool predecode)
+    : cpu_(kernelCpuConfig(num_regs, operand_width, data_end, predecode)),
+      tracer_(sink)
+{
+}
+
+assembler::Program
+MemorySystem::load(const std::string &source, const char *what)
+{
+    assembler::Program prog = assembler::assemble(source);
+    for (const auto &error : prog.errors)
+        rr_panic(what, ": ", error.str());
+    cpu_.mem().loadImage(prog.base, prog.words);
+    return prog;
+}
+
+unsigned
+MemorySystem::addThread(uint64_t flag_addr, uint32_t ctx)
+{
+    threads_.push_back({flag_addr, ctx});
+    return static_cast<unsigned>(threads_.size() - 1);
+}
+
+void
+MemorySystem::createRing(unsigned num_threads, unsigned context_regs,
+                         uint64_t flag_base,
+                         const std::function<uint32_t(unsigned)> &entry_of)
+{
+    runtime::ContextAllocator allocator(cpu_.config().numRegs,
+                                        cpu_.config().operandWidth);
+    rrmToThread_.assign(cpu_.config().numRegs, kNoThread);
+    for (unsigned tid = 0; tid < num_threads; ++tid) {
+        const auto context = allocator.allocate(context_regs);
+        rr_assert(context.has_value(),
+                  "thread ", tid, " does not fit the register file; "
+                  "reduce numThreads or the context size");
+        rrmToThread_[context->rrm] =
+            addThread(flag_base + tid, context->rrm);
+        poke(tid, 0, entry_of(tid));
+        poke(tid, 1, 0);
+        poke(tid, 6, 1);
+        poke(tid, 7, 0);
+    }
+    for (unsigned tid = 0; tid < num_threads; ++tid)
+        poke(tid, 2, threads_[(tid + 1) % num_threads].ctx);
+    cpu_.setRrmImmediate(threads_[0].ctx);
+    cpu_.setPc(entry_of(0));
+}
+
+unsigned
+MemorySystem::currentThread() const
+{
+    const uint32_t rrm = cpu_.rrm();
+    return rrm < rrmToThread_.size() ? rrmToThread_[rrm] : kNoThread;
+}
+
+void
+MemorySystem::poke(unsigned tid, unsigned reg, uint32_t value)
+{
+    runtime::pokeContextReg(cpu_, threads_[tid].ctx, reg, value);
+}
+
+void
+MemorySystem::emit(trace::EventKind kind, uint64_t cycle, uint32_t tid,
+                   uint32_t ctx, uint64_t aux)
+{
+    if (!tracer_.enabled())
+        return;
+    trace::TraceEvent event;
+    event.kind = kind;
+    event.cycle = cycle;
+    event.tid = tid;
+    event.ctx = ctx;
+    event.aux = aux;
+    tracer_.emit(event);
+}
+
+void
+MemorySystem::issue(unsigned tid)
+{
+    cpu_.mem().write(threads_[tid].flagAddr, 0);
+    emit(trace::EventKind::FaultIssue, cpu_.cycles(), tid, cpu_.rrm());
+}
+
+void
+MemorySystem::issue(unsigned tid, uint64_t latency)
+{
+    cpu_.mem().write(threads_[tid].flagAddr, 0);
+    pending_.push({cpu_.cycles() + latency, tid});
+    emit(trace::EventKind::FaultIssue, cpu_.cycles(), tid, cpu_.rrm(),
+         latency);
+}
+
+void
+MemorySystem::complete(unsigned tid, uint64_t cycle)
+{
+    cpu_.mem().write(threads_[tid].flagAddr, 1);
+    emit(trace::EventKind::FaultComplete, cycle, tid, threads_[tid].ctx);
+}
+
+void
+MemorySystem::pollFailed(uint64_t cycle)
+{
+    if (!tracer_.enabled())
+        return;
+    const unsigned tid = currentThread();
+    if (tid != kNoThread)
+        emit(trace::EventKind::SchedulerPoll, cycle, tid, cpu_.rrm(), 1);
+}
+
+void
+MemorySystem::finish(uint64_t steps, KernelRun &result) const
+{
+    KernelStop &stop = result.stop;
+    stop.steps = steps;
+    stop.trap = cpu_.trap();
+    if (stop.trap != machine::TrapKind::None)
+        stop.reason = StopReason::Trapped;
+    else if (cpu_.halted())
+        stop.reason = StopReason::Halted;
+    result.halted = stop.reason == StopReason::Halted;
+    result.totalCycles = cpu_.cycles();
+    result.usefulCycles = 2 * result.workUnits;
+}
+
+} // namespace rr::kernel

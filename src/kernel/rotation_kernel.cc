@@ -1,6 +1,5 @@
 #include "kernel/rotation_kernel.hh"
 
-#include "assembler/assembler.hh"
 #include "base/bitops.hh"
 #include "base/logging.hh"
 #include "runtime/asm_routines.hh"
@@ -21,33 +20,25 @@ constexpr unsigned saveAreaWords = 8;
 } // namespace
 
 RotationKernel::RotationKernel(RotationConfig config)
-    : config_(config)
+    : config_(config),
+      mem_(128, 6, saveAreaOf(config_.numThreads), config_.traceSink)
 {
     rr_assert(config_.numThreads >= 1 && config_.numThreads <= 100,
               "1..100 threads supported");
     rr_assert(config_.segmentsPerThread >= 1, "no segments");
-    tracer_.attach(config_.traceSink);
 
-    machine::CpuConfig cpu_config;
-    cpu_config.numRegs = 128;
-    cpu_config.operandWidth = 6;
-    cpu_config.ldrrmDelaySlots = 1;
-    cpu_config.memWords = 1u << 15;
-    cpu_ = std::make_unique<machine::Cpu>(cpu_config);
-
-    const assembler::Program prog = assembler::assemble(
-        runtime::rotationSchedulerSource(config_.workUnits));
-    for (const auto &error : prog.errors)
-        rr_panic("rotation runtime: ", error.str());
-    cpu_->mem().loadImage(prog.base, prog.words);
+    const assembler::Program prog = mem_.load(
+        runtime::rotationSchedulerSource(config_.workUnits),
+        "rotation runtime");
     workAddr_ = prog.addressOf("work");
     rotateAddr_ = prog.addressOf("sched_rotate");
     dequeueAddr_ = prog.addressOf("sched_dequeue");
 
     // The scheduler context owns registers 0..31 (chunks 0..7); the
     // remaining 24 chunks are free for thread contexts.
-    cpu_->mem().write(allocMapAddr, 0xffffff00u);
-    cpu_->mem().write(liveAddr, config_.numThreads);
+    machine::Memory &memory = mem_.cpu().mem();
+    memory.write(allocMapAddr, 0xffffff00u);
+    memory.write(liveAddr, config_.numThreads);
 
     // Save areas + ready queue (ring of save-area addresses).
     const unsigned qcap = static_cast<unsigned>(
@@ -56,32 +47,32 @@ RotationKernel::RotationKernel(RotationConfig config)
     const uint32_t thread_start = prog.addressOf("thread_start");
     for (unsigned tid = 0; tid < config_.numThreads; ++tid) {
         const uint64_t area = saveAreaOf(tid);
-        cpu_->mem().write(area + 0, thread_start); // r0: entry PC
-        cpu_->mem().write(area + 1, 0);            // r1: PSW image
-        cpu_->mem().write(area + 2, 0);            // r2: own RRM
-        cpu_->mem().write(area + 3, 0);            // r3: sched RRM
-        cpu_->mem().write(area + 4, config_.segmentsPerThread); // r6
-        cpu_->mem().write(area + 5, 0);            // r7: zero
-        cpu_->mem().write(area + 6, 0);            // thread.rrm
-        cpu_->mem().write(area + 7, 0);            // thread.allocMask
-        cpu_->mem().write(queueAddr + tid,
-                          static_cast<uint32_t>(area));
+        memory.write(area + 0, thread_start); // r0: entry PC
+        memory.write(area + 1, 0);            // r1: PSW image
+        memory.write(area + 2, 0);            // r2: own RRM
+        memory.write(area + 3, 0);            // r3: sched RRM
+        memory.write(area + 4, config_.segmentsPerThread); // r6
+        memory.write(area + 5, 0);            // r7: zero
+        memory.write(area + 6, 0);            // thread.rrm
+        memory.write(area + 7, 0);            // thread.allocMask
+        memory.write(queueAddr + tid, static_cast<uint32_t>(area));
     }
 
     // Scheduler register file image (context base 0 => absolute).
-    cpu_->regs().write(6, 0);
-    cpu_->regs().write(8, 0x11111111u);
-    cpu_->regs().write(9, 0x0000ffffu);
-    cpu_->regs().write(10, static_cast<uint32_t>(allocMapAddr));
-    cpu_->regs().write(13, 0x0000000fu);
-    cpu_->regs().write(16, static_cast<uint32_t>(queueAddr));
-    cpu_->regs().write(17, 0);                    // head
-    cpu_->regs().write(18, config_.numThreads);   // tail
-    cpu_->regs().write(19, qcap - 1);             // index mask
-    cpu_->regs().write(25, 0x55555555u);
+    machine::RegisterFile &regs = mem_.cpu().regs();
+    regs.write(6, 0);
+    regs.write(8, 0x11111111u);
+    regs.write(9, 0x0000ffffu);
+    regs.write(10, static_cast<uint32_t>(allocMapAddr));
+    regs.write(13, 0x0000000fu);
+    regs.write(16, static_cast<uint32_t>(queueAddr));
+    regs.write(17, 0);                    // head
+    regs.write(18, config_.numThreads);   // tail
+    regs.write(19, qcap - 1);             // index mask
+    regs.write(25, 0x55555555u);
 
-    cpu_->setRrmImmediate(0);
-    cpu_->setPc(dequeueAddr_);
+    mem_.cpu().setRrmImmediate(0);
+    mem_.cpu().setPc(dequeueAddr_);
 }
 
 uint64_t
@@ -93,44 +84,30 @@ RotationKernel::saveAreaOf(unsigned tid) const
 RotationResult
 RotationKernel::run()
 {
-    cpu_->setFaultHook([this](machine::Cpu &, uint32_t fault_class) {
-        if (fault_class == 63) {
-            result_.allocPanic = true;
-        } else {
-            ++result_.faults;
-            if (tracer_.enabled()) {
-                trace::TraceEvent e;
-                e.kind = trace::EventKind::FaultIssue;
-                e.cycle = cpu_->cycles();
-                e.ctx = cpu_->rrm();
-                tracer_.emit(e);
+    mem_.run(
+        config_.maxSteps, result_,
+        [this](uint32_t fault_class) {
+            if (fault_class == 63) {
+                result_.allocPanic = true;
+            } else {
+                ++result_.faults;
+                mem_.emit(trace::EventKind::FaultIssue, mem_.cpu().cycles(),
+                          MemorySystem::kNoThread, mem_.cpu().rrm());
             }
-        }
-    });
-    cpu_->setTraceHook([this](const machine::TraceEntry &entry) {
-        if (entry.pc == workAddr_) {
-            ++result_.workUnits;
-        } else if (entry.pc == rotateAddr_) {
-            ++result_.rotations;
-            if (tracer_.enabled()) {
+        },
+        [this](const machine::TraceEntry &entry) {
+            if (entry.pc == workAddr_) {
+                ++result_.workUnits;
+            } else if (entry.pc == rotateAddr_) {
                 // One rotation = unload the visited context and
                 // reload the next queued thread into its registers.
-                trace::TraceEvent e;
-                e.kind = trace::EventKind::Unload;
-                e.cycle = entry.cycle;
-                e.ctx = cpu_->rrm();
-                tracer_.emit(e);
+                ++result_.rotations;
+                mem_.emit(trace::EventKind::Unload, entry.cycle,
+                          MemorySystem::kNoThread, mem_.cpu().rrm());
             }
-        }
-    });
+        });
 
-    cpu_->run(config_.maxSteps);
-
-    result_.halted = cpu_->halted() &&
-                     cpu_->trap() == machine::TrapKind::None;
-    result_.totalCycles = cpu_->cycles();
-    result_.usefulCycles = 2 * result_.workUnits;
-    result_.finalAllocMap = cpu_->mem().read(allocMapAddr);
+    result_.finalAllocMap = mem_.cpu().mem().read(allocMapAddr);
     return result_;
 }
 

@@ -16,11 +16,8 @@
 #define RR_KERNEL_ROTATION_KERNEL_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "machine/cpu.hh"
-#include "trace/tracer.hh"
+#include "kernel/memory_system.hh"
 
 namespace rr::kernel {
 
@@ -39,25 +36,12 @@ struct RotationConfig
     trace::TraceSink *traceSink = nullptr;
 };
 
-/** Results of a rotation-runtime run. */
-struct RotationResult
+/** Results of a rotation-runtime run (faults counts class 0 only). */
+struct RotationResult : KernelRun
 {
-    uint64_t totalCycles = 0;
-    uint64_t workUnits = 0;      ///< work-loop passes executed
-    uint64_t usefulCycles = 0;   ///< 2 * workUnits
-    uint64_t faults = 0;         ///< FAULT instructions (class 0)
     uint64_t rotations = 0;      ///< unload/reload round trips
     uint64_t finalAllocMap = 0;  ///< bitmap at halt
-    bool halted = false;
     bool allocPanic = false;     ///< the in-image allocator failed
-
-    double efficiency() const
-    {
-        return totalCycles == 0
-                   ? 0.0
-                   : static_cast<double>(usefulCycles) /
-                         static_cast<double>(totalCycles);
-    }
 };
 
 /** Build, run, and summarize one rotation-runtime execution. */
@@ -69,15 +53,14 @@ class RotationKernel
     /** Run to HALT (or the step cap). */
     RotationResult run();
 
-    machine::Cpu &cpu() { return *cpu_; }
+    machine::Cpu &cpu() { return mem_.cpu(); }
 
     /** Save-area base address of thread @p tid. */
     uint64_t saveAreaOf(unsigned tid) const;
 
   private:
     RotationConfig config_;
-    trace::Tracer tracer_;
-    std::unique_ptr<machine::Cpu> cpu_;
+    MemorySystem mem_;
     uint32_t workAddr_ = 0;
     uint32_t rotateAddr_ = 0;
     uint32_t dequeueAddr_ = 0;

@@ -2,30 +2,15 @@
 
 #include <algorithm>
 
-#include "assembler/assembler.hh"
 #include "base/logging.hh"
-#include "runtime/context_loader.hh"
 
 namespace rr::kernel {
 
-namespace {
-
-trace::TraceEvent
-syncEvent(trace::EventKind kind, uint64_t cycle, unsigned tid,
-          uint32_t rrm)
-{
-    trace::TraceEvent event;
-    event.kind = kind;
-    event.cycle = cycle;
-    event.tid = tid;
-    event.ctx = rrm;
-    return event;
-}
-
-} // namespace
-
 SyncWorkloadKernel::SyncWorkloadKernel(SyncWorkloadConfig config)
-    : config_(std::move(config))
+    : config_(std::move(config)),
+      mem_(config_.numRegs, config_.operandWidth,
+           layout_.ringBase + config_.ringSize, config_.traceSink,
+           config_.predecode)
 {
     rr_assert(config_.numThreads >= 1, "no threads");
     rr_assert(config_.regsUsed >= 12,
@@ -45,20 +30,6 @@ SyncWorkloadKernel::SyncWorkloadKernel(SyncWorkloadConfig config)
     if (config_.scenario == runtime::SyncScenario::BarrierSkew)
         rr_assert(config_.barrierBaseUnits >= 1,
                   "every thread needs at least one unit per phase");
-    tracer_.attach(config_.traceSink);
-
-    machine::CpuConfig cpu_config;
-    cpu_config.numRegs = config_.numRegs;
-    cpu_config.operandWidth = config_.operandWidth;
-    cpu_config.ldrrmDelaySlots = 1;
-    cpu_config.memWords = std::max<size_t>(
-        1u << 16, static_cast<size_t>(layout_.ringBase +
-                                      config_.ringSize + 64));
-    cpu_config.predecode = config_.predecode;
-    cpu_ = std::make_unique<machine::Cpu>(cpu_config);
-
-    allocator_ = std::make_unique<runtime::ContextAllocator>(
-        config_.numRegs, config_.operandWidth);
 
     buildProgram();
     initMemory();
@@ -84,12 +55,10 @@ SyncWorkloadKernel::buildProgram()
     params.produceUnits = config_.produceUnits;
     params.consumeUnits = config_.consumeUnits;
     params.ringSize = config_.ringSize;
-    source_ = runtime::syncScenarioSource(params);
 
-    const assembler::Program prog = assembler::assemble(source_);
-    for (const auto &error : prog.errors)
-        rr_panic("sync workload program: ", error.str());
-    cpu_->mem().loadImage(prog.base, prog.words);
+    const assembler::Program prog =
+        mem_.load(runtime::syncScenarioSource(params),
+                  "sync workload program");
 
     switch (config_.scenario) {
       case runtime::SyncScenario::UncontendedLock:
@@ -126,7 +95,7 @@ SyncWorkloadKernel::buildProgram()
 void
 SyncWorkloadKernel::initMemory()
 {
-    auto &mem = cpu_->mem();
+    auto &mem = mem_.cpu().mem();
     mem.write(layout_.live, config_.numThreads);
     mem.write(layout_.exitLock, 0);
     mem.write(layout_.sharedLock, 0);
@@ -151,24 +120,19 @@ SyncWorkloadKernel::createThreads()
         config_.forcedContextSize != 0 ? config_.forcedContextSize
                                        : config_.regsUsed;
     const unsigned producers = producerCount();
+    const bool split = config_.scenario ==
+                       runtime::SyncScenario::ProducerConsumer;
     const uint64_t items_per_consumer =
-        config_.scenario == runtime::SyncScenario::ProducerConsumer
-            ? static_cast<uint64_t>(producers) *
-                  config_.itemsPerProducer /
-                  (config_.numThreads - producers)
-            : 0;
+        split ? static_cast<uint64_t>(producers) * config_.itemsPerProducer /
+                    (config_.numThreads - producers)
+              : 0;
+    mem_.createRing(config_.numThreads, context_regs, layout_.flagBase,
+                    [&](unsigned tid) {
+                        return split && tid >= producers ? consumerAddr_
+                                                         : bodyAddr_;
+                    });
 
     for (unsigned tid = 0; tid < config_.numThreads; ++tid) {
-        const auto context = allocator_->allocate(context_regs);
-        rr_assert(context.has_value(),
-                  "thread ", tid, " does not fit the register file; "
-                  "reduce numThreads or the context size");
-
-        ThreadInfo info;
-        info.rrm = context->rrm;
-        info.flagAddr = layout_.flagBase + tid;
-
-        uint32_t entry = bodyAddr_;
         uint32_t r9 = config_.rounds;
         uint32_t r10 = 0;
         switch (config_.scenario) {
@@ -179,80 +143,25 @@ SyncWorkloadKernel::createThreads()
             r10 = layout_.sharedLock;
             break;
           case runtime::SyncScenario::ProducerConsumer:
-            if (tid < producers) {
-                r9 = config_.itemsPerProducer;
-            } else {
-                entry = consumerAddr_;
-                r9 = static_cast<uint32_t>(items_per_consumer);
-            }
+            r9 = tid < producers
+                     ? config_.itemsPerProducer
+                     : static_cast<uint32_t>(items_per_consumer);
             break;
           case runtime::SyncScenario::BarrierSkew:
             r10 = config_.barrierBaseUnits +
                   config_.barrierSkewUnits * (tid % 4);
             break;
         }
-
-        runtime::pokeContextReg(*cpu_, info.rrm, 0, entry);
-        runtime::pokeContextReg(*cpu_, info.rrm, 1, 0);
-        runtime::pokeContextReg(*cpu_, info.rrm, 6, 1);
-        runtime::pokeContextReg(*cpu_, info.rrm, 7, 0);
-        runtime::pokeContextReg(*cpu_, info.rrm, 9, r9);
-        runtime::pokeContextReg(*cpu_, info.rrm, 10, r10);
-        runtime::pokeContextReg(*cpu_, info.rrm, 11,
-                                static_cast<uint32_t>(info.flagAddr));
-
-        rrmToThread_[info.rrm] = tid;
-        threads_.push_back(info);
+        mem_.poke(tid, 9, r9);
+        mem_.poke(tid, 10, r10);
+        mem_.poke(tid, 11, static_cast<uint32_t>(layout_.flagBase + tid));
     }
-
-    // Wire the NextRRM ring (Figure 3 / Section 2.2).
-    for (size_t i = 0; i < threads_.size(); ++i) {
-        const ThreadInfo &cur = threads_[i];
-        const ThreadInfo &next = threads_[(i + 1) % threads_.size()];
-        runtime::pokeContextReg(*cpu_, cur.rrm, 2, next.rrm);
-    }
-
-    cpu_->setRrmImmediate(threads_.front().rrm);
-    cpu_->setPc(bodyAddr_);
-    result_.residentContexts =
-        static_cast<unsigned>(threads_.size());
-}
-
-void
-SyncWorkloadKernel::onFault(uint32_t)
-{
-    const auto it = rrmToThread_.find(cpu_->rrm());
-    rr_assert(it != rrmToThread_.end(), "fault from unknown context");
-    const unsigned tid = it->second;
-
-    cpu_->mem().write(threads_[tid].flagAddr, 0);
-    ++result_.faults;
-
-    pending_.push({cpu_->cycles() + config_.faultLatency, tid});
-    if (tracer_.enabled()) {
-        auto e = syncEvent(trace::EventKind::FaultIssue, cpu_->cycles(),
-                           tid, threads_[tid].rrm);
-        e.aux = config_.faultLatency;
-        tracer_.emit(e);
-    }
+    result_.residentContexts = config_.numThreads;
 }
 
 void
 SyncWorkloadKernel::onStep(uint64_t cycle, uint32_t pc)
 {
-    // The harness plays the memory system: completion flags mature
-    // as machine time advances.
-    while (!pending_.empty() && pending_.top().completion <= cycle) {
-        const PendingFault fault = pending_.top();
-        pending_.pop();
-        cpu_->mem().write(threads_[fault.tid].flagAddr, 1);
-        if (tracer_.enabled()) {
-            tracer_.emit(syncEvent(trace::EventKind::FaultComplete,
-                                   cycle, fault.tid,
-                                   threads_[fault.tid].rrm));
-        }
-    }
-
     const auto it = markers_.find(pc);
     if (it == markers_.end())
         return;
@@ -262,16 +171,7 @@ SyncWorkloadKernel::onStep(uint64_t cycle, uint32_t pc)
         break;
       case Marker::PollFail:
         ++result_.failedPolls;
-        if (tracer_.enabled()) {
-            const auto rrm_it = rrmToThread_.find(cpu_->rrm());
-            if (rrm_it != rrmToThread_.end()) {
-                auto e = syncEvent(trace::EventKind::SchedulerPoll,
-                                   cycle, rrm_it->second,
-                                   threads_[rrm_it->second].rrm);
-                e.aux = 1;
-                tracer_.emit(e);
-            }
-        }
+        mem_.pollFailed(cycle);
         break;
       case Marker::LockTake:
         ++result_.lockAcquires;
@@ -287,13 +187,8 @@ SyncWorkloadKernel::onStep(uint64_t cycle, uint32_t pc)
         break;
       case Marker::BarrierRelease:
         ++result_.barrierReleases;
-        if (tracer_.enabled()) {
-            trace::TraceEvent e;
-            e.kind = trace::EventKind::Barrier;
-            e.cycle = cycle;
-            e.aux = config_.numThreads;
-            tracer_.emit(e);
-        }
+        mem_.emit(trace::EventKind::Barrier, cycle, MemorySystem::kNoThread,
+                  MemorySystem::kNoContext, config_.numThreads);
         break;
       case Marker::ItemProduced:
         ++result_.itemsProduced;
@@ -307,25 +202,20 @@ SyncWorkloadKernel::onStep(uint64_t cycle, uint32_t pc)
 SyncWorkloadResult
 SyncWorkloadKernel::run()
 {
-    cpu_->setFaultHook(
-        [this](machine::Cpu &, uint32_t fault_class) {
-            onFault(fault_class);
+    mem_.run(
+        config_.maxSteps, result_,
+        [this](uint32_t) {
+            const unsigned tid = mem_.currentThread();
+            rr_assert(tid != MemorySystem::kNoThread,
+                      "fault from unknown context");
+            ++result_.faults;
+            mem_.issue(tid, config_.faultLatency);
+        },
+        [this](const machine::TraceEntry &entry) {
+            onStep(entry.cycle, entry.pc);
         });
-    cpu_->setTraceHook([this](const machine::TraceEntry &entry) {
-        onStep(entry.cycle, entry.pc);
-    });
 
-    cpu_->run(config_.maxSteps);
-
-    result_.halted = cpu_->halted() &&
-                     cpu_->trap() == machine::TrapKind::None;
-    result_.totalCycles = cpu_->cycles();
-    result_.usefulCycles = 2 * result_.workUnits;
-    result_.efficiencyTotal =
-        result_.totalCycles == 0
-            ? 0.0
-            : static_cast<double>(result_.usefulCycles) /
-                  static_cast<double>(result_.totalCycles);
+    result_.efficiencyTotal = result_.efficiency();
     return result_;
 }
 

@@ -22,15 +22,10 @@
 #define RR_KERNEL_SYNC_WORKLOAD_HH
 
 #include <cstdint>
-#include <memory>
-#include <queue>
 #include <unordered_map>
-#include <vector>
 
-#include "machine/cpu.hh"
-#include "runtime/context_allocator.hh"
+#include "kernel/memory_system.hh"
 #include "runtime/sync_runtime.hh"
-#include "trace/tracer.hh"
 
 namespace rr::kernel {
 
@@ -98,12 +93,8 @@ struct SyncWorkloadConfig
 };
 
 /** Results of one run. All counters are architectural, not sampled. */
-struct SyncWorkloadResult
+struct SyncWorkloadResult : KernelRun
 {
-    uint64_t totalCycles = 0;   ///< machine cycles elapsed
-    uint64_t workUnits = 0;     ///< work-loop passes executed
-    uint64_t usefulCycles = 0;  ///< 2 * workUnits (sub + bne)
-    uint64_t faults = 0;        ///< FAULT instructions executed
     uint64_t failedPolls = 0;   ///< resume polls that found the
                                 ///< fault still outstanding
     uint64_t lockAcquires = 0;  ///< successful test-and-set takes
@@ -119,8 +110,6 @@ struct SyncWorkloadResult
 
     /** usefulCycles / totalCycles over the whole run. */
     double efficiencyTotal = 0.0;
-
-    bool halted = false;        ///< machine reached HALT cleanly
 };
 
 /**
@@ -136,23 +125,9 @@ class SyncWorkloadKernel
     SyncWorkloadResult run();
 
     /** The machine (valid after construction; inspectable after run). */
-    machine::Cpu &cpu() { return *cpu_; }
-
-    /** The generated assembly source the machine is running. */
-    const std::string &source() const { return source_; }
+    machine::Cpu &cpu() { return mem_.cpu(); }
 
   private:
-    struct PendingFault
-    {
-        uint64_t completion;
-        unsigned tid;
-
-        bool operator>(const PendingFault &other) const
-        {
-            return completion > other.completion;
-        }
-    };
-
     /** What a program-counter hit at a known label means. */
     enum class Marker : uint8_t
     {
@@ -167,35 +142,18 @@ class SyncWorkloadKernel
         ItemConsumed,
     };
 
-    struct ThreadInfo
-    {
-        uint32_t rrm = 0;
-        uint64_t flagAddr = 0;
-    };
-
     unsigned producerCount() const;
     void buildProgram();
     void createThreads();
     void initMemory();
-    void onFault(uint32_t fault_class);
     void onStep(uint64_t cycle, uint32_t pc);
 
     SyncWorkloadConfig config_;
     runtime::SyncLayout layout_;
-    trace::Tracer tracer_;
-    std::unique_ptr<machine::Cpu> cpu_;
-    std::unique_ptr<runtime::ContextAllocator> allocator_;
-    std::vector<ThreadInfo> threads_;
-    std::unordered_map<uint32_t, unsigned> rrmToThread_;
+    MemorySystem mem_;
     std::unordered_map<uint32_t, Marker> markers_;
-    std::string source_;
     uint32_t bodyAddr_ = 0;       ///< thread body (producers in PC)
     uint32_t consumerAddr_ = 0;   ///< consumer body (PC scenario)
-
-    std::priority_queue<PendingFault, std::vector<PendingFault>,
-                        std::greater<PendingFault>>
-        pending_;
-
     SyncWorkloadResult result_;
 };
 

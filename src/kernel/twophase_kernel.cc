@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "assembler/assembler.hh"
 #include "base/logging.hh"
 #include "runtime/asm_routines.hh"
 
@@ -25,7 +24,8 @@ constexpr unsigned unloadedWord = 7; // blocked-and-unloaded marker
 } // namespace
 
 TwoPhaseKernel::TwoPhaseKernel(TwoPhaseConfig config)
-    : config_(std::move(config)), rng_(config_.seed)
+    : config_(std::move(config)), rng_(config_.seed),
+      mem_(128, 6, saveAreaOf(config_.numThreads), config_.traceSink)
 {
     rr_assert(config_.latency != nullptr, "latency distribution "
                                           "missing");
@@ -35,66 +35,59 @@ TwoPhaseKernel::TwoPhaseKernel(TwoPhaseConfig config)
               "1..16 slots supported");
     rr_assert(config_.numSlots <= config_.numThreads,
               "more slots than threads");
-    tracer_.attach(config_.traceSink);
-
-    machine::CpuConfig cpu_config;
-    cpu_config.numRegs = 128;
-    cpu_config.operandWidth = 6;
-    cpu_config.ldrrmDelaySlots = 1;
-    cpu_config.memWords = 1u << 15;
-    cpu_ = std::make_unique<machine::Cpu>(cpu_config);
 
     const assembler::Program prog =
-        assembler::assemble(runtime::twoPhaseSchedulerSource(
-            config_.workUnits, config_.pollBudget));
-    for (const auto &error : prog.errors)
-        rr_panic("two-phase runtime: ", error.str());
-    cpu_->mem().loadImage(prog.base, prog.words);
+        mem_.load(runtime::twoPhaseSchedulerSource(config_.workUnits,
+                                                   config_.pollBudget),
+                  "two-phase runtime");
     workAddr_ = prog.addressOf("work");
     swapOutAddr_ = prog.addressOf("swap_out");
     swapInAddr_ = prog.addressOf("swap_in");
 
     const uint32_t work_seg = prog.addressOf("work_seg");
 
-    // Save areas for every thread.
+    // Save areas for every thread; the completion flag lives in its
+    // save area, and completions belong to no context (the thread
+    // may be unloaded by then).
+    machine::Memory &memory = mem_.cpu().mem();
     for (unsigned tid = 0; tid < config_.numThreads; ++tid) {
         const uint64_t area = saveAreaOf(tid);
-        cpu_->mem().write(area + 0, work_seg);
-        cpu_->mem().write(area + 1, 0);
-        cpu_->mem().write(area + 4, config_.segmentsPerThread);
-        cpu_->mem().write(area + flagWord, 0);
-        cpu_->mem().write(area + unloadedWord, 0);
+        memory.write(area + 0, work_seg);
+        memory.write(area + 1, 0);
+        memory.write(area + 4, config_.segmentsPerThread);
+        memory.write(area + flagWord, 0);
+        memory.write(area + unloadedWord, 0);
+        mem_.addThread(area + flagWord, MemorySystem::kNoContext);
     }
 
     // Threads beyond the slots wait in the memory ready queue.
     const unsigned queued = config_.numThreads - config_.numSlots;
     for (unsigned j = 0; j < queued; ++j) {
-        cpu_->mem().write(queueAddr + j,
-                          static_cast<uint32_t>(
-                              saveAreaOf(config_.numSlots + j)));
+        memory.write(queueAddr + j, static_cast<uint32_t>(saveAreaOf(
+                                        config_.numSlots + j)));
     }
-    cpu_->mem().write(qheadAddr, 0);
-    cpu_->mem().write(qtailAddr, queued);
-    cpu_->mem().write(liveAddr, config_.numThreads);
+    memory.write(qheadAddr, 0);
+    memory.write(qtailAddr, queued);
+    memory.write(liveAddr, config_.numThreads);
 
     // Slot contexts: 8 registers at bases 0, 8, 16, ... wired into a
     // Figure 3 ring; slot i initially runs thread i.
+    machine::RegisterFile &regs = mem_.cpu().regs();
     for (unsigned slot = 0; slot < config_.numSlots; ++slot) {
         const uint32_t rrm = 8 * slot;
         const uint32_t next_rrm =
             8 * ((slot + 1) % config_.numSlots);
-        cpu_->regs().write(rrm | 0, work_seg);
-        cpu_->regs().write(rrm | 1, 0);
-        cpu_->regs().write(rrm | 2, next_rrm);
-        cpu_->regs().write(rrm | 3, 0);
-        cpu_->regs().write(
-            rrm | 4, static_cast<uint32_t>(saveAreaOf(slot)));
-        cpu_->regs().write(rrm | 5, 0);
-        cpu_->regs().write(rrm | 6, config_.segmentsPerThread);
-        cpu_->regs().write(rrm | 7, 0);
+        regs.write(rrm | 0, work_seg);
+        regs.write(rrm | 1, 0);
+        regs.write(rrm | 2, next_rrm);
+        regs.write(rrm | 3, 0);
+        regs.write(rrm | 4, static_cast<uint32_t>(saveAreaOf(slot)));
+        regs.write(rrm | 5, 0);
+        regs.write(rrm | 6, config_.segmentsPerThread);
+        regs.write(rrm | 7, 0);
     }
-    cpu_->setRrmImmediate(0);
-    cpu_->setPc(work_seg);
+    mem_.cpu().setRrmImmediate(0);
+    mem_.cpu().setPc(work_seg);
 }
 
 uint64_t
@@ -107,101 +100,70 @@ void
 TwoPhaseKernel::onFault()
 {
     // The faulting thread is identified through the slot's r4.
-    const uint32_t area = cpu_->readContextReg(4);
+    const uint32_t area = mem_.cpu().readContextReg(4);
     rr_assert(area >= saveAreaBase, "bad save-area pointer");
     const unsigned tid = static_cast<unsigned>(
         (area - saveAreaBase) / saveAreaWords);
     rr_assert(tid < config_.numThreads, "bad thread id");
 
-    const uint64_t latency =
-        std::max<uint64_t>(1, config_.latency->sample(rng_));
-    cpu_->mem().write(area + flagWord, 0);
-    pending_.push({cpu_->cycles() + latency, tid});
     ++result_.faults;
-    if (tracer_.enabled()) {
-        trace::TraceEvent e;
-        e.kind = trace::EventKind::FaultIssue;
-        e.cycle = cpu_->cycles();
-        e.tid = tid;
-        e.ctx = cpu_->rrm();
-        e.aux = latency;
-        tracer_.emit(e);
+    mem_.issue(tid, std::max<uint64_t>(1, config_.latency->sample(rng_)));
+}
+
+void
+TwoPhaseKernel::requeue(unsigned tid)
+{
+    // An unloaded thread whose fault completed goes back on the
+    // ready queue (single producer for QTAIL — the running code
+    // never writes it).
+    machine::Memory &memory = mem_.cpu().mem();
+    const uint64_t area = saveAreaOf(tid);
+    if (memory.read(area + unloadedWord) == 1) {
+        const uint32_t tail = memory.read(qtailAddr);
+        memory.write(queueAddr + (tail & queueMask),
+                     static_cast<uint32_t>(area));
+        memory.write(qtailAddr, tail + 1);
+        memory.write(area + unloadedWord, 0);
     }
 }
 
 void
 TwoPhaseKernel::onStep(uint64_t cycle, uint32_t pc)
 {
-    // The memory system: completions set the flag; an unloaded
-    // thread is put back on the ready queue (single producer for
-    // QTAIL — the running code never writes it).
-    while (!pending_.empty() && pending_.top().completion <= cycle) {
-        const unsigned tid = pending_.top().tid;
-        pending_.pop();
-        const uint64_t area = saveAreaOf(tid);
-        cpu_->mem().write(area + flagWord, 1);
-        if (tracer_.enabled()) {
-            trace::TraceEvent e;
-            e.kind = trace::EventKind::FaultComplete;
-            e.cycle = cycle;
-            e.tid = tid;
-            tracer_.emit(e);
-        }
-        if (cpu_->mem().read(area + unloadedWord) == 1) {
-            const uint32_t tail = cpu_->mem().read(qtailAddr);
-            cpu_->mem().write(queueAddr + (tail & queueMask),
-                              static_cast<uint32_t>(area));
-            cpu_->mem().write(qtailAddr, tail + 1);
-            cpu_->mem().write(area + unloadedWord, 0);
-        }
-    }
-
     if (pc == workAddr_) {
         ++result_.workUnits;
     } else if (pc == swapOutAddr_) {
         ++result_.swapOuts;
-        if (tracer_.enabled()) {
+        if (mem_.tracing()) {
             // The slot's r4 still points at the outgoing thread's
             // save area when the swap-out path is entered.
-            trace::TraceEvent e;
-            e.kind = trace::EventKind::Unload;
-            e.cycle = cycle;
-            e.ctx = cpu_->rrm();
-            const uint32_t area = cpu_->readContextReg(4);
-            if (area >= saveAreaBase)
-                e.tid = static_cast<unsigned>(
-                    (area - saveAreaBase) / saveAreaWords);
-            tracer_.emit(e);
+            const uint32_t area = mem_.cpu().readContextReg(4);
+            mem_.emit(trace::EventKind::Unload, cycle,
+                      area >= saveAreaBase
+                          ? static_cast<unsigned>((area - saveAreaBase) /
+                                                  saveAreaWords)
+                          : MemorySystem::kNoThread,
+                      mem_.cpu().rrm());
         }
     } else if (pc == swapInAddr_) {
         ++result_.dequeues;
-        if (tracer_.enabled()) {
-            trace::TraceEvent e;
-            e.kind = trace::EventKind::Load;
-            e.cycle = cycle;
-            e.ctx = cpu_->rrm();
-            tracer_.emit(e);
-        }
+        mem_.emit(trace::EventKind::Load, cycle, MemorySystem::kNoThread,
+                  mem_.cpu().rrm());
     }
 }
 
 TwoPhaseResult
 TwoPhaseKernel::run()
 {
-    cpu_->setFaultHook(
-        [this](machine::Cpu &, uint32_t) { onFault(); });
-    cpu_->setTraceHook([this](const machine::TraceEntry &entry) {
-        onStep(entry.cycle, entry.pc);
-        if (observer_)
-            observer_(entry);
-    });
+    mem_.run(
+        config_.maxSteps, result_, [this](uint32_t) { onFault(); },
+        [this](const machine::TraceEntry &entry) {
+            onStep(entry.cycle, entry.pc);
+            if (observer_)
+                observer_(entry);
+        },
+        [this](unsigned tid) { requeue(tid); });
 
-    cpu_->run(config_.maxSteps);
-
-    result_.halted = cpu_->halted() &&
-                     cpu_->trap() == machine::TrapKind::None;
-    result_.totalCycles = cpu_->cycles();
-    result_.usefulCycles = 2 * result_.workUnits;
     return result_;
 }
 

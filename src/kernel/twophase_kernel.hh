@@ -16,13 +16,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
-#include <vector>
 
 #include "base/distributions.hh"
 #include "base/rng.hh"
-#include "machine/cpu.hh"
-#include "trace/tracer.hh"
+#include "kernel/memory_system.hh"
 
 namespace rr::kernel {
 
@@ -49,24 +46,10 @@ struct TwoPhaseConfig
 };
 
 /** Results of a two-phase slot-scheduler run. */
-struct TwoPhaseResult
+struct TwoPhaseResult : KernelRun
 {
-    uint64_t totalCycles = 0;
-    uint64_t workUnits = 0;
-    uint64_t usefulCycles = 0; ///< 2 * workUnits
-    uint64_t faults = 0;
     uint64_t swapOuts = 0;     ///< unload commits (incl. cancelled)
     uint64_t dequeues = 0;     ///< threads (re)loaded into slots
-    bool halted = false;
-
-    double
-    efficiency() const
-    {
-        return totalCycles == 0
-                   ? 0.0
-                   : static_cast<double>(usefulCycles) /
-                         static_cast<double>(totalCycles);
-    }
 };
 
 /** Build, run, and summarize one two-phase execution. */
@@ -78,7 +61,7 @@ class TwoPhaseKernel
     /** Run to HALT (or the step cap). */
     TwoPhaseResult run();
 
-    machine::Cpu &cpu() { return *cpu_; }
+    machine::Cpu &cpu() { return mem_.cpu(); }
 
     /**
      * Optional per-instruction observer, chained after the kernel's
@@ -95,30 +78,16 @@ class TwoPhaseKernel
     uint64_t saveAreaOf(unsigned tid) const;
 
   private:
-    struct PendingFault
-    {
-        uint64_t completion;
-        unsigned tid;
-
-        bool operator>(const PendingFault &other) const
-        {
-            return completion > other.completion;
-        }
-    };
-
     void onFault();
     void onStep(uint64_t cycle, uint32_t pc);
+    void requeue(unsigned tid);
 
     TwoPhaseConfig config_;
     Rng rng_;
-    trace::Tracer tracer_;
-    std::unique_ptr<machine::Cpu> cpu_;
+    MemorySystem mem_;
     uint32_t workAddr_ = 0;
     uint32_t swapOutAddr_ = 0;
     uint32_t swapInAddr_ = 0;
-    std::priority_queue<PendingFault, std::vector<PendingFault>,
-                        std::greater<PendingFault>>
-        pending_;
     machine::Cpu::TraceHook observer_;
     TwoPhaseResult result_;
 };

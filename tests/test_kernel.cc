@@ -6,10 +6,15 @@
  * actual machine execution.
  */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "analysis/efficiency_model.hh"
 #include "kernel/machine_mt_kernel.hh"
+#include "kernel/rotation_kernel.hh"
+#include "kernel/sync_workload.hh"
+#include "kernel/twophase_kernel.hh"
 #include "multithread/workload.hh"
 
 namespace rr::kernel {
@@ -183,6 +188,47 @@ TEST(MachineKernelDeath, OverfullFileRejected)
     config.numRegs = 64;
     config.forcedContextSize = 32; // only 2 fit
     EXPECT_DEATH(runMachineKernel(config), "does not fit");
+}
+
+TEST(KernelStop, StepCapIsReported)
+{
+    // Each kernel, run with @p max_steps (0 = its default cap).
+    const std::function<KernelRun(uint64_t)> kernels[] = {
+        [](uint64_t max_steps) {
+            KernelConfig config = baseConfig(4, 40, 300);
+            config.maxSteps = max_steps != 0 ? max_steps : config.maxSteps;
+            return KernelRun(runMachineKernel(config));
+        },
+        [](uint64_t max_steps) {
+            SyncWorkloadConfig config;
+            config.maxSteps = max_steps != 0 ? max_steps : config.maxSteps;
+            return KernelRun(runSyncWorkload(config));
+        },
+        [](uint64_t max_steps) {
+            TwoPhaseConfig config;
+            config.latency = makeConstant(300);
+            config.maxSteps = max_steps != 0 ? max_steps : config.maxSteps;
+            return KernelRun(runTwoPhaseKernel(config));
+        },
+        [](uint64_t max_steps) {
+            RotationConfig config;
+            config.maxSteps = max_steps != 0 ? max_steps : config.maxSteps;
+            return KernelRun(runRotationKernel(config));
+        },
+    };
+    for (const auto &run : kernels) {
+        const KernelRun capped = run(25);
+        EXPECT_FALSE(capped.halted);
+        EXPECT_EQ(capped.stop.reason, StopReason::StepCap);
+        EXPECT_EQ(capped.stop.steps, 25u);
+        EXPECT_EQ(capped.stop.str(), "hit the step cap after 25 steps");
+
+        const KernelRun full = run(0);
+        EXPECT_TRUE(full.halted);
+        EXPECT_EQ(full.stop.reason, StopReason::Halted);
+        EXPECT_GT(full.stop.steps, 25u);
+        EXPECT_EQ(full.usefulCycles, 2 * full.workUnits);
+    }
 }
 
 } // namespace

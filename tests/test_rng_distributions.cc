@@ -117,6 +117,38 @@ TEST(Distributions, ExponentialMeanMatches)
     }
 }
 
+// Draws past the uint64_t range saturate instead of wrapping: mean
+// 1e300 is all UINT64_MAX, and draws stay nondecreasing in the mean
+// through [2^63, 2^64), where llround used to overflow.
+TEST(Distributions, ExponentialSaturates)
+{
+    const ExponentialDist huge(1e300);
+    const ExponentialDist big(4e18);
+    const ExponentialDist small(1e18);
+    Rng huge_rng(5);
+    Rng big_rng(5);
+    Rng small_rng(5);
+    unsigned above_2_63 = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const uint64_t h = huge.sample(huge_rng);
+        const uint64_t b = big.sample(big_rng);
+        const uint64_t s = small.sample(small_rng);
+        ASSERT_EQ(h, UINT64_MAX);
+        ASSERT_LE(s, b);
+        above_2_63 += b > (uint64_t{1} << 63) ? 1 : 0;
+    }
+    EXPECT_GT(above_2_63, 0u);
+}
+
+// 1 - 1/mean rounds to 1 from 2^53 on: such means are rejected.
+TEST(Distributions, GeometricMeanDomainIsBounded)
+{
+    EXPECT_DEATH(GeometricDist(1e17), "2\\^53");
+    const GeometricDist largest(0x1p53 - 1.0);
+    Rng rng(3);
+    EXPECT_GT(largest.sample(rng), 1u);
+}
+
 // The paper's context sizes: C uniform on [6, 24], mean 15.
 TEST(Distributions, UniformIntMeanAndBounds)
 {

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/io.hh"
 #include "exp/json_in.hh"
 #include "kernel/machine_mt_kernel.hh"
+#include "kernel/rotation_kernel.hh"
+#include "kernel/sync_workload.hh"
+#include "kernel/twophase_kernel.hh"
 #include "multithread/simulation_spec.hh"
 #include "multithread/workload.hh"
 #include "trace/audit.hh"
@@ -504,6 +508,85 @@ TEST(KernelTrace, BarrierModeEmitsBarrierReleases)
             ++barriers;
     EXPECT_EQ(barriers, result.barriers);
     EXPECT_GT(barriers, 0u);
+}
+
+/**
+ * FNV-1a digest of the rr.trace.v1 JSONL stream @p run writes when
+ * handed a StreamJsonSink; @p run returns the kernel's halted flag.
+ */
+template <typename Run>
+uint64_t
+streamDigest(Run run)
+{
+    std::ostringstream out;
+    trace::StreamJsonSink sink(out);
+    EXPECT_TRUE(run(&sink));
+    const std::string text = out.str();
+    return ckpt::fnv1a(reinterpret_cast<const uint8_t *>(text.data()),
+                       text.size());
+}
+
+TEST(KernelTrace, StreamsArePinned)
+{
+    // The byte streams of one small run per kernel harness. A change
+    // to fault issue/delivery order, same-cycle completion order,
+    // event fields or RNG draw order moves a digest.
+    const auto machine = [](kernel::FaultService service) {
+        return [service](trace::TraceSink *sink) {
+            kernel::KernelConfig config;
+            config.numThreads = 4;
+            config.segmentUnits = makeGeometric(24.0);
+            config.service = service;
+            config.latency = makeExponential(150.0);
+            config.segmentsPerThread = 6;
+            config.seed = 7;
+            config.traceSink = sink;
+            return kernel::runMachineKernel(config).halted;
+        };
+    };
+    const auto sync = [](runtime::SyncScenario scenario) {
+        return [scenario](trace::TraceSink *sink) {
+            kernel::SyncWorkloadConfig config;
+            config.scenario = scenario;
+            config.traceSink = sink;
+            return kernel::runSyncWorkload(config).halted;
+        };
+    };
+    const auto twophase = [](trace::TraceSink *sink) {
+        kernel::TwoPhaseConfig config;
+        config.numThreads = 6;
+        config.numSlots = 2;
+        config.segmentsPerThread = 4;
+        config.workUnits = 6;
+        config.pollBudget = 2;
+        config.latency = makeExponential(300.0);
+        config.seed = 3;
+        config.traceSink = sink;
+        return kernel::runTwoPhaseKernel(config).halted;
+    };
+    const auto rotation = [](trace::TraceSink *sink) {
+        kernel::RotationConfig config;
+        config.numThreads = 6;
+        config.segmentsPerThread = 4;
+        config.workUnits = 10;
+        config.traceSink = sink;
+        return kernel::runRotationKernel(config).halted;
+    };
+
+    EXPECT_EQ(streamDigest(machine(kernel::FaultService::Latency)),
+              0x4b516c6c279eb59fULL) << "machine-MT latency";
+    EXPECT_EQ(streamDigest(machine(kernel::FaultService::Barrier)),
+              0xc51c821d45230b15ULL) << "machine-MT barrier";
+    EXPECT_EQ(streamDigest(sync(runtime::SyncScenario::UncontendedLock)),
+              0x23613136321f5225ULL) << "sync uncontended";
+    EXPECT_EQ(streamDigest(sync(runtime::SyncScenario::LockConvoy)),
+              0x19939a22a63468a1ULL) << "sync convoy";
+    EXPECT_EQ(streamDigest(sync(runtime::SyncScenario::ProducerConsumer)),
+              0xcfa2466b5a2b184bULL) << "sync producer/consumer";
+    EXPECT_EQ(streamDigest(sync(runtime::SyncScenario::BarrierSkew)),
+              0xe870a923c2b2e560ULL) << "sync barrier";
+    EXPECT_EQ(streamDigest(twophase), 0xc55ddec3eb7cdf40ULL) << "two-phase";
+    EXPECT_EQ(streamDigest(rotation), 0xb54fbbf2488c9f68ULL) << "rotation";
 }
 
 } // namespace

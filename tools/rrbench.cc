@@ -26,11 +26,12 @@
  * (docs/TRACE.md) to every simulation of every sweep; any violation
  * fails the run. --trace-figure NAME captures a representative event
  * trace of that figure and writes TRACE_<NAME>.json (Chrome
- * trace_event format, opens in Perfetto).
+ * trace_event format, opens in Perfetto); a figure whose simulations
+ * emit no events gets no file and fails the run.
  *
  * Exit status (docs/TOOLS.md): 0 on success, 1 when --compare
  * detects a shape regression, 2 on I/O, validation, or audit
- * failure, 64 on usage errors.
+ * failure or an empty --trace-figure capture, 64 on usage errors.
  */
 
 #include <cstdio>
@@ -345,6 +346,7 @@ main(int argc, char **argv)
     unsigned ran = 0;
     unsigned regressions = 0;
     uint64_t audit_problems = 0;
+    unsigned empty_traces = 0;
     std::vector<FigureOutcome> outcomes;
     for (const auto &figure : figures) {
         // --perf selects exactly the microbenchmark set; paper runs
@@ -400,7 +402,13 @@ main(int argc, char **argv)
                             summary.problemsTotal));
                 }
             }
-            if (capture) {
+            if (capture && summary.captures.empty()) {
+                // A trace with no events shows nothing: fail instead
+                // of writing an empty document.
+                std::fprintf(stderr, "trace: %s emitted no events\n",
+                             figure.name.c_str());
+                ++empty_traces;
+            } else if (capture) {
                 const std::string trace_path =
                     (std::filesystem::path(out_dir) /
                      ("TRACE_" + figure.name + ".json"))
@@ -500,6 +508,8 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(audit_problems));
         return kExitFailure;
     }
+    if (empty_traces > 0)
+        return kExitFailure;
     if (regressions > 0) {
         std::fprintf(stderr,
                      "rrbench: %u figure(s) regressed against the "
