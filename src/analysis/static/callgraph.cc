@@ -10,31 +10,7 @@
 
 namespace rr::lint {
 
-using isa::Instruction;
 using isa::Opcode;
-
-namespace {
-
-/** Context-relative register operands of @p inst (reads vs writes). */
-void
-operandBits(const Instruction &inst, uint64_t &read, uint64_t &written)
-{
-    const isa::FormatInfo info =
-        isa::formatInfo(isa::formatOf(inst.op));
-    if (info.hasRd) {
-        // ST's slot A is read, not written (mirrors the CPU).
-        if (inst.op == Opcode::ST)
-            read |= uint64_t{1} << (inst.rd & 63);
-        else
-            written |= uint64_t{1} << (inst.rd & 63);
-    }
-    if (info.hasRs1)
-        read |= uint64_t{1} << (inst.rs1 & 63);
-    if (info.hasRs2)
-        read |= uint64_t{1} << (inst.rs2 & 63);
-}
-
-} // namespace
 
 CallGraph::CallGraph(const Cfg &cfg) : cfg_(cfg)
 {
@@ -224,8 +200,11 @@ CallGraph::summarize()
                 const CfgInstruction &ci = cfg_.at(addr);
                 if (!ci.valid)
                     continue;
-                operandBits(ci.inst, proc.regsRead,
-                            proc.regsWritten);
+                for (const isa::RegisterOperand &op :
+                     isa::registerOperands(ci.inst)) {
+                    (op.isWrite ? proc.regsWritten : proc.regsRead) |=
+                        uint64_t{1} << (op.reg & 63);
+                }
                 if (ci.inst.op == Opcode::LDRRM ||
                     ci.inst.op == Opcode::LDRRMX) {
                     proc.switchesRrm = true;

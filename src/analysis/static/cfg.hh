@@ -3,9 +3,9 @@
  * Control-flow graph construction over an assembled RRISC image.
  *
  * This is the backbone of the Section 2.4 static checking tool: the
- * seed's boundary checker looked at each instruction in isolation,
- * whereas the dataflow analyses (liveness, RRM tracking) need basic
- * blocks with explicit successor edges.
+ * flat boundary rule looks at each instruction in isolation, whereas
+ * the dataflow analyses (liveness, RRM tracking) need basic blocks
+ * with explicit successor edges.
  *
  * Block leaders are: the image base, every label, every direct
  * branch/jump target, and the instruction following any control

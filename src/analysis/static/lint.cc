@@ -10,11 +10,11 @@
 #include "base/bitops.hh"
 #include "base/logging.hh"
 #include "exp/json_out.hh"
+#include "machine/relocation_unit.hh"
 
 namespace rr::lint {
 
 using isa::Instruction;
-using isa::Opcode;
 
 const char *
 severityName(Severity severity)
@@ -68,30 +68,6 @@ selectsOtherBank(unsigned reg, const LintOptions &options)
         return false;
     const unsigned bank_bits = log2Ceil(options.banks);
     return (reg >> (options.operandWidth - bank_bits)) != 0;
-}
-
-/** Register operands of @p inst with their slot names. */
-struct Operand
-{
-    const char *slot;
-    unsigned reg;
-    bool isWrite;
-};
-
-std::vector<Operand>
-operandsOf(const Instruction &inst)
-{
-    std::vector<Operand> out;
-    const isa::FormatInfo info = isa::formatInfo(isa::formatOf(inst.op));
-    if (info.hasRd) {
-        // ST's slot A is read, not written (mirrors the CPU).
-        out.push_back({"rd", inst.rd, inst.op != Opcode::ST});
-    }
-    if (info.hasRs1)
-        out.push_back({"rs1", inst.rs1, false});
-    if (info.hasRs2)
-        out.push_back({"rs2", inst.rs2, false});
-    return out;
 }
 
 class Linter
@@ -150,7 +126,8 @@ Linter::flatCheck()
         }
         if (options_.declaredContext == 0)
             continue;
-        for (const Operand &op : operandsOf(inst)) {
+        for (const isa::RegisterOperand &op :
+             isa::registerOperands(inst)) {
             const unsigned offset = bankOffset(op.reg, options_);
             if (offset < options_.declaredContext)
                 continue;
@@ -201,7 +178,8 @@ Linter::flowChecks(const Cfg &cfg, const RrmAnalysis &rrm,
         const AbsVal mask = rrm.rrmBefore(ci.address);
         if (!mask.isConst() || mask.value == 0)
             continue;
-        for (const Operand &op : operandsOf(ci.inst)) {
+        for (const isa::RegisterOperand &op :
+             isa::registerOperands(ci.inst)) {
             if (selectsOtherBank(op.reg, options_))
                 continue;
             const unsigned offset = bankOffset(op.reg, options_);
@@ -238,7 +216,8 @@ Linter::buildThreadReports(const Cfg &cfg, const RrmAnalysis &rrm,
         if (!mask.isConst())
             continue;
         ThreadReport &report = reports[mask.value];
-        for (const Operand &op : operandsOf(ci.inst)) {
+        for (const isa::RegisterOperand &op :
+             isa::registerOperands(ci.inst)) {
             if (selectsOtherBank(op.reg, options_))
                 continue;
             report.footprint |= uint64_t{1}
@@ -308,7 +287,8 @@ Linter::crossContextChecks(const Cfg &cfg, const RrmAnalysis &rrm)
         const AbsVal mask = rrm.rrmBefore(ci.address);
         if (!mask.isConst())
             continue;
-        for (const Operand &op : operandsOf(ci.inst)) {
+        for (const isa::RegisterOperand &op :
+             isa::registerOperands(ci.inst)) {
             if (!op.isWrite || selectsOtherBank(op.reg, options_))
                 continue;
             uint32_t physical;
@@ -550,12 +530,20 @@ regList(uint64_t mask)
 
 } // namespace
 
+std::string
+geometryError(const LintOptions &options)
+{
+    return machine::geometryError(1u << options.operandWidth,
+                                  options.operandWidth,
+                                  std::max(1u, options.banks));
+}
+
 LintResult
 lintProgram(const assembler::Program &program,
             const LintOptions &options)
 {
-    rr_assert(options.operandWidth >= 1 && options.operandWidth <= 6,
-              "operand width must be in [1, 6]");
+    const std::string geometry = geometryError(options);
+    rr_assert(geometry.empty(), geometry);
     Linter linter(program, options);
     return linter.run();
 }

@@ -2,9 +2,10 @@
  * @file
  * rrlint — CFG + dataflow static analysis of RRISC images.
  *
- * This is the Section 2.4 tool grown up: where the seed's
- * `checker::checkProgram` did a flat per-instruction operand check
- * against a hand-declared context size, this pass:
+ * This is the Section 2.4 tool. With `declaredContext = N` and
+ * `flowSensitive = false` it is the flat per-instruction check: every
+ * register operand (isa::registerOperands) must address below N. With
+ * the flow-sensitive passes on (the default) it also:
  *
  *  - builds a control-flow graph (cfg.hh);
  *  - runs backward liveness with LDRRM window barriers (liveness.hh)
@@ -183,7 +184,15 @@ struct LintResult
     bool clean() const { return errors == 0 && warnings == 0; }
 };
 
-/** Run every analysis over @p program. */
+/**
+ * machine::geometryError for the operand width and bank count of
+ * @p options. No register file is modelled, so 2^w registers always
+ * fit; banks 0 and 1 both mean one bank.
+ * @return "" when lintProgram accepts @p options.
+ */
+std::string geometryError(const LintOptions &options);
+
+/** Run every analysis over @p program (asserts geometryError is ""). */
 LintResult lintProgram(const assembler::Program &program,
                        const LintOptions &options = {});
 

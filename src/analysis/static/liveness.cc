@@ -13,20 +13,8 @@ UseDef
 useDef(const Instruction &inst)
 {
     UseDef ud;
-    const isa::FormatInfo info = isa::formatInfo(isa::formatOf(inst.op));
-    auto bit = [](unsigned r) { return uint64_t{1} << (r & 63); };
-    if (info.hasRs1)
-        ud.uses |= bit(inst.rs1);
-    if (info.hasRs2)
-        ud.uses |= bit(inst.rs2);
-    if (info.hasRd) {
-        // ST's slot A is the stored value — a source, not a
-        // destination (mirrors Cpu::execute).
-        if (inst.op == Opcode::ST)
-            ud.uses |= bit(inst.rd);
-        else
-            ud.defs |= bit(inst.rd);
-    }
+    for (const isa::RegisterOperand &op : isa::registerOperands(inst))
+        (op.isWrite ? ud.defs : ud.uses) |= uint64_t{1} << (op.reg & 63);
     return ud;
 }
 

@@ -2,12 +2,12 @@
  * @file
  * Forward abstract interpretation of the register relocation mask.
  *
- * The seed's boundary checker required hand-declared `Region`s saying
- * which context size governs which code. This analysis makes the
- * check flow-sensitive instead: it tracks the RRM through `LDRRM`
- * (including its delay slots) by propagating constants through the
- * register file, so `li r10, 0x20; ldrrm r10` is understood to open
- * the context window at physical register 0x20.
+ * A flat boundary check needs a declared context size for the code it
+ * checks. This analysis makes the check flow-sensitive instead: it
+ * tracks the RRM through `LDRRM` (including its delay slots) by
+ * propagating constants through the register file, so
+ * `li r10, 0x20; ldrrm r10` is understood to open the context window
+ * at physical register 0x20.
  *
  * Abstract domain, per program point:
  *   - the RRM (bank 0): unreachable / known constant / unknown;

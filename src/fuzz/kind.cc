@@ -357,23 +357,4 @@ splitWords(const std::string &text)
     return words;
 }
 
-bool
-validateGeometry(unsigned numRegs, unsigned operandWidth,
-                 unsigned banks, std::string &error)
-{
-    if (!pow2(numRegs) || !pow2(banks) ||
-        (1u << operandWidth) > numRegs) {
-        error = "inconsistent relocation geometry";
-        return false;
-    }
-    unsigned bank_bits = 0;
-    while ((1u << bank_bits) < banks)
-        ++bank_bits;
-    if (bank_bits >= operandWidth) {
-        error = "banks do not fit the operand width";
-        return false;
-    }
-    return true;
-}
-
 } // namespace rr::fuzz

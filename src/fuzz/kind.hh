@@ -434,10 +434,6 @@ extern const KindOps relocKind, heapKind, jsonKind, numKind, phaseKind,
 // ---------------------------------------------------------------------
 // shared between kinds
 
-/** reloc + program: the RelocationUnit geometry constraints. */
-bool validateGeometry(unsigned numRegs, unsigned operandWidth,
-                      unsigned banks, std::string &error);
-
 /** mt + ckpt: a ckpt sample embeds an mt spec (kinds/mt.cc). */
 MtSample genMt(Rng &rng);
 std::span<const Field<MtSample>> mtFields();

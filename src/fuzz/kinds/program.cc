@@ -655,9 +655,10 @@ readWord(const Line &line, ProgramSample &s, std::string &)
 bool
 validateProgram(const ProgramSample &s, std::string &error)
 {
-    return inRange(s.words.size(), 0, s.memWords, "program size",
-                   error) &&
-           validateGeometry(s.numRegs, s.operandWidth, s.banks, error);
+    if (!inRange(s.words.size(), 0, s.memWords, "program size", error))
+        return false;
+    error = machine::geometryError(s.numRegs, s.operandWidth, s.banks);
+    return error.empty();
 }
 
 constexpr Codec<ProgramSample> kCodec{

@@ -160,8 +160,10 @@ readOp(const Line &line, RelocSample &s, std::string &)
 bool
 validateReloc(const RelocSample &s, std::string &error)
 {
-    if (!inRange(s.ops.size(), 0, 100000, "op count", error) ||
-        !validateGeometry(s.numRegs, s.operandWidth, s.banks, error))
+    if (!inRange(s.ops.size(), 0, 100000, "op count", error))
+        return false;
+    error = machine::geometryError(s.numRegs, s.operandWidth, s.banks);
+    if (!error.empty())
         return false;
     for (const RelocOp &op : s.ops) {
         if (op.kind == RelocOp::SetMask) {

@@ -62,6 +62,45 @@ uint32_t encode(const Instruction &inst);
  */
 bool decode(uint32_t word, Instruction &out);
 
+/** One register operand of an instruction. */
+struct RegisterOperand
+{
+    const char *slot = ""; ///< "rd", "rs1" or "rs2"
+    unsigned reg = 0;      ///< context-relative register number
+    bool isWrite = false;  ///< the instruction writes (vs reads) it
+};
+
+/** The register operands of one instruction, in rd, rs1, rs2 order. */
+struct RegisterOperands
+{
+    RegisterOperand slots[3];
+    unsigned count = 0;
+
+    const RegisterOperand *begin() const { return slots; }
+    const RegisterOperand *end() const { return slots + count; }
+};
+
+/**
+ * Which register slots @p inst reads and writes, derived from its
+ * format: the one statement of operand direction that the static
+ * analyses (liveness, call-graph summaries, rrlint's operand checks)
+ * share. B-format has no rd (its slot A is rs1), and ST's rd is the
+ * stored value, so it is a read (as in Cpu::execute).
+ */
+inline RegisterOperands
+registerOperands(const Instruction &inst)
+{
+    RegisterOperands out;
+    const FormatInfo info = formatInfo(inst.format());
+    if (info.hasRd)
+        out.slots[out.count++] = {"rd", inst.rd, inst.op != Opcode::ST};
+    if (info.hasRs1)
+        out.slots[out.count++] = {"rs1", inst.rs1, false};
+    if (info.hasRs2)
+        out.slots[out.count++] = {"rs2", inst.rs2, false};
+    return out;
+}
+
 /** Render @p inst as assembly text. */
 std::string disassemble(const Instruction &inst);
 

@@ -599,18 +599,15 @@ Cpu::configFromCheckpoint(const ckpt::Reader &reader)
 
     // Geometry sanity before the CpuConfig reaches a constructor
     // assertion (hostile files must fail with ckpt::Error, not abort).
-    const auto pow2 = [](uint64_t v) {
-        return v != 0 && (v & (v - 1)) == 0;
-    };
-    if (!pow2(config.numRegs) || config.operandWidth < 1 ||
-        config.operandWidth > 6 ||
-        (1u << config.operandWidth) > config.numRegs ||
-        !pow2(config.rrmBanks) ||
-        log2Ceil(config.rrmBanks) >= config.operandWidth ||
-        config.memWords == 0 ||
-        config.memWords > (size_t{1} << 32))
+    const std::string geometry = geometryError(
+        config.numRegs, config.operandWidth, config.rrmBanks);
+    if (!geometry.empty())
         throw ckpt::Error("checkpoint machine configuration is "
-                          "invalid or hostile");
+                          "invalid: " + geometry);
+    if (config.memWords == 0 || config.memWords > (size_t{1} << 32))
+        throw ckpt::Error("checkpoint machine configuration is "
+                          "invalid: memory of " +
+                          std::to_string(config.memWords) + " words");
     return config;
 }
 

@@ -8,6 +8,31 @@
 
 namespace rr::machine {
 
+std::string
+geometryError(unsigned num_regs, unsigned operand_width,
+              unsigned num_banks)
+{
+    if (operand_width < 1 || operand_width > 6)
+        return "operand width must be in [1, 6]: " +
+               std::to_string(operand_width);
+    if (!isPowerOfTwo(num_regs))
+        return "register file size must be a power of two: " +
+               std::to_string(num_regs);
+    if ((1u << operand_width) > num_regs)
+        return "operand width " + std::to_string(operand_width) +
+               " addresses more registers (" +
+               std::to_string(1u << operand_width) + ") than the " +
+               "register file holds: " + std::to_string(num_regs);
+    if (!isPowerOfTwo(num_banks))
+        return "RRM bank count must be a power of two: " +
+               std::to_string(num_banks);
+    if (log2Ceil(num_banks) >= operand_width)
+        return std::to_string(num_banks) +
+               " RRM banks leave no offset bits in operand width " +
+               std::to_string(operand_width);
+    return "";
+}
+
 RelocationUnit::RelocationUnit(unsigned num_regs, unsigned operand_width,
                                RelocationMode mode, unsigned num_banks)
     : numRegs_(num_regs),
@@ -17,16 +42,9 @@ RelocationUnit::RelocationUnit(unsigned num_regs, unsigned operand_width,
       contextSize_(1u << operand_width),
       masks_(num_banks, 0)
 {
-    rr_assert(isPowerOfTwo(num_regs),
-              "register file size must be a power of two: ", num_regs);
-    rr_assert(operand_width >= 1 && operand_width <= 6,
-              "operand width must be in [1, 6]: ", operand_width);
-    rr_assert(num_banks >= 1 && isPowerOfTwo(num_banks),
-              "bank count must be a power of two >= 1: ", num_banks);
-    rr_assert((1u << operand_width) <= num_regs,
-              "operand width addresses more registers than exist");
-    rr_assert(log2Ceil(num_banks) < operand_width,
-              "too many banks for the operand width");
+    const std::string error =
+        geometryError(num_regs, operand_width, num_banks);
+    rr_assert(error.empty(), error);
 }
 
 const RelocationResult *

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/bitops.hh"
@@ -45,6 +46,20 @@ enum class RelocationMode : uint8_t
     Mux,  ///< per-bit select with bounds checking (footnote 3)
     Add,  ///< base + offset (Am29000 comparison, Section 4)
 };
+
+/**
+ * The relocation geometry rule, stated once: the register file size
+ * F is a power of two, the operand width w is in [1, 6], 2^w <= F,
+ * the RRM bank count B is a power of two, and its log2 B bank-select
+ * bits leave at least one offset bit (log2 B < w). The unit's
+ * constructor asserts it; checkpoint restore, the fuzz kinds and the
+ * tools check it first and report the message.
+ *
+ * @return "" when the geometry is valid, else a message naming the
+ *         offending value.
+ */
+std::string geometryError(unsigned num_regs, unsigned operand_width,
+                          unsigned num_banks);
 
 /** Result of relocating one operand. */
 struct RelocationResult

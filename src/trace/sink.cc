@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "base/logging.hh"
-
 namespace rr::trace {
 
 const char *
@@ -38,41 +36,6 @@ eventKindName(EventKind kind)
         return "barrier";
     }
     return "unknown";
-}
-
-RingBufferSink::RingBufferSink(std::size_t capacity)
-    : capacity_(capacity)
-{
-    rr_assert(capacity_ > 0, "ring sink needs capacity >= 1");
-    ring_.reserve(capacity_);
-}
-
-void
-RingBufferSink::emit(const TraceEvent &event)
-{
-    if (ring_.size() < capacity_) {
-        ring_.push_back(event);
-    } else {
-        ring_[next_] = event;
-        ++dropped_;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++emitted_;
-}
-
-std::vector<TraceEvent>
-RingBufferSink::snapshot() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < capacity_) {
-        out = ring_;
-        return out;
-    }
-    // Full ring: next_ points at the oldest retained event.
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-        out.push_back(ring_[(next_ + i) % capacity_]);
-    return out;
 }
 
 std::string

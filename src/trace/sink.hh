@@ -7,9 +7,6 @@
  *
  *  - VectorSink: unbounded in-memory record, for tests, audits that
  *    need replay, and the Chrome exporter;
- *  - RingBufferSink: fixed-capacity ring that keeps the most recent
- *    events and counts what it dropped — the always-on, bounded-
- *    overhead "flight recorder" configuration;
  *  - StreamJsonSink: streaming JSON Lines ("rr.trace.v1" records,
  *    docs/TRACE.md) for rrsim --trace=FILE and offline tooling;
  *  - TeeSink: fan one emission stream out to two sinks (e.g. audit
@@ -22,7 +19,6 @@
 #ifndef RR_TRACE_SINK_HH
 #define RR_TRACE_SINK_HH
 
-#include <cstddef>
 #include <ostream>
 #include <vector>
 
@@ -57,36 +53,6 @@ class VectorSink : public TraceSink
 
   private:
     std::vector<TraceEvent> events_;
-};
-
-/**
- * Fixed-capacity ring: keeps the last @p capacity events, counting
- * (never silently hiding) how many older events were overwritten.
- */
-class RingBufferSink : public TraceSink
-{
-  public:
-    explicit RingBufferSink(std::size_t capacity);
-
-    void emit(const TraceEvent &event) override;
-
-    /** Retained events, oldest first. */
-    std::vector<TraceEvent> snapshot() const;
-
-    std::size_t capacity() const { return capacity_; }
-
-    /** Events overwritten because the ring was full. */
-    uint64_t dropped() const { return dropped_; }
-
-    /** Total events ever emitted into the ring. */
-    uint64_t emitted() const { return emitted_; }
-
-  private:
-    std::size_t capacity_;
-    std::size_t next_ = 0;
-    uint64_t emitted_ = 0;
-    uint64_t dropped_ = 0;
-    std::vector<TraceEvent> ring_;
 };
 
 /**

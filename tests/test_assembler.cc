@@ -1,8 +1,9 @@
 /**
  * @file
  * Assembler tests: labels, directives, pseudo-instructions, PC-
- * relative branch resolution, memory operands, comments, and error
- * diagnostics.
+ * relative branch resolution, memory operands, comments, error
+ * diagnostics, and a robustness fuzz: arbitrary garbage input must
+ * produce diagnostics, never crashes or bogus images.
  */
 
 #include <gtest/gtest.h>
@@ -409,6 +410,51 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(
             isa::mnemonicOf(static_cast<isa::Opcode>(info.param)));
     });
+
+// Robustness fuzz: random printable garbage through the assembler.
+TEST(AssemblerFuzz, GarbageNeverCrashes)
+{
+    Rng rng(2026);
+    const char charset[] =
+        "abcdefghijklmnopqrstuvwxyz0123456789 ,():.#;-rx\n\t";
+    for (int trial = 0; trial < 500; ++trial) {
+        std::string source;
+        const size_t len = 1 + rng.nextRange(0, 200);
+        for (size_t i = 0; i < len; ++i) {
+            source.push_back(
+                charset[rng.nextRange(0, sizeof(charset) - 2)]);
+        }
+        const assembler::Program prog = assembler::assemble(source);
+        // Either it assembled (tiny chance) or produced diagnostics;
+        // both must leave a consistent Program.
+        if (!prog.ok()) {
+            EXPECT_FALSE(prog.errors.empty());
+        }
+        EXPECT_EQ(prog.words.size(), prog.lines.size());
+    }
+}
+
+// Mutation fuzz: start from valid code, flip characters.
+TEST(AssemblerFuzz, MutatedValidProgramsNeverCrash)
+{
+    const std::string valid = "start: addi r1, r2, 10\n"
+                              "  ld r3, 4(r1)\n"
+                              "  bne r1, r3, start\n"
+                              "  jal r0, start\n"
+                              "  halt\n";
+    Rng rng(77);
+    for (int trial = 0; trial < 500; ++trial) {
+        std::string source = valid;
+        const int mutations = 1 + static_cast<int>(rng.nextRange(0, 4));
+        for (int m = 0; m < mutations; ++m) {
+            const size_t pos = rng.nextRange(0, source.size() - 1);
+            source[pos] =
+                static_cast<char>(32 + rng.nextRange(0, 94));
+        }
+        const assembler::Program prog = assembler::assemble(source);
+        EXPECT_EQ(prog.words.size(), prog.lines.size());
+    }
+}
 
 } // namespace
 } // namespace rr::assembler

@@ -21,6 +21,7 @@
 #include "base/distributions.hh"
 #include "ckpt/io.hh"
 #include "ckpt/snapshot.hh"
+#include "machine/cpu.hh"
 #include "machine/relocation_unit.hh"
 #include "multithread/event_core.hh"
 #include "multithread/mt_processor.hh"
@@ -726,6 +727,49 @@ TEST(CkptReloc, RestoreRejectsHostileMaskState)
     EXPECT_THROW(unit.restoreMasks({8}, 3), ckpt::Error);
     EXPECT_THROW(unit.restoreMasks({8}, 256), ckpt::Error);
     EXPECT_THROW(unit.restoreMasks({0xffffu}, 8), ckpt::Error);
+}
+
+// A machine snapshot whose geometry no relocation unit can have is a
+// ckpt::Error naming the value, never a constructor abort.
+TEST(CkptMachine, ConfigRejectsImpossibleGeometry)
+{
+    // The "machine" kind's config section and field tags
+    // (src/machine/cpu.cc): F, w, delay, mem, mode, banks, timing.
+    auto config_of = [](uint64_t regs, uint64_t width, uint64_t banks) {
+        ckpt::Writer writer;
+        writer.beginSection(0x10);
+        for (const auto &[tag, value] :
+             std::vector<std::pair<uint32_t, uint64_t>>{
+                 {1, regs}, {2, width}, {3, 1}, {4, 1024}, {5, 0},
+                 {6, banks}, {7, 0}, {8, 0}, {9, 0}})
+            writer.u64(tag, value);
+        writer.endSection();
+        const ckpt::Reader reader(writer.seal());
+        return machine::Cpu::configFromCheckpoint(reader);
+    };
+    EXPECT_EQ(config_of(128, 5, 2).rrmBanks, 2u);
+
+    const struct
+    {
+        uint64_t regs, width, banks;
+        const char *message;
+    } hostile[] = {
+        {100, 5, 1, "power of two: 100"},
+        {16, 5, 1, "addresses more registers"},
+        {128, 7, 1, "operand width must be in [1, 6]: 7"},
+        {128, 5, 3, "power of two: 3"},
+        {128, 5, 32, "32 RRM banks leave no offset bits"},
+    };
+    for (const auto &h : hostile) {
+        try {
+            config_of(h.regs, h.width, h.banks);
+            ADD_FAILURE() << h.message << ": accepted";
+        } catch (const ckpt::Error &error) {
+            EXPECT_NE(std::string(error.what()).find(h.message),
+                      std::string::npos)
+                << error.what();
+        }
+    }
 }
 
 } // namespace

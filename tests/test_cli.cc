@@ -6,7 +6,8 @@
  * zeros — the option parser's exit-status behaviour
  * (docs/TOOLS.md documents the accepted forms), the --json
  * documents of rrasm, rrsim, rrbench and rrfuzz, and the usage exit
- * for a garbage RR_BENCH_JOBS in rrbench and rrserve.
+ * for a garbage RR_BENCH_JOBS in rrbench and rrserve and for an
+ * impossible machine geometry in rrsim, rrasm and rrlint.
  */
 
 #include <gtest/gtest.h>
@@ -388,8 +389,14 @@ TEST(CliToolJson, RrfuzzRunAndReplay)
 TEST(CliToolJson, RrbenchCompareKeepsStdoutOneDocument)
 {
     const std::filesystem::path dir = workDir("rrbench-compare");
-    const std::string baselines =
-        std::string(RR_SOURCE_DIR) + "/bench/baselines";
+    // Every figure has a committed baseline; compare against a
+    // directory holding only fig5_cache's, so fig4_costs is skipped.
+    const std::filesystem::path baseline_dir = dir / "baselines";
+    std::filesystem::create_directories(baseline_dir);
+    std::filesystem::copy_file(std::string(RR_SOURCE_DIR) +
+                                   "/bench/baselines/BENCH_fig5_cache.json",
+                               baseline_dir / "BENCH_fig5_cache.json");
+    const std::string baselines = baseline_dir.string();
     int status = 0;
     const std::string out =
         runTool(shellQuote(RR_RRBENCH) +
@@ -441,6 +448,56 @@ TEST(CliToolEnv, GarbageJobsEnvIsAUsageError)
             status);
         EXPECT_EQ(status, kExitUsage) << command;
         EXPECT_EQ(err, expected) << command;
+    }
+}
+
+// An impossible relocation geometry is a usage error (exit 64) whose
+// message names the value, never a relocation-unit abort or an
+// out-of-range shift (docs/TOOLS.md).
+TEST(CliToolGeometry, ImpossibleGeometryIsAUsageError)
+{
+    const std::string program = shellQuote(
+        std::string(RR_SOURCE_DIR) + "/examples/asm/fibonacci.s");
+    const std::string rrsim = shellQuote(RR_RRSIM) + " --quiet";
+    const std::string rrasm = shellQuote(RR_RRASM) + " --quiet";
+    const std::string rrlint = shellQuote(RR_RRLINT) + " --quiet";
+    struct Case
+    {
+        std::string args;
+        std::string message;
+    };
+    const Case rejected[] = {
+        {rrsim + " --regs 100",
+         "rrsim: register file size must be a power of two: 100"},
+        {rrsim + " --banks 3",
+         "rrsim: RRM bank count must be a power of two: 3"},
+        {rrsim + " --banks 64",
+         "rrsim: 64 RRM banks leave no offset bits in operand width 5"},
+        {rrsim + " --regs 16",
+         "rrsim: operand width 5 addresses more registers (32) than the "
+         "register file holds: 16"},
+        {rrasm + " --banks 3 --check 8",
+         "rrasm: --banks: RRM bank count must be a power of two: 3"},
+        {rrlint + " --banks 64 --width 1",
+         "rrlint: 64 RRM banks leave no offset bits in operand width 1"},
+        {rrlint + " --banks 2 --width 1",
+         "rrlint: 2 RRM banks leave no offset bits in operand width 1"},
+    };
+    for (const Case &c : rejected) {
+        int status = 0;
+        const std::string err =
+            runTool(c.args + " " + program + " 2>&1 >/dev/null", status);
+        EXPECT_EQ(status, kExitUsage) << c.args;
+        EXPECT_EQ(err.substr(0, err.find('\n')), c.message) << c.args;
+    }
+
+    // The largest legal geometries still run.
+    for (const std::string &args :
+         {rrsim + " --regs 32 --banks 2", rrasm + " --banks 32 --check 8",
+          rrlint + " --banks 2 --width 2", rrlint + " --banks 0"}) {
+        int status = 0;
+        runTool(args + " " + program + " >/dev/null 2>&1", status);
+        EXPECT_EQ(status, kExitOk) << args;
     }
 }
 

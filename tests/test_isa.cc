@@ -116,6 +116,35 @@ TEST(Isa, Jump18BitImmediate)
     EXPECT_EQ(back.imm, -100000);
 }
 
+TEST(Isa, RegisterOperandsFollowTheFormat)
+{
+    auto slots = [](const Instruction &inst) {
+        std::string out;
+        for (const RegisterOperand &op : registerOperands(inst)) {
+            out += std::string(out.empty() ? "" : " ") + op.slot +
+                   (op.isWrite ? "=r" : ":r") + std::to_string(op.reg);
+        }
+        return out;
+    };
+    EXPECT_EQ(slots(makeR3(Opcode::ADD, 1, 2, 3)), "rd=r1 rs1:r2 rs2:r3");
+    EXPECT_EQ(slots(makeI(Opcode::LD, 5, 6, 8)), "rd=r5 rs1:r6");
+    // ST's rd is the stored value: read, not written.
+    EXPECT_EQ(slots(makeI(Opcode::ST, 5, 6, 8)), "rd:r5 rs1:r6");
+    // B-format has no rd: slot A is rs1.
+    EXPECT_EQ(slots(makeB(Opcode::BEQ, 9, 1, 0)), "rs1:r9 rs2:r1");
+    EXPECT_EQ(slots(makeJ(Opcode::JAL, 7, 4)), "rd=r7");
+    EXPECT_EQ(slots(Instruction{Opcode::HALT}), "");
+
+    // Every opcode: one operand per slot its format declares.
+    for (unsigned i = 0; i < numOpcodes; ++i) {
+        const auto op = static_cast<Opcode>(i);
+        const FormatInfo info = formatInfo(formatOf(op));
+        EXPECT_EQ(registerOperands(Instruction{op}).count,
+                  unsigned{info.hasRd} + info.hasRs1 + info.hasRs2)
+            << mnemonicOf(op);
+    }
+}
+
 TEST(IsaDeath, ImmediateOverflowPanics)
 {
     EXPECT_DEATH(encode(makeI(Opcode::ADDI, 1, 2, 5000)), "immediate");

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/static/lint.hh"
 #include "assembler/assembler.hh"
-#include "checker/boundary_checker.hh"
 #include "kernel/rotation_kernel.hh"
 #include "runtime/asm_routines.hh"
 
@@ -96,8 +96,8 @@ TEST(RotationKernel, PerRotationOverheadWithinBudget)
     EXPECT_LE(overhead_per_segment, 95.0);
 }
 
-// The boundary checker (Section 2.4) proves the runtime honours its
-// own context sizes: thread-side code addresses only r0..r7, the
+// The flat boundary check (Section 2.4) proves the runtime honours
+// its own context sizes: thread-side code addresses only r0..r7, the
 // scheduler side fits its 32-register context.
 TEST(RotationKernel, RuntimeRespectsDeclaredContextBounds)
 {
@@ -105,31 +105,46 @@ TEST(RotationKernel, RuntimeRespectsDeclaredContextBounds)
         runtime::rotationSchedulerSource(50));
     ASSERT_TRUE(prog.ok());
 
+    // Addresses of the `boundary` findings at @p context that fall in
+    // [begin, end).
+    auto boundary_in = [&](unsigned context, uint32_t begin,
+                           uint32_t end) {
+        lint::LintOptions options;
+        options.declaredContext = context;
+        options.flowSensitive = false;
+        std::vector<lint::Finding> out;
+        for (const lint::Finding &finding :
+             lint::lintProgram(prog, options).findings) {
+            if (finding.code == "boundary" && finding.address >= begin &&
+                finding.address < end)
+                out.push_back(finding);
+        }
+        return out;
+    };
+
     const uint32_t thread_begin = prog.addressOf("thread_start");
     const uint32_t thread_end = prog.addressOf("sched_rotate");
-    const uint32_t sched_begin = prog.addressOf("sched_rotate");
-    const uint32_t sched_end = prog.addressOf("boot");
     const uint32_t boot_begin = prog.addressOf("boot");
     const uint32_t boot_end = prog.addressOf("ctx_alloc8");
-    const uint32_t alloc_begin = prog.addressOf("ctx_alloc8");
     const auto image_end = static_cast<uint32_t>(
         prog.base + prog.words.size());
 
-    const std::vector<checker::Region> regions = {
-        {thread_begin, thread_end, 8},  // thread contexts
-        {boot_begin, boot_end, 8},      // reload runs in the target
-        {sched_begin, sched_end, 32},   // scheduler context
-        {alloc_begin, image_end, 32},   // allocators (scheduler ctx)
-    };
-    const auto violations = checker::checkRegions(prog, regions);
-    for (const auto &violation : violations)
-        ADD_FAILURE() << violation.str();
+    std::vector<lint::Finding> violations =
+        boundary_in(8, thread_begin, thread_end); // thread contexts
+    for (const lint::Finding &finding :
+         boundary_in(8, boot_begin, boot_end)) // reload runs there
+        violations.push_back(finding);
+    // The scheduler and allocators run in the 32-register scheduler
+    // context; nothing in the image exceeds it.
+    for (const lint::Finding &finding :
+         boundary_in(32, prog.base, image_end))
+        violations.push_back(finding);
+    for (const lint::Finding &finding : violations)
+        ADD_FAILURE() << finding.str();
     EXPECT_TRUE(violations.empty());
 
     // And the thread region genuinely needs all 8 registers.
-    const std::vector<checker::Region> too_small = {
-        {thread_begin, thread_end, 4}};
-    EXPECT_FALSE(checker::checkRegions(prog, too_small).empty());
+    EXPECT_FALSE(boundary_in(4, thread_begin, thread_end).empty());
 }
 
 TEST(RotationKernel, SaveAreasHoldFinalThreadState)

@@ -15,6 +15,10 @@
 #include "analysis/static/lockset.hh"
 #include "analysis/static/rrm_state.hh"
 #include "assembler/assembler.hh"
+#include "kernel/sync_workload.hh"
+#include "runtime/asm_routines.hh"
+#include "runtime/context_allocator.hh"
+#include "runtime/sync_runtime.hh"
 
 namespace rr::lint {
 namespace {
@@ -454,6 +458,207 @@ TEST(Lint, FlatOnlyModeSkipsFlowAnalyses)
     const LintResult result = lintProgram(p, options);
     EXPECT_TRUE(result.clean());
     EXPECT_TRUE(result.threads.empty());
+}
+
+// ---- flat boundary check (Section 2.4) ---------------------------------
+
+/** The flat check alone: every register operand against @p context. */
+LintResult
+flatCheck(const assembler::Program &p, unsigned context,
+          LintOptions options = {})
+{
+    options.declaredContext = context;
+    options.flowSensitive = false;
+    return lintProgram(p, options);
+}
+
+TEST(Lint, FlatCheckPassesCleanProgram)
+{
+    const auto p = prog("add r1, r2, r3\n"
+                        "ld r4, 0(r5)\n"
+                        "beq r6, r7, 0\n"
+                        "halt\n");
+    EXPECT_TRUE(flatCheck(p, 8).findings.empty());
+}
+
+TEST(Lint, FlatCheckFlagsEachOperandSlot)
+{
+    const auto p = prog("add r9, r1, r2\n"  // rd out of 8
+                        "add r1, r9, r2\n"  // rs1 out
+                        "add r1, r2, r9\n"  // rs2 out
+                        "st  r9, 0(r1)\n"); // ST's rd is read, still rd
+    const LintResult result = flatCheck(p, 8);
+    ASSERT_EQ(result.findings.size(), 4u);
+    const char *const slots[] = {": rd r9 ", ": rs1 r9 ", ": rs2 r9 ",
+                                 ": rd r9 "};
+    for (uint32_t i = 0; i < 4; ++i) {
+        const Finding &f = result.findings[i];
+        EXPECT_EQ(f.code, "boundary");
+        EXPECT_EQ(f.address, i);
+        EXPECT_NE(f.message.find(slots[i]), std::string::npos)
+            << f.message;
+        EXPECT_NE(f.message.find("outside declared context of 8 "
+                                 "registers"),
+                  std::string::npos);
+    }
+}
+
+TEST(Lint, FlatCheckBFormatHasNoRd)
+{
+    // B-format's slot A is rs1: a branch on r9 reports rs1, once.
+    const LintResult result = flatCheck(prog("beq r9, r1, 0\n"), 8);
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_NE(result.findings[0].message.find(": rs1 r9 "),
+              std::string::npos);
+}
+
+TEST(Lint, FlatCheckIgnoresDataWordsUnlessFlagged)
+{
+    const auto p = prog(".word 0xffffffff\n"
+                        "halt\n");
+    EXPECT_TRUE(flatCheck(p, 8).findings.empty());
+
+    LintOptions options;
+    options.flagInvalidWords = true;
+    const LintResult result = flatCheck(p, 8, options);
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_EQ(result.findings[0].code, "invalid-word");
+    EXPECT_EQ(result.findings[0].address, 0u);
+}
+
+TEST(Lint, FlatCheckExcusesBankBitsAtNonDefaultWidth)
+{
+    // With w = 5 and two banks, only the low 4 bits are the offset:
+    // r21 = 0b1.0101 is bank 1, offset 5 (fine in a size-8 context);
+    // r29 = 0b1.1101 is bank 1, offset 13 (violates it).
+    LintOptions options;
+    options.banks = 2;
+    options.operandWidth = 5;
+    EXPECT_TRUE(
+        flatCheck(prog("add r21, r1, r2\n"), 8, options).findings.empty());
+    const LintResult result =
+        flatCheck(prog("add r29, r1, r2\n"), 8, options);
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_NE(result.findings[0].message.find(": rd r29 "),
+              std::string::npos);
+
+    // Four banks on the full 6-bit field: r37 = 0b10.0101 is bank 2,
+    // offset 5.
+    options.banks = 4;
+    options.operandWidth = 6;
+    EXPECT_TRUE(
+        flatCheck(prog("add r37, r1, r2\n"), 8, options).findings.empty());
+}
+
+// Every embedded RRISC routine fits the context size its header
+// documents (or, for the sync scenarios, the size the sync kernel
+// allocates), and needs more than half of it.
+TEST(Lint, EmbeddedRoutinesFitTheirDocumentedContexts)
+{
+    struct Row
+    {
+        std::string name;
+        std::string source;
+        unsigned context;
+        const char *begin = nullptr; ///< region labels; null = image
+        const char *end = nullptr;
+    };
+    std::vector<Row> rows = {
+        {"figure3_yield", runtime::figure3YieldSource(), 4},
+        {"appendix_a_allocator", runtime::appendixAAllocatorSource(), 16},
+        {"round_robin_demo", runtime::roundRobinDemoSource(), 16},
+        {"save_restore", runtime::saveRestoreSource(30), 32},
+        {"rotation_threads", runtime::rotationSchedulerSource(50), 8,
+         "thread_start", "sched_rotate"},
+        {"rotation_scheduler", runtime::rotationSchedulerSource(50), 32},
+        {"twophase", runtime::twoPhaseSchedulerSource(50, 3), 8},
+    };
+    const kernel::SyncWorkloadConfig sync;
+    const unsigned sync_context =
+        runtime::ContextAllocator(sync.numRegs, sync.operandWidth)
+            .contextSizeFor(sync.regsUsed);
+    for (const runtime::SyncScenario scenario :
+         {runtime::SyncScenario::UncontendedLock,
+          runtime::SyncScenario::LockConvoy,
+          runtime::SyncScenario::ProducerConsumer,
+          runtime::SyncScenario::BarrierSkew}) {
+        runtime::SyncProgramParams params;
+        params.scenario = scenario;
+        rows.push_back({runtime::syncScenarioName(scenario),
+                        runtime::syncScenarioSource(params),
+                        sync_context});
+    }
+
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const auto p = prog(row.source);
+        const uint32_t begin = row.begin ? p.addressOf(row.begin) : 0;
+        const uint32_t end =
+            row.end ? p.addressOf(row.end)
+                    : static_cast<uint32_t>(p.base + p.words.size());
+        auto findings_at = [&](unsigned context) {
+            std::vector<Finding> out;
+            for (const Finding &f : flatCheck(p, context).findings) {
+                if (f.address >= begin && f.address < end)
+                    out.push_back(f);
+            }
+            return out;
+        };
+        for (const Finding &f : findings_at(row.context))
+            ADD_FAILURE() << f.str();
+        EXPECT_FALSE(findings_at(row.context / 2).empty());
+    }
+}
+
+// The Section 2.4 boundary-checker cases, kept under their original
+// names: the flat lint check is now the one boundary checker.
+
+TEST(BoundaryChecker, ReportsAddressAndLine)
+{
+    const auto p = prog("nop\n"
+                        "nop\n"
+                        "addi r12, r1, 0\n");
+    const LintResult result = flatCheck(p, 8);
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_EQ(result.findings[0].code, "boundary");
+    EXPECT_EQ(result.findings[0].address, 2u);
+    EXPECT_EQ(result.findings[0].line, 3);
+    EXPECT_NE(result.findings[0].str().find("r12"), std::string::npos);
+}
+
+TEST(BoundaryChecker, MultiRrmBankBitExcused)
+{
+    // Operand 32+5 = r37: illegal in a size-8 single-bank context,
+    // legal when the top bit selects bank 1 (offset 5).
+    const auto p = prog("add r37, r1, r2\n");
+    EXPECT_EQ(flatCheck(p, 8).findings.size(), 1u);
+
+    LintOptions options;
+    options.banks = 2;
+    options.operandWidth = 6;
+    EXPECT_TRUE(flatCheck(p, 8, options).findings.empty());
+}
+
+// The paper's own runtime code must satisfy its register
+// conventions: the yield routine touches only r0..r2 and passes a
+// 4-register context check; the allocator uses r4..r15 and fits a
+// 16-register scheduler context.
+TEST(BoundaryChecker, Figure3YieldFitsMinimalContext)
+{
+    const auto p = prog(runtime::roundRobinDemoSource());
+    const uint32_t yield = p.addressOf("yield");
+    for (const Finding &f : flatCheck(p, 4).findings) {
+        if (f.address >= yield && f.address < yield + 4)
+            ADD_FAILURE() << f.str();
+    }
+}
+
+TEST(BoundaryChecker, AppendixAAllocatorFitsSchedulerContext)
+{
+    const auto p = prog(runtime::appendixAAllocatorSource());
+    EXPECT_TRUE(flatCheck(p, 16).findings.empty());
+    // ...but it would violate an 8-register context.
+    EXPECT_FALSE(flatCheck(p, 8).findings.empty());
 }
 
 // ---- Call graph ----------------------------------------------------------

@@ -55,32 +55,6 @@ smallConfig(mt::ArchKind arch, bool sync)
         .build();
 }
 
-TEST(RingBufferSink, KeepsMostRecentAndCountsDropped)
-{
-    trace::RingBufferSink ring(4);
-    for (uint64_t i = 0; i < 10; ++i)
-        ring.emit(makeEvent(trace::EventKind::RunSegment, i));
-    EXPECT_EQ(ring.emitted(), 10u);
-    EXPECT_EQ(ring.dropped(), 6u);
-    const std::vector<trace::TraceEvent> kept = ring.snapshot();
-    ASSERT_EQ(kept.size(), 4u);
-    // Oldest first: cycles 6, 7, 8, 9.
-    for (std::size_t i = 0; i < kept.size(); ++i)
-        EXPECT_EQ(kept[i].cycle, 6u + i);
-}
-
-TEST(RingBufferSink, PartiallyFilledSnapshotIsInOrder)
-{
-    trace::RingBufferSink ring(8);
-    for (uint64_t i = 0; i < 3; ++i)
-        ring.emit(makeEvent(trace::EventKind::Switch, i, 6));
-    EXPECT_EQ(ring.dropped(), 0u);
-    const auto kept = ring.snapshot();
-    ASSERT_EQ(kept.size(), 3u);
-    EXPECT_EQ(kept[0].cycle, 0u);
-    EXPECT_EQ(kept[2].cycle, 2u);
-}
-
 TEST(StreamJsonSink, EmitsHeaderAndParseableLines)
 {
     std::ostringstream out;

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/static/lint.hh"
 #include "assembler/assembler.hh"
-#include "checker/boundary_checker.hh"
 #include "kernel/twophase_kernel.hh"
 #include "runtime/asm_routines.hh"
 
@@ -124,12 +124,19 @@ TEST(TwoPhaseKernel, WholeRuntimeFitsEightRegisterContexts)
     const auto prog = assembler::assemble(
         runtime::twoPhaseSchedulerSource(50, 3));
     ASSERT_TRUE(prog.ok());
-    const auto violations = checker::checkProgram(prog, 8);
-    for (const auto &violation : violations)
-        ADD_FAILURE() << violation.str();
-    EXPECT_TRUE(violations.empty());
+    // The flat Section 2.4 check: every operand below the size.
+    auto flat_check = [&](unsigned context) {
+        lint::LintOptions options;
+        options.declaredContext = context;
+        options.flowSensitive = false;
+        return lint::lintProgram(prog, options);
+    };
+    const lint::LintResult fits = flat_check(8);
+    for (const lint::Finding &finding : fits.findings)
+        ADD_FAILURE() << finding.str();
+    EXPECT_TRUE(fits.findings.empty());
     // And not a 4-register context (r4..r7 are in use).
-    EXPECT_FALSE(checker::checkProgram(prog, 4).empty());
+    EXPECT_FALSE(flat_check(4).clean());
 }
 
 } // namespace

@@ -68,6 +68,12 @@ main(int argc, char **argv)
                    : parser.fail("unexpected argument '%s'",
                                  parser.positionals()[1].c_str());
     }
+    rr::lint::LintOptions options;
+    options.declaredContext = static_cast<unsigned>(check_size);
+    options.banks = static_cast<unsigned>(banks);
+    const std::string geometry = rr::lint::geometryError(options);
+    if (!geometry.empty())
+        return parser.fail("--banks: %s", geometry.c_str());
     const std::string input = parser.positionals().front();
 
     std::ifstream in(input);
@@ -134,9 +140,6 @@ main(int argc, char **argv)
 
     rr::lint::LintResult check;
     if (check_size != 0) {
-        rr::lint::LintOptions options;
-        options.declaredContext = static_cast<unsigned>(check_size);
-        options.banks = banks > 1 ? static_cast<unsigned>(banks) : 1;
         check = rr::lint::lintProgram(program, options);
         for (const auto &finding : check.findings) {
             std::fprintf(stderr, "%s: %s\n", input.c_str(),

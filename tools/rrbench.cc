@@ -35,7 +35,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -308,25 +307,18 @@ main(int argc, char **argv)
         return kExitOk;
     }
 
-    // CLI flags override the RR_BENCH_* environment; the figures read
-    // their sweep configuration through exp/env.hh either way.
-    if (seeds_seen)
-        ::setenv("RR_BENCH_SEEDS",
-                 std::to_string(seeds).c_str(), 1);
-    if (threads_seen)
-        ::setenv("RR_BENCH_THREADS",
-                 std::to_string(threads).c_str(), 1);
-    if (fast)
-        ::setenv("RR_BENCH_FAST", "1", 1);
-    // Resolve every RR_BENCH_* value once, up front: a garbage value
+    // CLI flags override the RR_BENCH_* environment, which is read
+    // only for the flags not given, once, up front: a garbage value
     // is a usage error before any figure runs.
     exp::RunMeta run;
     try {
         exp::setDefaultJobs(jobs_seen ? static_cast<unsigned>(jobs)
                                       : exp::benchJobs());
-        run.seeds = exp::benchSeeds();
-        run.threads = exp::benchThreads();
-        run.fast = exp::benchFast();
+        run.seeds = seeds_seen ? static_cast<unsigned>(seeds)
+                               : exp::benchSeeds();
+        run.threads = threads_seen ? static_cast<unsigned>(threads)
+                                   : exp::benchThreads();
+        run.fast = fast || exp::benchFast();
     } catch (const exp::EnvError &error) {
         std::fprintf(stderr, "%s\n", error.what());
         return kExitUsage;

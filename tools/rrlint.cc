@@ -395,6 +395,9 @@ main(int argc, char **argv)
         options.banks = static_cast<unsigned>(banks);
     if (width_seen)
         options.operandWidth = static_cast<unsigned>(width);
+    const std::string geometry = rr::lint::geometryError(options);
+    if (!geometry.empty())
+        return parser.fail("%s", geometry.c_str());
     if (mode == "mux")
         options.mode = rr::lint::RelocMode::Mux;
     else if (mode == "add")

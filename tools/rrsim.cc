@@ -216,6 +216,10 @@ main(int argc, char **argv)
         config.ldrrmDelaySlots = static_cast<unsigned>(delay);
     if (mem_seen)
         config.memWords = static_cast<size_t>(mem);
+    const std::string geometry = rr::machine::geometryError(
+        config.numRegs, config.operandWidth, config.rrmBanks);
+    if (!geometry.empty())
+        return parser.fail("%s", geometry.c_str());
 
     std::unique_ptr<rr::machine::Cpu> resumed;
     if (resuming) {
