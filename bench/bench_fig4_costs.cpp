@@ -17,10 +17,9 @@
 #include "assembler/assembler.hh"
 #include "base/table.hh"
 #include "exp/registry.hh"
+#include "kernel/memory_system.hh"
 #include "machine/cpu.hh"
 #include "runtime/asm_routines.hh"
-#include "runtime/context_allocator.hh"
-#include "runtime/context_loader.hh"
 
 namespace {
 
@@ -82,43 +81,6 @@ struct AllocatorHarness
     }
 };
 
-/** Measure the Figure 3 switch in the round-robin demo. */
-double
-measureSwitchCost()
-{
-    Cpu cpu(machineConfig());
-    const Program prog =
-        assembler::assemble(runtime::roundRobinDemoSource());
-    cpu.mem().loadImage(prog.base, prog.words);
-
-    runtime::ContextAllocator allocator(128, 6, 16);
-    runtime::MachineScheduler scheduler(cpu, allocator);
-    for (int i = 0; i < 2; ++i) {
-        runtime::MachineScheduler::ThreadSpec spec;
-        spec.entryPc = prog.addressOf("thread_body");
-        spec.usedRegs = 10;
-        const auto context = scheduler.createThread(spec);
-        runtime::pokeContextReg(cpu, context->rrm, 4, 0); // wraps
-        runtime::pokeContextReg(cpu, context->rrm, 6, 1);
-        runtime::pokeContextReg(cpu, context->rrm, 7, 0);
-        runtime::pokeContextReg(cpu, context->rrm, 9, 0x2000);
-    }
-    cpu.mem().write(0x2000, 1000);
-    scheduler.start();
-
-    uint64_t body_visits = 0;
-    const uint32_t body = prog.addressOf("thread_body");
-    cpu.setTraceHook([&](const machine::TraceEntry &entry) {
-        if (entry.pc == body)
-            ++body_visits;
-    });
-    cpu.run(8000);
-    // Per loop pass: 3 body instructions + the full switch path.
-    return static_cast<double>(cpu.cycles()) /
-               static_cast<double>(body_visits) -
-           3.0;
-}
-
 /** Measure unload_k on the Section 2.5 multi-entry-point routine. */
 uint64_t
 measureUnload(unsigned k)
@@ -167,7 +129,9 @@ RR_BENCH_FIGURE(fig4_costs,
     table.addRow({"context deallocate", "5",
                   Table::num(harness.call("entrydel", map_after))});
 
-    const double switch_cost = measureSwitchCost();
+    const double switch_cost =
+        kernel::figure3SwitchCost(machine::PipelineTimingConfig{}, 8000)
+            .cycles;
     table.addRow({"context switch (Figure 3)", "4-6 (S=6)",
                   Table::num(switch_cost, 1)});
 

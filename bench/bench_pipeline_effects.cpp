@@ -8,63 +8,13 @@
  * E_sat = R/(R+S).
  */
 
-#include "assembler/assembler.hh"
 #include "base/table.hh"
 #include "exp/registry.hh"
+#include "kernel/memory_system.hh"
 #include "kernel/rotation_kernel.hh"
 #include "machine/cpu.hh"
 #include "multithread/simulation_spec.hh"
 #include "multithread/workload.hh"
-#include "runtime/asm_routines.hh"
-#include "runtime/context_allocator.hh"
-#include "runtime/context_loader.hh"
-
-namespace {
-
-using namespace rr;
-
-/** Measured Figure 3 switch cost under the given timing model. */
-double
-switchCost(const machine::PipelineTimingConfig &timing)
-{
-    machine::CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6;
-    config.memWords = 1u << 14;
-    config.timing = timing;
-    machine::Cpu cpu(config);
-
-    const auto prog =
-        assembler::assemble(runtime::roundRobinDemoSource());
-    cpu.mem().loadImage(prog.base, prog.words);
-    runtime::ContextAllocator allocator(128, 6, 16);
-    runtime::MachineScheduler scheduler(cpu, allocator);
-    for (int i = 0; i < 2; ++i) {
-        runtime::MachineScheduler::ThreadSpec spec;
-        spec.entryPc = prog.addressOf("thread_body");
-        spec.usedRegs = 10;
-        const auto context = scheduler.createThread(spec);
-        runtime::pokeContextReg(cpu, context->rrm, 4, 0);
-        runtime::pokeContextReg(cpu, context->rrm, 6, 1);
-        runtime::pokeContextReg(cpu, context->rrm, 7, 0);
-        runtime::pokeContextReg(cpu, context->rrm, 9, 0x2000);
-    }
-    cpu.mem().write(0x2000, 1000);
-    scheduler.start();
-
-    uint64_t visits = 0;
-    const uint32_t body = prog.addressOf("thread_body");
-    cpu.setTraceHook([&](const machine::TraceEntry &entry) {
-        if (entry.pc == body)
-            ++visits;
-    });
-    cpu.run(6000);
-    return static_cast<double>(cpu.cycles()) /
-               static_cast<double>(visits) -
-           3.0;
-}
-
-} // namespace
 
 RR_BENCH_FIGURE(pipeline_effects,
                 "Pipeline effects on the software context switch")
@@ -75,8 +25,9 @@ RR_BENCH_FIGURE(pipeline_effects,
     const machine::PipelineTimingConfig five_stage =
         machine::PipelineTimingConfig::classicFiveStage();
 
-    const double s_ideal = switchCost(ideal);
-    const double s_real = switchCost(five_stage);
+    const double s_ideal = kernel::figure3SwitchCost(ideal, 6000).cycles;
+    const double s_real =
+        kernel::figure3SwitchCost(five_stage, 6000).cycles;
 
     Table table({"machine", "Figure 3 switch (cycles)", "reference"});
     table.addRow({"ideal 1 CPI", Table::num(s_ideal, 1),

@@ -68,7 +68,7 @@ main()
                 std::printf("  %5lu  rrm=0x%02x  %3u: %s\n",
                             static_cast<unsigned long>(entry.cycle),
                             entry.rrm, entry.pc,
-                            entry.text.c_str());
+                            isa::disassemble(entry.inst).c_str());
                 ++printed;
             }
         });

@@ -19,7 +19,6 @@
 #include "fuzz/kind.hh"
 
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -196,17 +195,6 @@ parseRepro(const std::string &text, AnySample &out, std::string &error)
 
 // ---------------------------------------------------------------------
 // shared helpers
-
-std::string
-strf(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof buf, fmt, args);
-    va_end(args);
-    return buf;
-}
 
 bool
 inRange(uint64_t v, uint64_t lo, uint64_t hi, const char *what,

@@ -65,12 +65,6 @@ log2Floor(unsigned v)
 }
 
 // ---------------------------------------------------------------------
-// checking
-
-/** printf-style into a std::string (problem formatting). */
-std::string strf(const char *fmt, ...);
-
-// ---------------------------------------------------------------------
 // shrinking
 
 /** Oracle budget shared across one shrinkSample call. */

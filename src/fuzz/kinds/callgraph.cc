@@ -20,6 +20,7 @@
 #include "analysis/static/rrm_state.hh"
 #include "assembler/assembler.hh"
 #include "base/parse_num.hh"
+#include "exp/report.hh"
 #include "machine/cpu.hh"
 
 namespace rr::fuzz {
@@ -230,7 +231,7 @@ checkCallgraph(const CallgraphSample &s)
     const std::string source = callgraphSource(s);
     const assembler::Program program = assembler::assemble(source);
     if (!program.ok()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "callgraph: generated source does not assemble: %s",
             program.errors.front().str().c_str()));
         return problems;
@@ -249,7 +250,7 @@ checkCallgraph(const CallgraphSample &s)
     for (uint32_t ri = 0; ri < lockset.roots().size(); ++ri)
         root_by_name[lockset.roots()[ri].name] = ri;
     if (lockset.roots().size() != s.roots.size()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "callgraph: %zu thread roots constructed but the "
             "analysis found %zu",
             s.roots.size(), lockset.roots().size()));
@@ -258,10 +259,10 @@ checkCallgraph(const CallgraphSample &s)
     std::vector<uint32_t> ls_root(s.roots.size(), 0);
     for (size_t r = 0; r < s.roots.size(); ++r) {
         const std::string name =
-            r == 0 ? "entry" : strf("t%zu", r);
+            r == 0 ? "entry" : exp::strf("t%zu", r);
         const auto it = root_by_name.find(name);
         if (it == root_by_name.end()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: thread root '%s' not found by the "
                 "analysis", name.c_str()));
             return problems;
@@ -269,10 +270,10 @@ checkCallgraph(const CallgraphSample &s)
         ls_root[r] = it->second;
     }
     for (unsigned l = 0; l < s.numLocks; ++l) {
-        const std::string expect = strf("lk%u", l);
+        const std::string expect = exp::strf("lk%u", l);
         if (l >= graph.lockNames().size() ||
             graph.lockNames()[l] != expect) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: lock %u is not '%s' in lockdef order",
                 l, expect.c_str()));
             return problems;
@@ -294,21 +295,21 @@ checkCallgraph(const CallgraphSample &s)
         uint32_t proc_idx = 0;
         if (owner == lint::CallGraph::noProc ||
             !cgProcIndex(graph.procedures()[owner].name, proc_idx)) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: classified access at addr %u is not "
                 "inside a generated procedure", access.address));
             continue;
         }
         const auto it = expected.find({access.root, proc_idx});
         if (it == expected.end()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: access at addr %u (root %u, proc p%u) "
                 "has no constructed counterpart",
                 access.address, access.root, proc_idx));
             continue;
         }
         if (!seen.insert({access.root, proc_idx}).second) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: proc p%u classified twice for root %u",
                 proc_idx, access.root));
             continue;
@@ -316,7 +317,7 @@ checkCallgraph(const CallgraphSample &s)
         const CgSite &site = *it->second;
         if (access.mem != site.mem || access.write != site.write ||
             access.held != site.held) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: access at addr %u (root %u, proc p%u): "
                 "analysis says mem=0x%x write=%d held=0x%x, "
                 "construction says mem=0x%x write=%d held=0x%x",
@@ -326,7 +327,7 @@ checkCallgraph(const CallgraphSample &s)
         }
     }
     if (problems.empty() && seen.size() != expected.size()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "callgraph: %zu constructed shared accesses but the "
             "analysis classified %zu",
             expected.size(), seen.size()));
@@ -339,10 +340,10 @@ checkCallgraph(const CallgraphSample &s)
     if (reported != truth.racyMems) {
         std::string got, want;
         for (const uint32_t mem : reported)
-            got += strf(" 0x%x", mem);
+            got += exp::strf(" 0x%x", mem);
         for (const uint32_t mem : truth.racyMems)
-            want += strf(" 0x%x", mem);
-        problems.push_back(strf(
+            want += exp::strf(" 0x%x", mem);
+        problems.push_back(exp::strf(
             "callgraph: race set mismatch: analysis reports {%s }, "
             "construction implies {%s }",
             got.c_str(), want.c_str()));
@@ -357,7 +358,7 @@ checkCallgraph(const CallgraphSample &s)
         lint::lintProgram(program, lint_options);
     for (const lint::Finding &finding : lint_result.findings) {
         if (finding.code != "race") {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: unexpected finding [%s] at addr %u: %s",
                 finding.code.c_str(), finding.address,
                 finding.message.c_str()));
@@ -365,7 +366,7 @@ checkCallgraph(const CallgraphSample &s)
         }
     }
     if (lint_result.races.size() != truth.racyMems.size()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "callgraph: lintProgram reports %zu races, construction "
             "implies %zu",
             lint_result.races.size(), truth.racyMems.size()));
@@ -412,7 +413,7 @@ checkCallgraph(const CallgraphSample &s)
         });
         cpu.run(s.maxSteps);
         if (!cpu.halted()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "callgraph: root %zu did not halt within %llu steps "
                 "(trap %d)",
                 r, static_cast<unsigned long long>(s.maxSteps),
@@ -426,7 +427,7 @@ checkCallgraph(const CallgraphSample &s)
                 return problems;
             const uint32_t owner = graph.procOfAddress(step.pc);
             if (owner == lint::CallGraph::noProc) {
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "callgraph: root %zu executed addr %u, which "
                     "belongs to no discovered procedure",
                     r, step.pc));
@@ -437,7 +438,7 @@ checkCallgraph(const CallgraphSample &s)
             const lint::UseDef ud = lint::useDef(step.inst);
             const uint64_t used = ud.uses | ud.defs;
             if (used & ~proc.footprint) {
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "callgraph: root %zu at addr %u touches regs "
                     "0x%llx outside procedure '%s' footprint 0x%llx",
                     r, step.pc,
@@ -464,7 +465,7 @@ checkCallgraph(const CallgraphSample &s)
         }
         for (const auto &[pc, ea] : touched_sites) {
             if (!classified.count({pc, ea})) {
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "callgraph: root %zu touched shared word 0x%x "
                     "at addr %u but the lockset pass did not "
                     "classify that access",

@@ -8,6 +8,7 @@
 #include "fuzz/kind.hh"
 
 #include "ckpt/io.hh"
+#include "exp/report.hh"
 #include "multithread/mt_processor.hh"
 #include "multithread/simulation_spec.hh"
 #include "trace/sink.hh"
@@ -109,7 +110,7 @@ checkCkpt(const CkptSample &s)
     const std::vector<trace::TraceEvent> &he = headSink.events();
     const std::vector<trace::TraceEvent> &te = tailSink.events();
     if (se.size() != he.size() + te.size()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "ckpt: straight run emitted %zu events but head %zu + "
             "tail %zu",
             se.size(), he.size(), te.size()));
@@ -118,7 +119,7 @@ checkCkpt(const CkptSample &s)
             const trace::TraceEvent &b =
                 i < he.size() ? he[i] : te[i - he.size()];
             if (!sameTraceEvent(se[i], b)) {
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "ckpt: trace diverges at event %zu (%s the "
                     "snapshot)",
                     i, i < he.size() ? "before" : "after"));
@@ -140,7 +141,7 @@ checkCkpt(const CkptSample &s)
         rejected = true;
     }
     if (!rejected)
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "ckpt: corrupted document (byte %llu bit %u) was accepted",
             static_cast<unsigned long long>(s.corruptPos % bad.size()),
             static_cast<unsigned>(s.corruptBit & 7)));

@@ -10,6 +10,7 @@
 #include <queue>
 #include <set>
 
+#include "exp/report.hh"
 #include "multithread/event_core.hh"
 
 namespace rr::fuzz {
@@ -206,7 +207,7 @@ checkHeap(const HeapSample &s)
             driveHeap(s, true, refPush, refPop, refInval);
 
         if (coreSeq.size() != refSeq.size()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "heap: unique-time run delivered %zu events via "
                 "EventCore but %zu via priority_queue",
                 coreSeq.size(), refSeq.size()));
@@ -214,7 +215,7 @@ checkHeap(const HeapSample &s)
             for (size_t i = 0; i < coreSeq.size(); ++i) {
                 if (coreSeq[i] == refSeq[i])
                     continue;
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "heap: unique-time delivery %zu differs: "
                     "EventCore (t=%llu e=%llu tid=%u) vs "
                     "priority_queue (t=%llu e=%llu tid=%u)",
@@ -267,7 +268,7 @@ checkHeap(const HeapSample &s)
                 const Delivered d{ev.time, ev.epoch, ev.tid};
                 const auto it = live.find(d);
                 if (it == live.end()) {
-                    problems.push_back(strf(
+                    problems.push_back(exp::strf(
                         "heap: delivered event (t=%llu e=%llu "
                         "tid=%u) is not live in the model",
                         static_cast<unsigned long long>(ev.time),
@@ -276,7 +277,7 @@ checkHeap(const HeapSample &s)
                 } else {
                     if (!live.empty() &&
                         live.begin()->time != ev.time) {
-                        problems.push_back(strf(
+                        problems.push_back(exp::strf(
                             "heap: delivered t=%llu but the minimal "
                             "live time is %llu",
                             static_cast<unsigned long long>(ev.time),
@@ -291,7 +292,7 @@ checkHeap(const HeapSample &s)
         };
         driveHeap(s, false, modelPush, modelPop, modelInval);
         if (!live.empty()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "heap: %zu live events never delivered by the final "
                 "drain (first: t=%llu tid=%u)",
                 live.size(),
@@ -299,7 +300,7 @@ checkHeap(const HeapSample &s)
                 live.begin()->tid));
         }
         if (core.live() != 0 || !core.empty()) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "heap: core reports %zu live / %zu total after a "
                 "full drain",
                 core.live(), core.size()));

@@ -12,6 +12,7 @@
 
 #include "exp/json_in.hh"
 #include "exp/json_out.hh"
+#include "exp/report.hh"
 
 namespace rr::fuzz {
 
@@ -319,7 +320,7 @@ checkJson(const JsonSample &s)
         exp::parseJson(t2, &error);
     if (!v2) {
         problems.push_back(
-            strf("json: writer output does not reparse (%s)",
+            exp::strf("json: writer output does not reparse (%s)",
                  error.c_str()));
         return problems;
     }

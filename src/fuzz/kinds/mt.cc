@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "base/distributions.hh"
+#include "exp/report.hh"
 #include "multithread/fault_model.hh"
 #include "multithread/mt_processor.hh"
 #include "multithread/simulation_spec.hh"
@@ -138,7 +139,7 @@ compareStats(const mt::MtStats &a, const mt::MtStats &b,
 {
     const auto diff = [&](const char *what, uint64_t x, uint64_t y) {
         if (x != y)
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "mt: re-run changed %s: %llu vs %llu (simulation "
                 "is not deterministic)",
                 what, static_cast<unsigned long long>(x),
@@ -189,13 +190,13 @@ checkMt(const MtSample &s)
             problems.push_back("mt/audit: " + p);
 
     if (stats.accountedCycles() != stats.totalCycles) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "mt: cycle buckets sum to %llu but totalCycles is %llu",
             static_cast<unsigned long long>(stats.accountedCycles()),
             static_cast<unsigned long long>(stats.totalCycles)));
     }
     if (stats.threadsFinished != s.threads) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "mt: only %u of %u threads finished",
             stats.threadsFinished, s.threads));
     }
@@ -204,7 +205,7 @@ checkMt(const MtSample &s)
     };
     if (!inUnit(stats.efficiencyCentral) ||
         !inUnit(stats.efficiencyTotal)) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "mt: efficiency out of [0,1]: central=%f total=%f",
             stats.efficiencyCentral, stats.efficiencyTotal));
     }

@@ -7,6 +7,7 @@
 #include "fuzz/kind.hh"
 
 #include "base/parse_num.hh"
+#include "exp/report.hh"
 
 namespace rr::fuzz {
 
@@ -110,17 +111,17 @@ checkNum(const NumSample &s)
     const bool grammar = strictReference(s.text, s.max, want);
 
     if (accepted && !grammar) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "num: parseUnsigned accepted \"%s\" (=%llu) which is "
             "outside the documented strict grammar",
             s.text.c_str(), static_cast<unsigned long long>(got)));
     } else if (!accepted && grammar) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "num: parseUnsigned rejected \"%s\" which the "
             "documented grammar accepts as %llu",
             s.text.c_str(), static_cast<unsigned long long>(want)));
     } else if (accepted && got != want) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "num: parseUnsigned(\"%s\") = %llu but the documented "
             "grammar reads it as %llu",
             s.text.c_str(), static_cast<unsigned long long>(got),

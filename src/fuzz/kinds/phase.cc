@@ -6,6 +6,7 @@
 
 #include "fuzz/kind.hh"
 
+#include "exp/report.hh"
 #include "multithread/fault_model.hh"
 #include "multithread/simulation_spec.hh"
 
@@ -62,7 +63,7 @@ checkPhase(const PhaseSample &s)
     // (constant latencies draw nothing), so the useful work must
     // match...
     if (slow.usefulCycles != fast.usefulCycles) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "phase: useful cycles diverged (%llu vs %llu) though "
             "only the phase-1 latency differs",
             static_cast<unsigned long long>(slow.usefulCycles),
@@ -72,7 +73,7 @@ checkPhase(const PhaseSample &s)
     // If it does not, fault draws ignore the per-thread sequence
     // index and threads are pinned to phase 0.
     if (slow.totalCycles == fast.totalCycles) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "phase: total cycles identical (%llu) with phase-1 "
             "latency %llu vs %llu — sequence-indexed fault draws "
             "are not reaching phase 1",

@@ -16,6 +16,7 @@
 #include "analysis/static/rrm_state.hh"
 #include "assembler/assembler.hh"
 #include "base/logging.hh"
+#include "exp/report.hh"
 #include "isa/instruction.hh"
 #include "machine/cpu.hh"
 
@@ -395,7 +396,7 @@ runProgram(const ProgramSample &s, bool predecode,
                     unit.relocate(op);
                 if (table[op].physical != ref.physical ||
                     table[op].ok != ref.ok) {
-                    reloc_problems->push_back(strf(
+                    reloc_problems->push_back(exp::strf(
                         "program: at pc=%u (cycle %llu) table() and "
                         "relocate() disagree on operand %u",
                         entry.pc,
@@ -429,7 +430,7 @@ compareRuns(const CpuRun &off, const CpuRun &on, Problems &problems)
 {
     const auto diff = [&](const char *what, uint64_t a, uint64_t b) {
         if (a != b)
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "program: %s differs with predecode off vs on: "
                 "%llu vs %llu",
                 what, static_cast<unsigned long long>(a),
@@ -456,7 +457,7 @@ compareRuns(const CpuRun &off, const CpuRun &on, Problems &problems)
         problems.push_back("program: final memory differs with "
                            "predecode off vs on");
     if (off.trace.size() != on.trace.size()) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "program: trace length differs with predecode off vs "
             "on: %zu vs %zu",
             off.trace.size(), on.trace.size()));
@@ -464,7 +465,7 @@ compareRuns(const CpuRun &off, const CpuRun &on, Problems &problems)
         for (size_t i = 0; i < off.trace.size(); ++i) {
             if (off.trace[i] == on.trace[i])
                 continue;
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "program: trace diverges with predecode on at "
                 "instruction %zu (pc %u vs %u, cycle %llu vs %llu)",
                 i, off.trace[i].pc, on.trace[i].pc,
@@ -512,7 +513,7 @@ checkLintClaims(const ProgramSample &s, const CpuRun &run,
             return;
         const lint::AbsVal &before = rrm.rrmBefore(rec.pc);
         if (before.kind == lint::AbsVal::Bottom) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "program/lint: pc %u executed at runtime but the "
                 "lint CFG claims it unreachable",
                 rec.pc));
@@ -521,7 +522,7 @@ checkLintClaims(const ProgramSample &s, const CpuRun &run,
         if (!before.isConst())
             continue; // Top: lint makes no claim here
         if (before.value != rec.rrm) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "program/lint: pc %u — lint derives RRM=0x%x but "
                 "the machine decoded under RRM=0x%x",
                 rec.pc, before.value, rec.rrm));
@@ -536,7 +537,7 @@ checkLintClaims(const ProgramSample &s, const CpuRun &run,
         const uint64_t claimed =
             it == footprintByWindow.end() ? 0 : it->second;
         if (touched & ~claimed) {
-            problems.push_back(strf(
+            problems.push_back(exp::strf(
                 "program/lint: pc %u under window 0x%x touches "
                 "registers 0x%llx outside the lint footprint "
                 "0x%llx",

@@ -6,6 +6,7 @@
 
 #include "fuzz/kind.hh"
 
+#include "exp/report.hh"
 #include "machine/relocation_unit.hh"
 
 namespace rr::fuzz {
@@ -86,7 +87,7 @@ checkReloc(const RelocSample &s)
                 unit.relocate(operand);
             if (table[operand].physical != ref.physical ||
                 table[operand].ok != ref.ok) {
-                problems.push_back(strf(
+                problems.push_back(exp::strf(
                     "reloc: after op %zu, operand %u: table() gives "
                     "phys=%u ok=%d but relocate() gives phys=%u "
                     "ok=%d",

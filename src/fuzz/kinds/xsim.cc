@@ -7,6 +7,7 @@
 #include "fuzz/kind.hh"
 
 #include "base/distributions.hh"
+#include "exp/report.hh"
 #include "kernel/machine_mt_kernel.hh"
 #include "multithread/fault_model.hh"
 #include "multithread/mt_processor.hh"
@@ -141,7 +142,7 @@ checkXsim(const XsimSample &s)
     const uint64_t expectUnits =
         static_cast<uint64_t>(s.threads) * unitsPerThread;
     if (machine.workUnits != expectUnits)
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: machine executed %llu work units, schedule has "
             "%llu",
             static_cast<unsigned long long>(machine.workUnits),
@@ -149,7 +150,7 @@ checkXsim(const XsimSample &s)
     const uint64_t expectFaults =
         static_cast<uint64_t>(s.threads) * s.segments;
     if (machine.faults != expectFaults)
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: machine raised %llu faults, expected one per "
             "segment = %llu",
             static_cast<unsigned long long>(machine.faults),
@@ -180,19 +181,19 @@ checkXsim(const XsimSample &s)
 
     if (event.usefulCycles !=
         static_cast<uint64_t>(s.threads) * work)
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: event model ran %llu useful cycles, workload has "
             "%llu",
             static_cast<unsigned long long>(event.usefulCycles),
             static_cast<unsigned long long>(
                 static_cast<uint64_t>(s.threads) * work)));
     if (event.threadsFinished != s.threads)
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: event model finished %u of %u threads",
             event.threadsFinished, s.threads));
 
     if (event.efficiencyTotal <= 0.0) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: event model efficiency is %f",
             event.efficiencyTotal));
         return problems;
@@ -211,7 +212,7 @@ checkXsim(const XsimSample &s)
     const double ratio =
         machine.efficiencyTotal / event.efficiencyTotal;
     if (ratio < 1.0 - slack || ratio > 1.0 + slack) {
-        problems.push_back(strf(
+        problems.push_back(exp::strf(
             "xsim: machine/event efficiency ratio %.4f outside "
             "±%.0f%% (machine=%.4f event=%.4f, N=%u segments=%u "
             "latency=%llu)",

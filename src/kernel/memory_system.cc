@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "base/logging.hh"
+#include "runtime/asm_routines.hh"
 #include "runtime/context_allocator.hh"
-#include "runtime/context_loader.hh"
 
 namespace rr::kernel {
 
@@ -12,7 +12,8 @@ namespace {
 
 machine::CpuConfig
 kernelCpuConfig(unsigned num_regs, unsigned operand_width,
-                uint64_t data_end, bool predecode)
+                uint64_t data_end, bool predecode,
+                const machine::PipelineTimingConfig &timing)
 {
     machine::CpuConfig config;
     config.numRegs = num_regs;
@@ -21,6 +22,7 @@ kernelCpuConfig(unsigned num_regs, unsigned operand_width,
     config.memWords =
         std::max<size_t>(1u << 16, static_cast<size_t>(data_end + 64));
     config.predecode = predecode;
+    config.timing = timing;
     return config;
 }
 
@@ -47,8 +49,10 @@ KernelRun::efficiency() const
 
 MemorySystem::MemorySystem(unsigned num_regs, unsigned operand_width,
                            uint64_t data_end, trace::TraceSink *sink,
-                           bool predecode)
-    : cpu_(kernelCpuConfig(num_regs, operand_width, data_end, predecode)),
+                           bool predecode,
+                           const machine::PipelineTimingConfig &timing)
+    : cpu_(kernelCpuConfig(num_regs, operand_width, data_end, predecode,
+                           timing)),
       tracer_(sink)
 {
 }
@@ -75,6 +79,7 @@ MemorySystem::createRing(unsigned num_threads, unsigned context_regs,
                          uint64_t flag_base,
                          const std::function<uint32_t(unsigned)> &entry_of)
 {
+    rr_assert(num_threads >= 1, "no threads");
     runtime::ContextAllocator allocator(cpu_.config().numRegs,
                                         cpu_.config().operandWidth);
     rrmToThread_.assign(cpu_.config().numRegs, kNoThread);
@@ -106,7 +111,13 @@ MemorySystem::currentThread() const
 void
 MemorySystem::poke(unsigned tid, unsigned reg, uint32_t value)
 {
-    runtime::pokeContextReg(cpu_, threads_[tid].ctx, reg, value);
+    cpu_.regs().write(threads_[tid].ctx | reg, value);
+}
+
+uint32_t
+MemorySystem::peek(unsigned tid, unsigned reg) const
+{
+    return cpu_.regs().read(threads_[tid].ctx | reg);
 }
 
 void
@@ -170,6 +181,51 @@ MemorySystem::finish(uint64_t steps, KernelRun &result) const
     result.halted = stop.reason == StopReason::Halted;
     result.totalCycles = cpu_.cycles();
     result.usefulCycles = 2 * result.workUnits;
+}
+
+assembler::Program
+startRoundRobinDemo(MemorySystem &memory, unsigned num_threads,
+                    uint64_t counter_addr, uint32_t live,
+                    const std::function<uint32_t(unsigned)> &iterations)
+{
+    assembler::Program prog =
+        memory.load(runtime::roundRobinDemoSource(), "round-robin demo");
+    const uint32_t body = prog.addressOf("thread_body");
+    // No FAULT, so the completion flags after the counter stay unused.
+    memory.createRing(num_threads, 16, counter_addr + 1,
+                      [body](unsigned) { return body; });
+    for (unsigned tid = 0; tid < num_threads; ++tid) {
+        memory.poke(tid, 4, iterations(tid));
+        memory.poke(tid, 9, static_cast<uint32_t>(counter_addr));
+    }
+    memory.cpu().mem().write(counter_addr, live);
+    return prog;
+}
+
+SwitchCost
+figure3SwitchCost(const machine::PipelineTimingConfig &timing,
+                  uint64_t steps)
+{
+    constexpr uint64_t counter_addr = 0x2000;
+    MemorySystem memory(128, 6, counter_addr, nullptr,
+                        machine::defaultPredecode(), timing);
+    const uint32_t body =
+        startRoundRobinDemo(memory, 2, counter_addr, 1000,
+                            [](unsigned) { return 0u; })
+            .addressOf("thread_body");
+
+    SwitchCost cost;
+    KernelRun run;
+    memory.run(
+        steps, run, [](uint32_t) {},
+        [&](const machine::TraceEntry &entry) {
+            if (entry.pc == body)
+                ++cost.bodyVisits;
+        });
+    cost.cycles = static_cast<double>(run.totalCycles) /
+                      static_cast<double>(cost.bodyVisits) -
+                  3.0;
+    return cost;
 }
 
 } // namespace rr::kernel

@@ -8,7 +8,9 @@
  * program image, the pending-fault heap, the fault trace events, the
  * Figure 3 context ring and the step-capped run — so each kernel
  * keeps only its runtime's own bookkeeping. The contract is
- * docs/KERNEL.md, "Harness contract".
+ * docs/KERNEL.md, "Harness contract". The round-robin demo and the
+ * Figure 3 switch-cost measurement at the end of this file run on
+ * the same ring.
  */
 
 #ifndef RR_KERNEL_MEMORY_SYSTEM_HH
@@ -70,12 +72,14 @@ class MemorySystem
     static constexpr uint32_t kNoContext = trace::TraceEvent::kNoContext;
 
     /**
-     * A machine with one LDRRM delay slot and memory for words
-     * [0, @p data_end) plus slack, at least 64K words.
+     * A machine with one LDRRM delay slot, memory for words
+     * [0, @p data_end) plus slack (at least 64K words) and the
+     * pipeline timing model @p timing (ideal 1 CPI by default).
      */
     MemorySystem(unsigned num_regs, unsigned operand_width,
                  uint64_t data_end, trace::TraceSink *sink,
-                 bool predecode = machine::defaultPredecode());
+                 bool predecode = machine::defaultPredecode(),
+                 const machine::PipelineTimingConfig &timing = {});
 
     // The CPU's hooks hold this object's address.
     MemorySystem(const MemorySystem &) = delete;
@@ -106,8 +110,14 @@ class MemorySystem
     /** Ring thread whose context is active, or kNoThread. */
     unsigned currentThread() const;
 
+    /** The context (RRM) of ring thread @p tid. */
+    uint32_t context(unsigned tid) const { return threads_[tid].ctx; }
+
     /** Write context-relative register @p reg of ring thread @p tid. */
     void poke(unsigned tid, unsigned reg, uint32_t value);
+
+    /** Read context-relative register @p reg of ring thread @p tid. */
+    uint32_t peek(unsigned tid, unsigned reg) const;
 
     /** Emit one event when tracing. */
     void emit(trace::EventKind kind, uint64_t cycle,
@@ -196,6 +206,36 @@ class MemorySystem
                         std::greater<PendingFault>>
         pending_;
 };
+
+/**
+ * Load runtime::roundRobinDemoSource() and start @p num_threads of
+ * its threads on a Figure 3 ring of 16-register contexts, all at
+ * thread_body. Thread tid runs @p iterations(tid) passes (0 wraps,
+ * so the thread never finishes); r9 points every thread at the
+ * live-thread counter word @p counter_addr, set to @p live, and the
+ * last thread to finish halts the machine. The demo issues no FAULT.
+ */
+assembler::Program
+startRoundRobinDemo(MemorySystem &memory, unsigned num_threads,
+                    uint64_t counter_addr, uint32_t live,
+                    const std::function<uint32_t(unsigned)> &iterations);
+
+/** A measured Figure 3 context switch. */
+struct SwitchCost
+{
+    double cycles = 0.0;     ///< switch cycles per thread_body visit
+    uint64_t bodyVisits = 0; ///< thread_body visits measured
+};
+
+/**
+ * Measure the Figure 3 switch (Section 2.2): two never-finishing
+ * round-robin demo threads on F = 128, w = 6 hand the processor back
+ * and forth for @p steps instructions under @p timing. Each
+ * thread_body visit is three body instructions plus one full switch,
+ * so the cost is cycles / visits - 3.
+ */
+SwitchCost figure3SwitchCost(const machine::PipelineTimingConfig &timing,
+                             uint64_t steps);
 
 } // namespace rr::kernel
 

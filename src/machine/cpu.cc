@@ -164,8 +164,7 @@ Cpu::step()
     }
 
     if (traceHook_) {
-        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0),
-                              isa::disassemble(inst)});
+        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0)});
     }
 
     const uint32_t pc_before = pc_;

@@ -101,7 +101,6 @@ struct TraceEntry
     uint32_t pc;          ///< word address of the instruction
     isa::Instruction inst; ///< decoded (pre-relocation) instruction
     uint32_t rrm;          ///< active RRM (bank 0) during decode
-    std::string text;      ///< disassembly
 };
 
 /** The RRISC processor. */

@@ -290,8 +290,7 @@ Cpu::runBlocks(uint64_t max_steps)
     if constexpr (Careful) {                                           \
         if (traceHook_) {                                              \
             traceHook_(TraceEntry{cycles_, op->pc, op->inst,           \
-                                  relocation_.mask(0),                 \
-                                  isa::disassemble(op->inst)});        \
+                                  relocation_.mask(0)});               \
         }                                                              \
         if (timingEnabled_) {                                          \
             stepReadCount_ = 0;                                        \

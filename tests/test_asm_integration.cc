@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "kernel/memory_system.hh"
 #include "machine/cpu.hh"
 #include "runtime/asm_routines.hh"
 #include "runtime/context_allocator.hh"
-#include "runtime/context_loader.hh"
 
 namespace rr::runtime {
 namespace {
@@ -55,69 +55,52 @@ assembleOrDie(const std::string &source)
 class Figure3Switch : public ::testing::Test
 {
   protected:
+    static constexpr uint64_t counterAddr = 0x2000;
+
+    /**
+     * Start @p num_threads round-robin demo threads of @p iterations
+     * passes each, with @p live on the live-thread counter.
+     */
     void
-    SetUp() override
+    start(unsigned num_threads, uint32_t iterations, uint32_t live)
     {
-        cpu_ = std::make_unique<Cpu>(machineConfig());
-        const Program prog =
-            assembleOrDie(roundRobinDemoSource());
-        cpu_->mem().loadImage(prog.base, prog.words);
-        threadBody_ = prog.addressOf("thread_body");
-        spin_ = prog.addressOf("spin");
-        entry_ = prog.addressOf("entry");
-        allocator_ =
-            std::make_unique<ContextAllocator>(128, 6, 16);
-        scheduler_ =
-            std::make_unique<MachineScheduler>(*cpu_, *allocator_);
+        threadBody_ =
+            kernel::startRoundRobinDemo(
+                memory_, num_threads, counterAddr, live,
+                [iterations](unsigned) { return iterations; })
+                .addressOf("thread_body");
     }
 
-    /** Create one demo thread with the body's register conventions. */
-    Context
-    makeThread(uint32_t iterations, uint64_t counter_addr)
+    /** Run up to @p steps instructions, observing each with @p on_step. */
+    template <typename OnStep>
+    kernel::KernelRun
+    run(uint64_t steps, OnStep on_step)
     {
-        MachineScheduler::ThreadSpec spec;
-        spec.entryPc = threadBody_;
-        spec.usedRegs = 10;
-        const auto context = scheduler_->createThread(spec);
-        EXPECT_TRUE(context.has_value());
-        pokeContextReg(*cpu_, context->rrm, 4, iterations);
-        pokeContextReg(*cpu_, context->rrm, 6, 1);
-        pokeContextReg(*cpu_, context->rrm, 7, 0);
-        pokeContextReg(*cpu_, context->rrm, 9,
-                       static_cast<uint32_t>(counter_addr));
-        return *context;
+        kernel::KernelRun result;
+        memory_.run(steps, result, [](uint32_t) {}, on_step);
+        return result;
     }
 
-    std::unique_ptr<Cpu> cpu_;
-    std::unique_ptr<ContextAllocator> allocator_;
-    std::unique_ptr<MachineScheduler> scheduler_;
+    kernel::MemorySystem memory_{128, 6, counterAddr, nullptr};
     uint32_t threadBody_ = 0;
-    uint32_t spin_ = 0;
-    uint32_t entry_ = 0;
 };
 
 TEST_F(Figure3Switch, RoundRobinDemoRunsToCompletion)
 {
-    constexpr uint64_t counter_addr = 0x2000;
     constexpr unsigned num_threads = 3;
-    constexpr uint32_t iterations = 5;
+    start(num_threads, 5, num_threads);
 
-    std::vector<Context> contexts;
-    for (unsigned i = 0; i < num_threads; ++i)
-        contexts.push_back(makeThread(iterations, counter_addr));
-    cpu_->mem().write(counter_addr, num_threads);
-    scheduler_->start();
+    const kernel::KernelRun result =
+        run(100000, [](const machine::TraceEntry &) {});
+    ASSERT_TRUE(result.halted);
+    EXPECT_EQ(result.stop.trap, machine::TrapKind::None);
+    EXPECT_EQ(memory_.cpu().mem().read(counterAddr), 0u);
 
-    cpu_->run(100000);
-    ASSERT_TRUE(cpu_->halted());
-    EXPECT_EQ(cpu_->trap(), machine::TrapKind::None);
-    EXPECT_EQ(cpu_->mem().read(counter_addr), 0u);
-
-    // Each thread decremented r4 from `iterations` to 0, accumulating
+    // Each thread decremented r4 from 5 to 0, accumulating
     // 4+3+2+1+0 = 10 into r5.
-    for (const Context &context : contexts) {
-        EXPECT_EQ(peekContextReg(*cpu_, context.rrm, 4), 0u);
-        EXPECT_EQ(peekContextReg(*cpu_, context.rrm, 5), 10u);
+    for (unsigned tid = 0; tid < num_threads; ++tid) {
+        EXPECT_EQ(memory_.peek(tid, 4), 0u);
+        EXPECT_EQ(memory_.peek(tid, 5), 10u);
     }
 }
 
@@ -126,58 +109,39 @@ TEST_F(Figure3Switch, RoundRobinDemoRunsToCompletion)
 // jmp = 5 cycles of switch machinery per yield.
 TEST_F(Figure3Switch, SwitchCostWithinPaperRange)
 {
-    constexpr uint64_t counter_addr = 0x2000;
     // Two threads whose r4 wraps to a huge count: each loop pass is
     // sub + add + (jal + yield) + bne — three body instructions plus
     // the full switch path.
-    makeThread(0, counter_addr);
-    makeThread(0, counter_addr);
-    cpu_->mem().write(counter_addr, 1000);
-    scheduler_->start();
-
-    uint64_t body_visits = 0;
-    cpu_->setTraceHook([&](const machine::TraceEntry &entry) {
-        if (entry.pc == threadBody_)
-            ++body_visits;
-    });
-
-    cpu_->run(4000);
-    ASSERT_GE(body_visits, 100u);
-    const double cycles_per_visit =
-        static_cast<double>(cpu_->cycles()) /
-        static_cast<double>(body_visits);
+    const kernel::SwitchCost cost =
+        kernel::figure3SwitchCost(machine::PipelineTimingConfig{}, 4000);
+    ASSERT_GE(cost.bodyVisits, 100u);
     // 3 of the cycles per visit are loop body; the rest is the
     // Figure 3 transfer of control. The paper claims 4 to 6 cycles.
-    const double switch_cost = cycles_per_visit - 3.0;
-    EXPECT_GE(switch_cost, 4.0);
-    EXPECT_LE(switch_cost, 6.0);
+    EXPECT_GE(cost.cycles, 4.0);
+    EXPECT_LE(cost.cycles, 6.0);
 }
 
 TEST_F(Figure3Switch, PswIsSavedAndRestoredAcrossSwitch)
 {
-    constexpr uint64_t counter_addr = 0x2000;
-    const Context a = makeThread(3, counter_addr);
-    const Context b = makeThread(3, counter_addr);
-    cpu_->mem().write(counter_addr, 2);
+    start(2, 3, 2);
     // Give each context a distinctive PSW image in r1.
-    pokeContextReg(*cpu_, a.rrm, 1, 0xaa);
-    pokeContextReg(*cpu_, b.rrm, 1, 0xbb);
-    scheduler_->start();
+    memory_.poke(0, 1, 0xaa);
+    memory_.poke(1, 1, 0xbb);
 
     // After the first switch (a -> b), the PSW must hold b's image.
     uint32_t psw_after_first_switch = 0;
     bool seen = false;
-    cpu_->setTraceHook([&](const machine::TraceEntry &entry) {
-        if (!seen && entry.pc == threadBody_ &&
-            entry.rrm == b.rrm) {
-            psw_after_first_switch = cpu_->psw();
-            seen = true;
-        }
-    });
-    cpu_->run(100000);
+    const kernel::KernelRun result =
+        run(100000, [&](const machine::TraceEntry &entry) {
+            if (!seen && entry.pc == threadBody_ &&
+                entry.rrm == memory_.context(1)) {
+                psw_after_first_switch = memory_.cpu().psw();
+                seen = true;
+            }
+        });
     ASSERT_TRUE(seen);
     EXPECT_EQ(psw_after_first_switch, 0xbbu);
-    ASSERT_TRUE(cpu_->halted());
+    ASSERT_TRUE(result.halted);
 }
 
 // ---- Appendix A allocator -------------------------------------------

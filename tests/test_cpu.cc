@@ -311,7 +311,7 @@ TEST(Cpu, TraceHookSeesInstructions)
     Cpu cpu(smallConfig());
     std::vector<std::string> trace;
     cpu.setTraceHook([&](const TraceEntry &entry) {
-        trace.push_back(entry.text);
+        trace.push_back(isa::disassemble(entry.inst));
     });
     load(cpu, "addi r1, r2, 3\nhalt\n");
     cpu.run(10);

@@ -694,7 +694,7 @@ TEST(Dispatch, FaultInsideChainedLoopFlushesCountersBeforeHook)
         cpu.setTraceHook([&trace](const TraceEntry &e) {
             std::ostringstream os;
             os << e.cycle << ':' << e.pc << ':' << e.rrm << ':'
-               << e.text;
+               << isa::disassemble(e.inst);
             trace.push_back(os.str());
         });
         std::vector<uint64_t> atHook;

@@ -12,6 +12,7 @@
 
 #include "analysis/efficiency_model.hh"
 #include "kernel/machine_mt_kernel.hh"
+#include "kernel/memory_system.hh"
 #include "kernel/rotation_kernel.hh"
 #include "kernel/sync_workload.hh"
 #include "kernel/twophase_kernel.hh"
@@ -188,6 +189,57 @@ TEST(MachineKernelDeath, OverfullFileRejected)
     config.numRegs = 64;
     config.forcedContextSize = 32; // only 2 fit
     EXPECT_DEATH(runMachineKernel(config), "does not fit");
+}
+
+// The Figure 3 ring: first-fit contexts in creation order, each
+// context's NextRRM (r2) naming the next one and the last wrapping to
+// the first, and the machine started in thread 0's context at its
+// entry.
+TEST(MemorySystem, CreateRingWiresNextRrm)
+{
+    MemorySystem memory(128, 5, 0x1000, nullptr);
+    memory.createRing(3, 8, 0x1000,
+                      [](unsigned tid) { return 100 + tid; });
+    for (unsigned tid = 0; tid < 3; ++tid) {
+        EXPECT_EQ(memory.context(tid), 8 * tid);
+        EXPECT_EQ(memory.peek(tid, 0), 100 + tid);
+        EXPECT_EQ(memory.peek(tid, 1), 0u);
+        EXPECT_EQ(memory.peek(tid, 2), memory.context((tid + 1) % 3));
+        EXPECT_EQ(memory.peek(tid, 6), 1u);
+        EXPECT_EQ(memory.peek(tid, 7), 0u);
+    }
+    EXPECT_EQ(memory.cpu().rrm(), memory.context(0));
+    EXPECT_EQ(memory.cpu().pc(), 100u);
+    EXPECT_EQ(memory.currentThread(), 0u);
+}
+
+TEST(MemorySystem, PeekPokeAddressTheThreadsContext)
+{
+    MemorySystem memory(128, 5, 0x1000, nullptr);
+    memory.createRing(3, 8, 0x1000, [](unsigned) { return 0u; });
+    // Not the active context: thread 2's is installed.
+    memory.cpu().setRrmImmediate(memory.context(2));
+    memory.poke(1, 3, 0xabc);
+    EXPECT_EQ(memory.cpu().regs().read(memory.context(1) | 3), 0xabcu);
+    EXPECT_EQ(memory.peek(1, 3), 0xabcu);
+    EXPECT_EQ(memory.cpu().readContextReg(3), 0u);
+}
+
+TEST(MemorySystemDeath, CreateRingWithoutThreadsPanics)
+{
+    MemorySystem memory(128, 5, 0x1000, nullptr);
+    EXPECT_DEATH(
+        memory.createRing(0, 8, 0x1000, [](unsigned) { return 0u; }),
+        "no threads");
+}
+
+TEST(MemorySystemDeath, CreateRingOverfullFilePanics)
+{
+    // 128 / 32 = 4 contexts fit; the fifth thread does not.
+    MemorySystem memory(128, 5, 0x1000, nullptr);
+    EXPECT_DEATH(
+        memory.createRing(5, 32, 0x1000, [](unsigned) { return 0u; }),
+        "thread 4 does not fit");
 }
 
 TEST(KernelStop, StepCapIsReported)

@@ -10,10 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "assembler/assembler.hh"
+#include "kernel/memory_system.hh"
 #include "machine/cpu.hh"
-#include "runtime/asm_routines.hh"
-#include "runtime/context_allocator.hh"
-#include "runtime/context_loader.hh"
 
 namespace rr::machine {
 namespace {
@@ -126,45 +124,15 @@ TEST(PipelineTiming, LdrrmPenaltyConfigurable)
 // switch cost rises from ~5 ideal to ~11 cycles.
 TEST(PipelineTiming, Figure3SwitchCostsElevenCyclesOnRealPipeline)
 {
-    Cpu cpu(timedConfig());
-    const auto prog =
-        assembler::assemble(runtime::roundRobinDemoSource());
-    ASSERT_TRUE(prog.ok());
-    cpu.mem().loadImage(prog.base, prog.words);
-
-    runtime::ContextAllocator allocator(128, 6, 16);
-    runtime::MachineScheduler scheduler(cpu, allocator);
-    for (int i = 0; i < 2; ++i) {
-        runtime::MachineScheduler::ThreadSpec spec;
-        spec.entryPc = prog.addressOf("thread_body");
-        spec.usedRegs = 10;
-        const auto context = scheduler.createThread(spec);
-        ASSERT_TRUE(context.has_value());
-        runtime::pokeContextReg(cpu, context->rrm, 4, 0);
-        runtime::pokeContextReg(cpu, context->rrm, 6, 1);
-        runtime::pokeContextReg(cpu, context->rrm, 7, 0);
-        runtime::pokeContextReg(cpu, context->rrm, 9, 0x2000);
-    }
-    cpu.mem().write(0x2000, 1000);
-    scheduler.start();
-
-    uint64_t body_visits = 0;
-    const uint32_t body = prog.addressOf("thread_body");
-    cpu.setTraceHook([&](const TraceEntry &entry) {
-        if (entry.pc == body)
-            ++body_visits;
-    });
-    cpu.run(6000);
-    ASSERT_GE(body_visits, 100u);
+    const kernel::SwitchCost cost = kernel::figure3SwitchCost(
+        PipelineTimingConfig::classicFiveStage(), 6000);
+    ASSERT_GE(cost.bodyVisits, 100u);
 
     // Per visit: sub + add + bne(taken, +2) + jal(+2) + yield(4) +
     // jmp(+2) = 8 ideal + 6 bubbles = 14; minus the 3 loop-body
     // instructions leaves ~11 cycles of switch machinery.
-    const double per_visit = static_cast<double>(cpu.cycles()) /
-                             static_cast<double>(body_visits);
-    const double switch_cost = per_visit - 3.0;
-    EXPECT_GE(switch_cost, 9.0);
-    EXPECT_LE(switch_cost, 12.0);
+    EXPECT_GE(cost.cycles, 9.0);
+    EXPECT_LE(cost.cycles, 12.0);
 }
 
 } // namespace

@@ -427,7 +427,7 @@ TEST(Predecode, TraceStreamIdenticalInAllModes)
         std::ostringstream out;
         cpu.setTraceHook([&out](const TraceEntry &entry) {
             out << entry.cycle << ' ' << entry.pc << ' ' << entry.rrm
-                << ' ' << entry.text << '\n';
+                << ' ' << isa::disassemble(entry.inst) << '\n';
         });
         loadAndStart(cpu, prog);
         cpu.run(100'000);

@@ -5,7 +5,7 @@
  * Usage:
  *   rrsim [options] program.s | program.hex
  *     --regs N        register file size (default 128)
- *     --width W       operand width w (default 6)
+ *     --width W       operand width w (default 5)
  *     --banks B       RRM banks (default 1)
  *     --mode M        relocation mode: or | mux | add (default or)
  *     --delay D       LDRRM delay slots (default 1)
@@ -69,7 +69,7 @@ namespace {
 const char *const kUsage =
     "usage: rrsim [options] program.s | program.hex\n"
     "  --regs N      register file size (default 128)\n"
-    "  --width W     operand width w (default 6)\n"
+    "  --width W     operand width w (default 5)\n"
     "  --banks B     RRM banks (default 1)\n"
     "  --mode M      relocation mode: or | mux | add (default or)\n"
     "  --delay D     LDRRM delay slots (default 1)\n"
@@ -337,7 +337,8 @@ main(int argc, char **argv)
                     std::printf(
                         "%8lu  rrm=0x%02x  %6u: %s\n",
                         static_cast<unsigned long>(entry.cycle),
-                        entry.rrm, entry.pc, entry.text.c_str());
+                        entry.rrm, entry.pc,
+                        rr::isa::disassemble(entry.inst).c_str());
                 });
         }
     };
