@@ -1,9 +1,10 @@
 #include "assembler/assembler.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 #include <optional>
-#include <sstream>
+#include <span>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "isa/instruction.hh"
@@ -17,9 +18,7 @@ using isa::Opcode;
 std::string
 Diagnostic::str() const
 {
-    std::ostringstream os;
-    os << "line " << line << ": " << message;
-    return os.str();
+    return "line " + std::to_string(line) + ": " + message;
 }
 
 uint32_t
@@ -64,70 +63,126 @@ namespace {
  */
 constexpr int64_t kLiMax = 0x3ffff7ff;
 
-/** A parsed source statement: a mnemonic/directive plus operands. */
+/** What a statement's head names, resolved once in pass 1. */
+enum class Head : uint8_t
+{
+    Org,
+    Align,
+    Word,
+    Thread,
+    LockDef,
+    Mov,
+    Li,
+    La,
+    B,
+    Instruction, ///< a machine mnemonic (Statement::op)
+    Unknown,     ///< reported in pass 1; never emitted
+};
+
+/**
+ * A parsed source statement. Operands are views into the source text,
+ * kept in one flat list owned by the assembler.
+ */
 struct Statement
 {
     int line = 0;
-    std::string head;                  ///< mnemonic or directive
-    std::vector<std::string> operands; ///< raw operand tokens
+    Head head = Head::Unknown;
+    Opcode op = Opcode::NOP;      ///< when head == Head::Instruction
+    uint32_t firstOperand = 0;    ///< index into AsmContext::operands_
+    uint32_t numOperands = 0;
 };
 
-/** Strip comments and surrounding whitespace. */
-std::string
-cleanLine(const std::string &raw)
+// Character classes of the "C" locale, spelled out: the source is
+// ASCII, and the <cctype> calls cost a library call per character.
+
+char
+lower(char c)
 {
-    std::string s = raw;
-    for (const char *marker : {";", "#", "//"}) {
-        const auto pos = s.find(marker);
-        if (pos != std::string::npos)
-            s = s.substr(0, pos);
-    }
-    const auto begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-std::string
-toLower(std::string s)
+bool
+isDigit(char c)
 {
-    for (char &c : s)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return s;
+    return c >= '0' && c <= '9';
+}
+
+bool
+isAlpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Line blanks: what trim() strips. */
+bool
+isBlank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r';
+}
+
+/** Strip surrounding blanks (space, tab, carriage return). */
+std::string_view
+trim(std::string_view s)
+{
+    size_t begin = 0;
+    size_t end = s.size();
+    while (begin < end && isBlank(s[begin]))
+        ++begin;
+    while (end > begin && isBlank(s[end - 1]))
+        --end;
+    return s.substr(begin, end - begin);
+}
+
+/** Strip the comment (';', '#' or '//' to end of line), then trim. */
+std::string_view
+cleanLine(std::string_view s)
+{
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c == ';' || c == '#' ||
+            (c == '/' && i + 1 < s.size() && s[i + 1] == '/')) {
+            s = s.substr(0, i);
+            break;
+        }
+    }
+    return trim(s);
+}
+
+/** @return true when @p s equals the lower-case @p word, any case. */
+bool
+equalsLower(std::string_view s, std::string_view word)
+{
+    return s.size() == word.size() &&
+           std::equal(s.begin(), s.end(), word.begin(),
+                      [](char a, char b) { return lower(a) == b; });
 }
 
 bool
 isIdentStart(char c)
 {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '.';
+    return isAlpha(c) || c == '_' || c == '.';
 }
 
 bool
 isIdentChar(char c)
 {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '.';
+    return isIdentStart(c) || isDigit(c);
 }
 
-/** Split the operand part of a statement on commas. */
-std::vector<std::string>
-splitOperands(const std::string &text)
+/** "'" + @p tok + "'" after @p prefix: the shape of token errors. */
+std::string
+quoted(const char *prefix, std::string_view tok)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : text) {
-        if (c == ',') {
-            out.push_back(cleanLine(cur));
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    const std::string last = cleanLine(cur);
-    if (!last.empty() || !out.empty())
-        out.push_back(last);
+    std::string out(prefix);
+    out += '\'';
+    out += tok;
+    out += '\'';
     return out;
 }
 
@@ -145,22 +200,45 @@ class AsmContext
   private:
     // ---- shared helpers -------------------------------------------------
 
-    void error(int line, const std::string &msg)
+    void error(int line, std::string msg)
     {
-        program_.errors.push_back({line, msg});
+        program_.errors.push_back({line, std::move(msg)});
     }
 
-    /** Parse "r<N>"; returns nullopt on failure. */
-    std::optional<unsigned> parseReg(const std::string &tok) const
+    std::span<const std::string_view> operandsOf(const Statement &stmt) const
     {
-        const std::string t = toLower(tok);
-        if (t.size() < 2 || t[0] != 'r')
+        return {operands_.data() + stmt.firstOperand, stmt.numOperands};
+    }
+
+    /**
+     * Split the operand text of a statement on commas into operands_;
+     * each operand is trimmed, and a lone empty operand means none.
+     */
+    void splitOperands(std::string_view text, Statement &stmt)
+    {
+        stmt.firstOperand = static_cast<uint32_t>(operands_.size());
+        size_t begin = 0;
+        for (size_t comma; (comma = text.find(',', begin)) !=
+                           std::string_view::npos;
+             begin = comma + 1)
+            operands_.push_back(trim(text.substr(begin, comma - begin)));
+        const std::string_view last = trim(text.substr(begin));
+        if (!last.empty() || operands_.size() > stmt.firstOperand)
+            operands_.push_back(last);
+        stmt.numOperands =
+            static_cast<uint32_t>(operands_.size()) - stmt.firstOperand;
+    }
+
+    /** Parse "r<N>" (any case); returns nullopt on failure. */
+    static std::optional<unsigned> parseReg(std::string_view tok)
+    {
+        if (tok.size() < 2 || lower(tok[0]) != 'r')
             return std::nullopt;
         unsigned value = 0;
-        for (size_t i = 1; i < t.size(); ++i) {
-            if (!std::isdigit(static_cast<unsigned char>(t[i])))
+        for (size_t i = 1; i < tok.size(); ++i) {
+            if (!isDigit(tok[i]))
                 return std::nullopt;
-            value = value * 10 + static_cast<unsigned>(t[i] - '0');
+            value = value * 10 + static_cast<unsigned>(tok[i] - '0');
             if (value >= isa::maxOperandRegs)
                 return std::nullopt;
         }
@@ -168,7 +246,7 @@ class AsmContext
     }
 
     /** Parse a literal integer (decimal or 0x hex, maybe negative). */
-    static std::optional<int64_t> parseIntLiteral(const std::string &tok)
+    static std::optional<int64_t> parseIntLiteral(std::string_view tok)
     {
         if (tok.empty())
             return std::nullopt;
@@ -188,14 +266,17 @@ class AsmContext
         }
         int64_t value = 0;
         for (; pos < tok.size(); ++pos) {
-            const char c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(tok[pos])));
+            const char c = lower(tok[pos]);
             int digit;
             if (c >= '0' && c <= '9')
                 digit = c - '0';
             else if (base == 16 && c >= 'a' && c <= 'f')
                 digit = c - 'a' + 10;
             else
+                return std::nullopt;
+            // Past the int64 range it is no literal: the use reports a
+            // line error instead of computing an overflowed value.
+            if (value > (std::numeric_limits<int64_t>::max() - digit) / base)
                 return std::nullopt;
             value = value * base + digit;
         }
@@ -206,7 +287,7 @@ class AsmContext
      * Resolve an expression token: integer literal, .equ constant, or
      * label. Only valid during pass 2 (labels must be known).
      */
-    std::optional<int64_t> resolveValue(const std::string &tok) const
+    std::optional<int64_t> resolveValue(std::string_view tok) const
     {
         if (const auto lit = parseIntLiteral(tok))
             return lit;
@@ -224,9 +305,9 @@ class AsmContext
      * the symbol table (its address escapes into a register or data
      * word, making it a potential indirect-jump target).
      */
-    void noteAddressTaken(const std::string &tok)
+    void noteAddressTaken(std::string_view tok)
     {
-        if (parseIntLiteral(tok) || constants_.count(tok))
+        if (parseIntLiteral(tok) || constants_.contains(tok))
             return;
         const auto sym = program_.symbols.find(tok);
         if (sym != program_.symbols.end())
@@ -238,22 +319,22 @@ class AsmContext
     /** Parse lines into statements, recording labels (pass 1). */
     void parseAndLayout();
 
+    /** Classify the lower-case @p head into @p stmt. */
+    static void classify(std::string_view head, Statement &stmt);
+
     /** Size (in words) that @p stmt will emit. */
-    unsigned statementSize(const Statement &stmt, int line);
+    static unsigned statementSize(const Statement &stmt);
 
     /** Encode statements into program words (pass 2). */
     void emitAll();
 
+    /** Append @p word at the cursor (words grow only at the end). */
     void emitWord(uint32_t word, int line)
     {
-        rr_assert(cursor_ >= program_.base, "cursor before base");
-        const size_t index = cursor_ - program_.base;
-        if (program_.words.size() <= index) {
-            program_.words.resize(index + 1, 0);
-            program_.lines.resize(index + 1, 0);
-        }
-        program_.words[index] = word;
-        program_.lines[index] = line;
+        rr_assert(cursor_ - program_.base == program_.words.size(),
+                  "cursor off the end of the image");
+        program_.words.push_back(word);
+        program_.lines.push_back(line);
         ++cursor_;
     }
 
@@ -273,40 +354,68 @@ class AsmContext
         const isa::FormatInfo info = isa::formatInfo(fmt);
         if (isa::immFits(info, imm))
             return true;
-        std::ostringstream os;
-        os << isa::mnemonicOf(op)
-           << (fmt == isa::Format::B || fmt == isa::Format::J
-                   ? " offset "
-                   : " immediate ")
-           << imm << " out of " << (info.immSigned ? "signed " : "unsigned ")
-           << info.immBits << "-bit range";
-        error(line, os.str());
+        error(line, std::string(isa::mnemonicOf(op)) +
+                        (fmt == isa::Format::B || fmt == isa::Format::J
+                             ? " offset "
+                             : " immediate ") +
+                        std::to_string(imm) + " out of " +
+                        (info.immSigned ? "signed " : "unsigned ") +
+                        std::to_string(info.immBits) + "-bit range");
         return false;
     }
 
     void emitStatement(const Statement &stmt);
-    void emitInstruction(const Statement &stmt, Opcode op);
+    void emitInstruction(const Statement &stmt);
     void emitPseudo(const Statement &stmt);
 
     const std::string &source_;
     Program program_;
     std::vector<Statement> statements_;
-    std::map<std::string, int64_t> constants_;
+    std::vector<std::string_view> operands_;
+    std::map<std::string, int64_t, std::less<>> constants_;
+    std::string head_; ///< the current line's lower-cased head
     uint32_t cursor_ = 0;
+    uint32_t layoutEnd_ = 0; ///< the address after pass 1's last word
     bool baseSet_ = false;
 };
 
 void
+AsmContext::classify(std::string_view head, Statement &stmt)
+{
+    // .org, .align and .equ are laid out before classification.
+    static constexpr std::pair<std::string_view, Head> kNamed[] = {
+        {".word", Head::Word}, {".thread", Head::Thread},
+        {".lockdef", Head::LockDef}, {"mov", Head::Mov},
+        {"li", Head::Li}, {"la", Head::La}, {"b", Head::B},
+    };
+    for (const auto &[name, kind] : kNamed) {
+        if (head == name) {
+            stmt.head = kind;
+            return;
+        }
+    }
+    stmt.head = isa::opcodeFromMnemonic(head, stmt.op) ? Head::Instruction
+                                                       : Head::Unknown;
+}
+
+void
 AsmContext::parseAndLayout()
 {
-    std::istringstream in(source_);
-    std::string raw;
+    const std::string_view source = source_;
     int line_no = 0;
     uint32_t addr = 0;
+    const auto lines = static_cast<size_t>(
+        std::count(source.begin(), source.end(), '\n') + 1);
+    statements_.reserve(lines);
+    operands_.reserve(2 * lines);
 
-    while (std::getline(in, raw)) {
+    for (size_t pos = 0; pos < source.size();) {
+        size_t eol = source.find('\n', pos);
+        if (eol == std::string_view::npos)
+            eol = source.size();
         ++line_no;
-        std::string text = cleanLine(raw);
+        std::string_view text = cleanLine(source.substr(pos, eol - pos));
+        pos = eol + 1;
 
         // Peel off any leading labels.
         while (!text.empty()) {
@@ -317,13 +426,11 @@ AsmContext::parseAndLayout()
                 ++i;
             if (i >= text.size() || text[i] != ':')
                 break;
-            const std::string label = text.substr(0, i);
-            if (program_.symbols.count(label)) {
-                error(line_no, "duplicate label '" + label + "'");
-            } else {
-                program_.symbols[label] = addr;
-            }
-            text = cleanLine(text.substr(i + 1));
+            const std::string_view label = text.substr(0, i);
+            if (!program_.symbols.try_emplace(std::string(label), addr)
+                     .second)
+                error(line_no, quoted("duplicate label ", label));
+            text = trim(text.substr(i + 1));
         }
         if (text.empty())
             continue;
@@ -331,22 +438,25 @@ AsmContext::parseAndLayout()
         // Split head / operands.
         size_t head_end = 0;
         while (head_end < text.size() &&
-               !std::isspace(static_cast<unsigned char>(text[head_end]))) {
+               !isSpace(text[head_end])) {
             ++head_end;
         }
+        head_.assign(text.substr(0, head_end));
+        std::transform(head_.begin(), head_.end(), head_.begin(), lower);
         Statement stmt;
         stmt.line = line_no;
-        stmt.head = toLower(text.substr(0, head_end));
-        stmt.operands = splitOperands(cleanLine(text.substr(head_end)));
+        splitOperands(trim(text.substr(head_end)), stmt);
+        const auto ops = operandsOf(stmt);
 
         // Directives that change layout are handled here so that label
         // addresses are known by the end of pass 1.
-        if (stmt.head == ".org") {
-            if (stmt.operands.size() != 1) {
+        if (head_ == ".org") {
+            stmt.head = Head::Org;
+            if (ops.size() != 1) {
                 error(line_no, ".org expects one operand");
                 continue;
             }
-            const auto v = parseIntLiteral(stmt.operands[0]);
+            const auto v = parseIntLiteral(ops[0]);
             if (!v || *v < 0) {
                 error(line_no, ".org expects a nonnegative literal");
                 continue;
@@ -363,25 +473,26 @@ AsmContext::parseAndLayout()
             statements_.push_back(stmt);
             continue;
         }
-        if (stmt.head == ".equ") {
-            if (stmt.operands.size() != 2) {
+        if (head_ == ".equ") {
+            if (ops.size() != 2) {
                 error(line_no, ".equ expects NAME, VALUE");
                 continue;
             }
-            const auto v = parseIntLiteral(stmt.operands[1]);
+            const auto v = parseIntLiteral(ops[1]);
             if (!v) {
                 error(line_no, ".equ value must be a literal");
                 continue;
             }
-            constants_[stmt.operands[0]] = *v;
+            constants_.insert_or_assign(std::string(ops[0]), *v);
             continue;
         }
-        if (stmt.head == ".align") {
-            if (stmt.operands.size() != 1) {
+        if (head_ == ".align") {
+            stmt.head = Head::Align;
+            if (ops.size() != 1) {
                 error(line_no, ".align expects one operand");
                 continue;
             }
-            const auto v = parseIntLiteral(stmt.operands[0]);
+            const auto v = parseIntLiteral(ops[0]);
             if (!v || *v <= 0) {
                 error(line_no, ".align expects a positive literal");
                 continue;
@@ -392,39 +503,38 @@ AsmContext::parseAndLayout()
             continue;
         }
 
-        addr += statementSize(stmt, line_no);
+        classify(head_, stmt);
+        if (stmt.head == Head::Unknown)
+            error(line_no,
+                  quoted("unknown mnemonic or directive ", head_));
+        addr += statementSize(stmt);
         statements_.push_back(stmt);
-
-        // Re-resolve labels that were defined at this address before
-        // the statement (already done above; nothing further needed).
     }
-
-    // Fix label addresses: labels were recorded against the running
-    // address *before* their statement, which is correct.
+    layoutEnd_ = addr;
 }
 
 unsigned
-AsmContext::statementSize(const Statement &stmt, int line)
+AsmContext::statementSize(const Statement &stmt)
 {
-    if (stmt.head == ".word")
-        return 1;
-    if (stmt.head == ".thread" || stmt.head == ".lockdef")
+    switch (stmt.head) {
+      case Head::Thread:
+      case Head::LockDef:
+      case Head::Unknown:
         return 0; // annotations: resolved in pass 2, emit nothing
-    if (stmt.head == "li" || stmt.head == "la")
+      case Head::Li:
+      case Head::La:
         return 2;
-    if (stmt.head == "mov" || stmt.head == "b")
+      default:
         return 1;
-    Opcode op;
-    if (isa::opcodeFromMnemonic(stmt.head, op))
-        return 1;
-    error(line, "unknown mnemonic or directive '" + stmt.head + "'");
-    return 0;
+    }
 }
 
 void
 AsmContext::emitAll()
 {
     cursor_ = program_.base;
+    program_.words.reserve(layoutEnd_ - program_.base);
+    program_.lines.reserve(layoutEnd_ - program_.base);
     for (const auto &stmt : statements_)
         emitStatement(stmt);
 }
@@ -433,54 +543,53 @@ void
 AsmContext::emitStatement(const Statement &stmt)
 {
     const int line = stmt.line;
+    const auto ops = operandsOf(stmt);
 
-    if (stmt.head == ".org") {
-        const auto v = parseIntLiteral(stmt.operands[0]);
-        const auto target = static_cast<uint32_t>(*v);
+    switch (stmt.head) {
+      case Head::Org: {
+        const auto target = static_cast<uint32_t>(*parseIntLiteral(ops[0]));
         while (cursor_ < target)
             emitWord(0, line);
         return;
-    }
-    if (stmt.head == ".align") {
-        const auto v = parseIntLiteral(stmt.operands[0]);
-        const auto align = static_cast<uint32_t>(*v);
+      }
+      case Head::Align: {
+        const auto align = static_cast<uint32_t>(*parseIntLiteral(ops[0]));
         while (cursor_ % align != 0)
             emitWord(0, line);
         return;
-    }
-    if (stmt.head == ".word") {
-        if (stmt.operands.size() != 1) {
+      }
+      case Head::Word: {
+        if (ops.size() != 1) {
             error(line, ".word expects one operand");
             return;
         }
-        const auto v = resolveValue(stmt.operands[0]);
+        const auto v = resolveValue(ops[0]);
         if (!v) {
-            error(line, "cannot resolve '" + stmt.operands[0] + "'");
+            error(line, quoted("cannot resolve ", ops[0]));
             emitWord(0, line);
             return;
         }
-        noteAddressTaken(stmt.operands[0]);
+        noteAddressTaken(ops[0]);
         emitWord(static_cast<uint32_t>(*v), line);
         return;
-    }
-    if (stmt.head == ".thread") {
-        if (stmt.operands.empty() || stmt.operands.size() > 2) {
+      }
+      case Head::Thread: {
+        if (ops.empty() || ops.size() > 2) {
             error(line, ".thread expects LABEL[, RRM]");
             return;
         }
-        const auto entry = resolveValue(stmt.operands[0]);
+        const auto entry = resolveValue(ops[0]);
         if (!entry || *entry < 0) {
-            error(line, "cannot resolve '" + stmt.operands[0] + "'");
+            error(line, quoted("cannot resolve ", ops[0]));
             return;
         }
         ThreadDecl decl;
         decl.address = static_cast<uint32_t>(*entry);
         decl.line = line;
-        if (stmt.operands.size() == 2) {
-            const auto rrm = resolveValue(stmt.operands[1]);
+        if (ops.size() == 2) {
+            const auto rrm = resolveValue(ops[1]);
             if (!rrm || *rrm < 0) {
-                error(line,
-                      "cannot resolve '" + stmt.operands[1] + "'");
+                error(line, quoted("cannot resolve ", ops[1]));
                 return;
             }
             decl.hasRrm = true;
@@ -488,58 +597,57 @@ AsmContext::emitStatement(const Statement &stmt)
         }
         program_.threads.push_back(decl);
         return;
-    }
-    if (stmt.head == ".lockdef") {
-        if (stmt.operands.size() != 3) {
+      }
+      case Head::LockDef: {
+        if (ops.size() != 3) {
             error(line, ".lockdef expects NAME, ACQUIRE, RELEASE");
             return;
         }
         LockDef def;
-        def.name = stmt.operands[0];
+        def.name = ops[0];
         def.line = line;
-        const auto acquire = resolveValue(stmt.operands[1]);
-        const auto release = resolveValue(stmt.operands[2]);
+        const auto acquire = resolveValue(ops[1]);
+        const auto release = resolveValue(ops[2]);
         if (!acquire || *acquire < 0) {
-            error(line, "cannot resolve '" + stmt.operands[1] + "'");
+            error(line, quoted("cannot resolve ", ops[1]));
             return;
         }
         if (!release || *release < 0) {
-            error(line, "cannot resolve '" + stmt.operands[2] + "'");
+            error(line, quoted("cannot resolve ", ops[2]));
             return;
         }
         def.acquire = static_cast<uint32_t>(*acquire);
         def.release = static_cast<uint32_t>(*release);
-        program_.lockdefs.push_back(def);
+        program_.lockdefs.push_back(std::move(def));
         return;
-    }
-
-    if (stmt.head == "mov" || stmt.head == "li" || stmt.head == "la" ||
-        stmt.head == "b") {
+      }
+      case Head::Mov:
+      case Head::Li:
+      case Head::La:
+      case Head::B:
         emitPseudo(stmt);
         return;
-    }
-
-    Opcode op;
-    if (!isa::opcodeFromMnemonic(stmt.head, op)) {
-        // Already reported in pass 1.
+      case Head::Instruction:
+        emitInstruction(stmt);
         return;
+      case Head::Unknown:
+        return; // already reported in pass 1
     }
-    emitInstruction(stmt, op);
 }
 
 void
 AsmContext::emitPseudo(const Statement &stmt)
 {
     const int line = stmt.line;
-    const auto &ops = stmt.operands;
+    const auto ops = operandsOf(stmt);
 
-    if (stmt.head == "mov") {
+    if (stmt.head == Head::Mov) {
         if (ops.size() != 2) {
             error(line, "mov expects two operands");
             return;
         }
-        const bool dst_psw = toLower(ops[0]) == "psw";
-        const bool src_psw = toLower(ops[1]) == "psw";
+        const bool dst_psw = equalsLower(ops[0], "psw");
+        const bool src_psw = equalsLower(ops[1], "psw");
         if (dst_psw && src_psw) {
             error(line, "mov psw, psw is meaningless");
             return;
@@ -547,7 +655,7 @@ AsmContext::emitPseudo(const Statement &stmt)
         if (dst_psw) {
             const auto rs = parseReg(ops[1]);
             if (!rs) {
-                error(line, "bad register '" + ops[1] + "'");
+                error(line, quoted("bad register ", ops[1]));
                 return;
             }
             Instruction inst;
@@ -558,7 +666,7 @@ AsmContext::emitPseudo(const Statement &stmt)
         }
         const auto rd = parseReg(ops[0]);
         if (!rd) {
-            error(line, "bad register '" + ops[0] + "'");
+            error(line, quoted("bad register ", ops[0]));
             return;
         }
         if (src_psw) {
@@ -570,26 +678,27 @@ AsmContext::emitPseudo(const Statement &stmt)
         }
         const auto rs = parseReg(ops[1]);
         if (!rs) {
-            error(line, "bad register '" + ops[1] + "'");
+            error(line, quoted("bad register ", ops[1]));
             return;
         }
         emitInst(isa::makeI(Opcode::ADDI, *rd, *rs, 0), line);
         return;
     }
 
-    if (stmt.head == "li" || stmt.head == "la") {
+    if (stmt.head == Head::Li || stmt.head == Head::La) {
         if (ops.size() != 2) {
-            error(line, stmt.head + " expects two operands");
+            error(line, std::string(stmt.head == Head::Li ? "li" : "la") +
+                            " expects two operands");
             return;
         }
         const auto rd = parseReg(ops[0]);
         if (!rd) {
-            error(line, "bad register '" + ops[0] + "'");
+            error(line, quoted("bad register ", ops[0]));
             return;
         }
         const auto v = resolveValue(ops[1]);
         if (!v) {
-            error(line, "cannot resolve '" + ops[1] + "'");
+            error(line, quoted("cannot resolve ", ops[1]));
             return;
         }
         if (*v < 0 || *v > kLiMax) {
@@ -617,59 +726,53 @@ AsmContext::emitPseudo(const Statement &stmt)
         return;
     }
 
-    if (stmt.head == "b") {
-        if (ops.size() != 1) {
-            error(line, "b expects one operand");
-            return;
-        }
-        const auto v = resolveValue(ops[0]);
-        if (!v) {
-            error(line, "cannot resolve '" + ops[0] + "'");
-            return;
-        }
-        const int64_t offset = *v - static_cast<int64_t>(cursor_);
-        if (!checkImm(Opcode::BEQ, offset, line))
-            return;
-        emitInst(isa::makeB(Opcode::BEQ, 0, 0,
-                            static_cast<int32_t>(offset)),
-                 line);
+    rr_assert(stmt.head == Head::B, "unhandled pseudo-instruction");
+    if (ops.size() != 1) {
+        error(line, "b expects one operand");
         return;
     }
-
-    rr_panic("unhandled pseudo '", stmt.head, "'");
+    const auto v = resolveValue(ops[0]);
+    if (!v) {
+        error(line, quoted("cannot resolve ", ops[0]));
+        return;
+    }
+    const int64_t offset = *v - static_cast<int64_t>(cursor_);
+    if (!checkImm(Opcode::BEQ, offset, line))
+        return;
+    emitInst(isa::makeB(Opcode::BEQ, 0, 0, static_cast<int32_t>(offset)),
+             line);
 }
 
 void
-AsmContext::emitInstruction(const Statement &stmt, Opcode op)
+AsmContext::emitInstruction(const Statement &stmt)
 {
     const int line = stmt.line;
-    const auto &ops = stmt.operands;
+    const auto ops = operandsOf(stmt);
+    const Opcode op = stmt.op;
     const Format fmt = isa::formatOf(op);
 
     auto need = [&](size_t n) {
         if (ops.size() != n) {
-            std::ostringstream os;
-            os << stmt.head << " expects " << n << " operand(s), got "
-               << ops.size();
-            error(line, os.str());
+            error(line, std::string(isa::mnemonicOf(op)) + " expects " +
+                            std::to_string(n) + " operand(s), got " +
+                            std::to_string(ops.size()));
             return false;
         }
         return true;
     };
-    auto get_reg = [&](const std::string &tok,
-                       unsigned &out) {
+    auto get_reg = [&](std::string_view tok, unsigned &out) {
         const auto r = parseReg(tok);
         if (!r) {
-            error(line, "bad register '" + tok + "'");
+            error(line, quoted("bad register ", tok));
             return false;
         }
         out = *r;
         return true;
     };
-    auto get_value = [&](const std::string &tok, int64_t &out) {
+    auto get_value = [&](std::string_view tok, int64_t &out) {
         const auto v = resolveValue(tok);
         if (!v) {
-            error(line, "cannot resolve '" + tok + "'");
+            error(line, quoted("cannot resolve ", tok));
             return false;
         }
         out = *v;
@@ -742,14 +845,14 @@ AsmContext::emitInstruction(const Statement &stmt, Opcode op)
                 return;
             const auto open = ops[1].find('(');
             const auto close = ops[1].find(')');
-            if (open == std::string::npos || close == std::string::npos ||
-                close < open) {
+            if (open == std::string_view::npos ||
+                close == std::string_view::npos || close < open) {
                 error(line, "expected imm(rs1) operand");
                 return;
             }
-            const std::string imm_text =
+            const std::string_view imm_text =
                 open == 0 ? "0" : ops[1].substr(0, open);
-            const std::string reg_text =
+            const std::string_view reg_text =
                 ops[1].substr(open + 1, close - open - 1);
             unsigned rs1;
             if (!get_reg(reg_text, rs1) || !get_value(imm_text, imm))

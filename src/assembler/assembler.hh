@@ -47,6 +47,7 @@
 #define RR_ASSEMBLER_ASSEMBLER_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -90,8 +91,12 @@ struct Program
     /** The assembled image, one 32-bit word per instruction. */
     std::vector<uint32_t> words;
 
-    /** Label name -> absolute word address. */
-    std::map<std::string, uint32_t> symbols;
+    /**
+     * Label name -> absolute word address. The transparent comparator
+     * lets lookups take a std::string_view or a literal without
+     * building a std::string.
+     */
+    std::map<std::string, uint32_t, std::less<>> symbols;
 
     /** Word index -> source line (for traces and diagnostics). */
     std::vector<int> lines;

@@ -169,16 +169,21 @@ Writer::seal()
         throw Error("writer already sealed");
     sealed_ = true;
 
-    std::vector<uint8_t> out;
-    out.reserve(sizeof kMagic + body_.size() + 12);
-    out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
-    out.insert(out.end(), body_.begin(), body_.end());
+    // Sized once and filled by index: gcc 12 misreads the inlined
+    // insert-after-reserve copies as overflowing (-Wstringop-overflow).
+    std::vector<uint8_t> out(sizeof kMagic + body_.size() + 12);
+    uint8_t *at = out.data();
+    std::memcpy(at, kMagic, sizeof kMagic);
+    at += sizeof kMagic;
+    if (!body_.empty())
+        std::memcpy(at, body_.data(), body_.size());
+    at += body_.size();
 
     const uint64_t hash = fnv1a(body_.data(), body_.size());
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(kTrailerTag >> (8 * i)));
+        *at++ = static_cast<uint8_t>(kTrailerTag >> (8 * i));
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(hash >> (8 * i)));
+        *at++ = static_cast<uint8_t>(hash >> (8 * i));
     return out;
 }
 

@@ -1,6 +1,7 @@
 #include "isa/opcodes.hh"
 
 #include <array>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -85,10 +86,11 @@ mnemonicOf(Opcode op)
 }
 
 bool
-opcodeFromMnemonic(const std::string &mnemonic, Opcode &out)
+opcodeFromMnemonic(std::string_view mnemonic, Opcode &out)
 {
+    // Keys view the table's string literals.
     static const auto lookup = [] {
-        std::unordered_map<std::string, Opcode> m;
+        std::unordered_map<std::string_view, Opcode> m;
         for (unsigned i = 0; i < numOpcodes; ++i)
             m.emplace(opcodeTable[i].mnemonic, static_cast<Opcode>(i));
         return m;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace rr::isa {
 
@@ -103,7 +104,7 @@ const char *mnemonicOf(Opcode op);
  * Look up an opcode by lower-case mnemonic.
  * @return true and sets @p out when found.
  */
-bool opcodeFromMnemonic(const std::string &mnemonic, Opcode &out);
+bool opcodeFromMnemonic(std::string_view mnemonic, Opcode &out);
 
 /** Operand-slot usage for a format (for relocation and disassembly). */
 struct FormatInfo

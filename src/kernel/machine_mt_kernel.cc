@@ -57,8 +57,8 @@ MachineMtKernel::MachineMtKernel(KernelConfig config)
     createThreads();
 }
 
-void
-MachineMtKernel::buildProgram()
+std::string
+machineMtKernelSource()
 {
     std::ostringstream os;
     os << "entry:\n"
@@ -96,8 +96,14 @@ parked:
     jal  r0, yield
     b    parked
 )";
+    return os.str();
+}
 
-    const assembler::Program prog = mem_.load(os.str(), "kernel program");
+void
+MachineMtKernel::buildProgram()
+{
+    const assembler::Program prog =
+        mem_.load(machineMtKernelSource(), "kernel program");
     entryAddr_ = prog.addressOf("thread_start");
     workAddr_ = prog.addressOf("work");
     pollFailAddr_ = prog.addressOf("poll_fail");

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/distributions.hh"
@@ -161,6 +162,12 @@ class MachineMtKernel
 
 /** Convenience wrapper: construct, run, return. */
 KernelResult runMachineKernel(KernelConfig config);
+
+/**
+ * The program every MachineMtKernel runs: `entry` (jmp r0), the
+ * Figure 3 yield and the shared thread body.
+ */
+std::string machineMtKernelSource();
 
 } // namespace rr::kernel
 

@@ -85,10 +85,18 @@ SyncWorkloadKernel::buildProgram()
         {"p_item", Marker::ItemProduced},
         {"c_item", Marker::ItemConsumed},
     };
+    // One flat entry per program word, so the per-instruction lookup
+    // in onStep is an index, not a hash. The first label at an address
+    // names its marker.
+    markers_.assign(prog.base + prog.words.size(), Marker::None);
     for (const auto &[label, marker] : marks) {
         const auto it = prog.symbols.find(label);
-        if (it != prog.symbols.end())
-            markers_.emplace(it->second, marker);
+        if (it == prog.symbols.end())
+            continue;
+        if (it->second >= markers_.size())
+            markers_.resize(it->second + 1, Marker::None);
+        if (markers_[it->second] == Marker::None)
+            markers_[it->second] = marker;
     }
 }
 
@@ -162,10 +170,11 @@ SyncWorkloadKernel::createThreads()
 void
 SyncWorkloadKernel::onStep(uint64_t cycle, uint32_t pc)
 {
-    const auto it = markers_.find(pc);
-    if (it == markers_.end())
+    if (pc >= markers_.size())
         return;
-    switch (it->second) {
+    switch (markers_[pc]) {
+      case Marker::None:
+        break;
       case Marker::Work:
         ++result_.workUnits;
         break;

@@ -22,7 +22,7 @@
 #define RR_KERNEL_SYNC_WORKLOAD_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "kernel/memory_system.hh"
 #include "runtime/sync_runtime.hh"
@@ -131,6 +131,7 @@ class SyncWorkloadKernel
     /** What a program-counter hit at a known label means. */
     enum class Marker : uint8_t
     {
+        None,
         Work,
         PollFail,
         LockTake,
@@ -151,7 +152,7 @@ class SyncWorkloadKernel
     SyncWorkloadConfig config_;
     runtime::SyncLayout layout_;
     MemorySystem mem_;
-    std::unordered_map<uint32_t, Marker> markers_;
+    std::vector<Marker> markers_; ///< per program word, by address
     uint32_t bodyAddr_ = 0;       ///< thread body (producers in PC)
     uint32_t consumerAddr_ = 0;   ///< consumer body (PC scenario)
     SyncWorkloadResult result_;

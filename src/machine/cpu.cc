@@ -59,8 +59,6 @@ Cpu::Cpu(const CpuConfig &config)
 {
     if (predecode_) {
         refreshRelocTable();
-        blockIndex_.assign(config.memWords, -1);
-        blockCover_.assign(config.memWords, 0);
         blocks_.reserve(64);
         memVersionSeen_ = mem_.version();
     }

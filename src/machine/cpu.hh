@@ -204,8 +204,8 @@ class Cpu : public ckpt::Restorable
 
     /**
      * Memories larger than this are not shadowed (the block index and
-     * cover map cost 6 bytes/word); such CPUs run() through the
-     * decode-per-step reference.
+     * cover map cost 6 bytes per word up to the highest decoded one);
+     * such CPUs run() through the decode-per-step reference.
      */
     static constexpr size_t kPredecodeMaxWords = size_t{1} << 22;
 
@@ -355,6 +355,9 @@ class Cpu : public ckpt::Restorable
     /** Drop every superblock and clear the index/cover maps. */
     void flushBlocks();
 
+    /** Grow the index/cover maps to cover words [0, @p words). */
+    void growBlockMaps(uint32_t words);
+
     /**
      * Invalidate superblocks touched by host writes that arrived
      * through Memory's public API since the last sync (checked via
@@ -412,8 +415,11 @@ class Cpu : public ckpt::Restorable
     // Superblock cache (threaded dispatch). blockIndex_ maps an entry
     // pc to its block (-1 = none); blockCover_ counts, per word, how
     // many blocks decoded that word, so stores can detect in O(1)
-    // whether they clobbered cached code. blocksStale_ defers the
-    // actual flush to the next outer-loop iteration.
+    // whether they clobbered cached code. Both span only the words up
+    // to the highest one any block decoded (buildBlock grows them);
+    // addresses past their end hold no block and no cached code.
+    // blocksStale_ defers the actual flush to the next outer-loop
+    // iteration.
     std::vector<SuperBlock> blocks_;
     std::vector<int32_t> blockIndex_;
     std::vector<uint16_t> blockCover_;

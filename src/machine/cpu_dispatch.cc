@@ -16,12 +16,14 @@
  *    execute;
  *  - host writes through Memory's public API, and stores made by the
  *    reference step(), are caught by the memory version counter /
- *    bounded write journal at block boundaries; a journal hit demotes
- *    blocks to "unverified" rather than dropping them — each block
- *    re-proves itself at its next entry by comparing the covered
- *    words against its build-time snapshot, so reloading an identical
- *    image (the common bench/runtime reset) keeps the whole cache
- *    warm;
+ *    bounded write journal at block boundaries (a trace hook that
+ *    writes memory ends its block after the current instruction, and
+ *    blocks chain only while no such write is pending); a journal hit
+ *    demotes blocks to "unverified" rather than dropping them — each
+ *    block re-proves itself at its next entry by comparing the
+ *    covered words against its build-time snapshot, so reloading an
+ *    identical image (the common bench/runtime reset) keeps the whole
+ *    cache warm;
  *  - checkpoint restore flushes everything — superblocks are derived
  *    state and never serialized (docs/CKPT.md).
  *
@@ -131,6 +133,8 @@ Cpu::buildBlock(uint32_t entry)
     blk.ops.push_back(end);
     blk.words = pc - entry;
     blk.seenEpoch = codeEpoch_;
+    if (blockCover_.size() < pc)
+        growBlockMaps(pc);
     blk.raw.assign(memData_ + entry, memData_ + pc);
 
     const auto idx = static_cast<int32_t>(blocks_.size());
@@ -156,6 +160,19 @@ Cpu::flushBlocks()
         ++sbFlushes_;
     }
     blocksStale_ = false;
+}
+
+void
+Cpu::growBlockMaps(uint32_t words)
+{
+    // Geometric growth, so code that walks upwards through memory
+    // does not regrow the maps at every new block; never past the
+    // memory itself.
+    const size_t size = std::min<size_t>(
+        memWords_,
+        std::max<size_t>({words, 2 * blockCover_.size(), 1024}));
+    blockIndex_.resize(size, -1);
+    blockCover_.resize(size, 0);
 }
 
 void
@@ -210,7 +227,8 @@ Cpu::runBlocks(uint64_t max_steps)
             refreshRelocTable();
 
         const SuperBlock *blk = nullptr;
-        const int32_t idx = blockIndex_[pc_];
+        const int32_t idx =
+            pc_ < blockIndex_.size() ? blockIndex_[pc_] : -1;
         if (idx >= 0) {
             SuperBlock &cand = blocks_[static_cast<size_t>(idx)];
             if (cand.seenEpoch == codeEpoch_) {
@@ -291,53 +309,65 @@ Cpu::runBlocks(uint64_t max_steps)
         if (traceHook_) {                                              \
             traceHook_(TraceEntry{cycles_, op->pc, op->inst,           \
                                   relocation_.mask(0)});               \
+            /* A hook that moved a mask: this instruction relocates */ \
+            /* under the new one, as it does in step(). */             \
+            if (relocation_.epoch() != relocEpoch_) [[unlikely]] {     \
+                refreshRelocTable();                                   \
+                reloc = relocTable_;                                   \
+            }                                                          \
         }                                                              \
-        if (timingEnabled_) {                                          \
+        if (timing) {                                                  \
             stepReadCount_ = 0;                                        \
             stepWrote_ = false;                                        \
         }                                                              \
     }
 
-// Block chaining (fast mode only): when a control transfer lands on
-// the entry of an already-built, verified superblock, jump straight to
-// its descriptors instead of returning to the outer loop. The outer
-// loop's duties are all discharged or impossible here: no hook can
-// have run (fast mode has none, FAULT exits), so no host write can
-// have arrived since the last sync; a simulated store to cached code
-// sets blocksStale_ and exits its block immediately, so the flag check
-// suffices; LDRRM delay slots and bank switches refresh the relocation
-// table inline; and the per-instruction budget check in RR_PROLOG
-// still bounds the chained run. Careful mode never chains — the trace
-// hook may legitimately write memory between instructions, and the
-// outer loop must observe that.
+// Block chaining: when a control transfer lands on the entry of an
+// already-built, verified superblock, jump straight to its
+// descriptors instead of returning to the outer loop. The guard
+// discharges the outer loop's duties exactly:
+//  - a simulated store to cached code sets blocksStale_ and ends its
+//    block at once, so the flag check suffices;
+//  - a host write since the last sync (a trace hook writing memory)
+//    bumps the memory version, and careful mode chains only when
+//    there was none, so syncHostWrites would find nothing. Fast mode
+//    runs no hook, and FAULT, whose hook may write, never chains;
+//  - LDRRM delay slots, bank switches and a trace hook that moved a
+//    mask refresh the relocation table inline, and careful mode
+//    checks that it is current;
+//  - the per-instruction budget check in RR_PROLOG still bounds the
+//    chained run.
+// Targets past the block maps hold no block (buildBlock grows them).
 #define RR_CHAIN(chainPc_)                                             \
     do {                                                               \
-        if constexpr (!Careful) {                                      \
-            if ((chainPc_) < memSz && !blocksStale_) {                 \
-                const int32_t ci_ = blockIdx[(chainPc_)];              \
-                if (ci_ >= 0) {                                        \
-                    const SuperBlock &nb_ =                            \
-                        blocksArr[static_cast<size_t>(ci_)];           \
-                    if (nb_.seenEpoch == codeEp) {                     \
-                        op = nb_.ops.data();                           \
-                        RR_DISPATCH();                                 \
-                    }                                                  \
+        if ((chainPc_) < mapSz && !blocksStale_ &&                     \
+            (!Careful || (mem_.version() == memVersionSeen_ &&         \
+                          relocation_.epoch() == relocEpoch_))) {      \
+            const int32_t ci_ = blockIdx[(chainPc_)];                  \
+            if (ci_ >= 0) {                                            \
+                const SuperBlock &nb_ =                                \
+                    blocksArr[static_cast<size_t>(ci_)];               \
+                if (nb_.seenEpoch == codeEp) {                         \
+                    op = nb_.ops.data();                               \
+                    RR_DISPATCH();                                     \
                 }                                                      \
             }                                                          \
         }                                                              \
     } while (0)
 
-// Retire a control transfer and leave the block (or chain into the
-// target block in fast mode). target_ must be side-effect free.
+// Retire a control transfer and chain into the target block, or
+// leave the block. target_ must be side-effect free.
 #define RR_RETIRE_EXIT(target_)                                        \
     do {                                                               \
         if constexpr (Careful) {                                       \
-            pc_ = (target_);                                           \
+            const uint32_t tgt_ = (target_);                           \
+            pc_ = tgt_;                                                \
             ++cycles_;                                                 \
             ++instret_;                                                \
             ++done;                                                    \
-            if (timingEnabled_)                                        \
+            if (timing)                                                \
                 applyTiming(op->inst, op->pc);                         \
+            RR_CHAIN(tgt_);                                            \
         } else {                                                       \
             const uint32_t tgt_ = (target_);                           \
             ++done;                                                    \
@@ -356,7 +386,7 @@ Cpu::runBlocks(uint64_t max_steps)
             ++cycles_;                                                 \
             ++instret_;                                                \
             ++done;                                                    \
-            if (timingEnabled_)                                        \
+            if (timing)                                                \
                 applyTiming(op->inst, op->pc);                         \
         } else {                                                       \
             ++done;                                                    \
@@ -367,7 +397,9 @@ Cpu::runBlocks(uint64_t max_steps)
 #define RR_CASE(label) L_##label:
 #define RR_DISPATCH() goto *kLabels[op->token]
 
-// Retire a straight-line instruction and dispatch the next one.
+// Retire a straight-line instruction and dispatch the next one. In
+// careful mode a trace hook that wrote memory ends the block here, so
+// the outer loop syncs the write before another descriptor runs.
 #define RR_NEXT()                                                      \
     do {                                                               \
         if constexpr (Careful) {                                       \
@@ -375,8 +407,10 @@ Cpu::runBlocks(uint64_t max_steps)
             ++cycles_;                                                 \
             ++instret_;                                                \
             ++done;                                                    \
-            if (timingEnabled_)                                        \
+            if (timing)                                                \
                 applyTiming(op->inst, op->pc);                         \
+            if (mem_.version() != memVersionSeen_) [[unlikely]]        \
+                return done;                                           \
         } else {                                                       \
             ++done;                                                    \
         }                                                              \
@@ -422,16 +456,19 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
     // any integral member, so the compiler would otherwise reload
     // these on every operand access. None of them changes inside a
     // block except the relocation table, which the LDRRM retirement
-    // paths refresh explicitly.
+    // paths and the careful prologue (after a hook moved a mask)
+    // refresh explicitly.
     const RelocationResult *reloc = relocTable_;
     const unsigned relocSz = relocTableSize_;
     uint32_t *const regs = regsData_;
     uint32_t *const mem = memData_;
     const uint64_t memSz = memWords_;
+    const size_t mapSz = blockIndex_.size();
     const int32_t *const blockIdx = blockIndex_.data();
     const SuperBlock *const blocksArr = blocks_.data();
     const uint64_t codeEp = codeEpoch_;
     const uint16_t *const cover = blockCover_.data();
+    const bool timing = timingEnabled_;
 
     auto rdop = [&](unsigned operand) -> uint32_t {
         if (operand >= relocSz) [[unlikely]]
@@ -440,7 +477,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
         if (!r.ok) [[unlikely]]
             throwTrap(TrapKind::ContextBounds);
         if constexpr (Careful) {
-            if (timingEnabled_)
+            if (timing)
                 recordOperandRead(r.physical);
         }
         return regs[r.physical];
@@ -453,7 +490,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             throwTrap(TrapKind::ContextBounds);
         regs[r.physical] = value;
         if constexpr (Careful) {
-            if (timingEnabled_) {
+            if (timing) {
                 stepWrote_ = true;
                 stepWrotePhys_ = r.physical;
             }
@@ -529,7 +566,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             if (addr >= memSz) [[unlikely]]
                 throwTrap(TrapKind::MemOutOfRange);
             mem[addr] = value;
-            if (cover[addr] != 0) [[unlikely]] {
+            if (addr < mapSz && cover[addr] != 0) [[unlikely]] {
                 // The store clobbered cached code — possibly a later
                 // descriptor of this very block. Mark the cache stale
                 // and end the block before anything stale can run.
@@ -639,7 +676,7 @@ Cpu::execBlock(const SuperBlock &blk, uint64_t budget)
             ++instret_;
             ++done;
             if constexpr (Careful) {
-                if (timingEnabled_)
+                if (timing)
                     applyTiming(finst, fpc);
             }
             return done;

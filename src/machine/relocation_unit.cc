@@ -54,13 +54,6 @@ RelocationUnit::installMask(uint32_t mask, unsigned bank)
     return table();
 }
 
-uint32_t
-RelocationUnit::mask(unsigned bank) const
-{
-    rr_assert(bank < masks_.size(), "bad RRM bank ", bank);
-    return masks_[bank];
-}
-
 void
 RelocationUnit::setContextSize(unsigned size)
 {

@@ -133,8 +133,16 @@ class RelocationUnit
     const RelocationResult *installMask(uint32_t mask,
                                         unsigned bank = 0);
 
-    /** Current mask in bank @p bank. */
-    uint32_t mask(unsigned bank = 0) const;
+    /**
+     * Current mask in bank @p bank. Inline: traced runs read it once
+     * per instruction.
+     */
+    uint32_t
+    mask(unsigned bank = 0) const
+    {
+        rr_assert(bank < masks_.size(), "bad RRM bank ", bank);
+        return masks_[bank];
+    }
 
     /**
      * Configure the context size used by Mux-mode bounds checking

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,17 +73,11 @@ struct ArchState
     std::vector<uint32_t> mem;
 };
 
-/** Run @p prog with the cache forced on or off. */
+/** Everything the cache could perturb in @p cpu. */
 ArchState
-runWith(const CpuConfig &config, const assembler::Program &prog,
-        bool predecode, uint64_t steps = 100'000)
+snapshot(const Cpu &cpu)
 {
-    CpuConfig c = config;
-    c.predecode = predecode;
-    Cpu cpu(c);
-    loadAndStart(cpu, prog);
-    cpu.run(steps);
-
+    const CpuConfig &c = cpu.config();
     ArchState state;
     state.cacheActive = cpu.predecodeActive();
     state.instret = cpu.instructionsRetired();
@@ -99,21 +94,25 @@ runWith(const CpuConfig &config, const assembler::Program &prog,
     return state;
 }
 
-/**
- * Full architectural-state comparison: the uncached reference against
- * the cached superblock engine.
- */
-void
-expectSameArchState(const CpuConfig &config,
-                    const assembler::Program &prog,
-                    uint64_t steps = 100'000)
+/** Run @p prog with the cache forced on or off. */
+ArchState
+runWith(const CpuConfig &config, const assembler::Program &prog,
+        bool predecode, uint64_t steps = 100'000)
 {
-    const ArchState off = runWith(config, prog, false, steps);
+    CpuConfig c = config;
+    c.predecode = predecode;
+    Cpu cpu(c);
+    loadAndStart(cpu, prog);
+    cpu.run(steps);
+    return snapshot(cpu);
+}
+
+/** @p off is the uncached reference run, @p on the superblock run. */
+void
+expectSameState(const ArchState &off, const ArchState &on)
+{
     EXPECT_FALSE(off.cacheActive);
-
-    const ArchState on = runWith(config, prog, true, steps);
     EXPECT_TRUE(on.cacheActive);
-
     EXPECT_EQ(on.instret, off.instret);
     EXPECT_EQ(on.cycles, off.cycles);
     EXPECT_EQ(on.pc, off.pc);
@@ -123,6 +122,19 @@ expectSameArchState(const CpuConfig &config,
     EXPECT_EQ(on.stalls, off.stalls);
     EXPECT_EQ(on.regs, off.regs);
     EXPECT_EQ(on.mem, off.mem);
+}
+
+/**
+ * Full architectural-state comparison: the uncached reference against
+ * the cached superblock engine.
+ */
+void
+expectSameArchState(const CpuConfig &config,
+                    const assembler::Program &prog,
+                    uint64_t steps = 100'000)
+{
+    expectSameState(runWith(config, prog, false, steps),
+                    runWith(config, prog, true, steps));
 }
 
 std::vector<assembler::Program>
@@ -404,6 +416,145 @@ newinst:
             EXPECT_EQ(cpu.cycles(), cachedCycles);
         }
     }
+}
+
+// ---- trace hooks that act on the machine ------------------------------
+//
+// A trace hook runs before each instruction executes and may write
+// memory or move a mask (the kernels' hooks deliver completions by
+// writing flag words). step() fetches the next instruction after the
+// hook and relocates the current one under the mask the hook left, so
+// superblocks must too: a hook's write to cached code ends the block
+// after the current instruction, and a hook's mask change refreshes
+// the relocation table before the current instruction reads operands.
+
+/** A hooked run: the final state and every TraceEntry, rendered. */
+struct HookedRun
+{
+    ArchState state;
+    std::vector<std::string> trace;
+};
+
+using MachineHook = std::function<void(Cpu &, const TraceEntry &)>;
+
+HookedRun
+runHooked(const CpuConfig &config, const assembler::Program &prog,
+          bool predecode, const MachineHook &hook)
+{
+    CpuConfig c = config;
+    c.predecode = predecode;
+    Cpu cpu(c);
+    loadAndStart(cpu, prog);
+    HookedRun run;
+    cpu.setTraceHook([&](const TraceEntry &entry) {
+        std::ostringstream line;
+        line << entry.cycle << ' ' << entry.pc << ' ' << entry.rrm << ' '
+             << isa::disassemble(entry.inst);
+        run.trace.push_back(line.str());
+        hook(cpu, entry);
+    });
+    cpu.run(100'000);
+    run.state = snapshot(cpu);
+    return run;
+}
+
+/**
+ * The hooked run with predecode off and on: registers, memory, pc,
+ * counters and the trace stream must all agree. @return the
+ * reference run.
+ */
+HookedRun
+expectSameHookedRun(const CpuConfig &config,
+                    const assembler::Program &prog,
+                    const MachineHook &hook)
+{
+    const HookedRun off = runHooked(config, prog, false, hook);
+    const HookedRun on = runHooked(config, prog, true, hook);
+    EXPECT_TRUE(off.state.halted);
+    expectSameState(off.state, on.state);
+    EXPECT_EQ(on.trace, off.trace);
+    return off;
+}
+
+TEST(PredecodeHook, HookWriteToCachedCodeIsFetchedNext)
+{
+    const assembler::Program prog = assembleOrDie(R"(
+entry:
+    addi  r1, r0, 0
+    addi  r1, r1, 1
+    addi  r1, r1, 1
+    halt
+)");
+    const uint32_t entry = prog.addressOf("entry");
+    const uint32_t patched =
+        isa::encode(isa::makeI(isa::Opcode::ADDI, 1, 1, 100));
+    const HookedRun ref = expectSameHookedRun(
+        baseConfig(), prog, [&](Cpu &cpu, const TraceEntry &e) {
+            if (e.pc == entry + 1)
+                cpu.mem().write(entry + 2, patched);
+        });
+    EXPECT_EQ(ref.state.regs[1], 101u);
+}
+
+TEST(PredecodeHook, HookMaskChangeRelocatesCurrentInstruction)
+{
+    const assembler::Program prog = assembleOrDie(R"(
+entry:
+    addi  r1, r0, 5
+    addi  r1, r0, 7
+    addi  r2, r0, 9
+    halt
+)");
+    const uint32_t entry = prog.addressOf("entry");
+    const HookedRun ref = expectSameHookedRun(
+        baseConfig(), prog, [&](Cpu &cpu, const TraceEntry &e) {
+            if (e.pc == entry + 1)
+                cpu.setRrmImmediate(32);
+        });
+    EXPECT_EQ(ref.state.regs[1], 5u);
+    EXPECT_EQ(ref.state.regs[33], 7u);
+    EXPECT_EQ(ref.state.regs[34], 9u);
+}
+
+// Code near the top of a 64K-word memory: the block maps grow to
+// cover it, and both invalidation paths still see writes there — the
+// program's own store over cached code, and a hook's host write over
+// the next instruction of a cached block.
+TEST(PredecodeHook, TopOfMemoryCodeSeesStoresAndHookWrites)
+{
+    const assembler::Program prog = assembleOrDie(R"(
+.org 65470
+entry:
+    jal   r9, warm
+    la    r4, patch
+    la    r5, newinst
+    ld    r6, 0(r5)
+    st    r6, 0(r4)
+    jal   r9, warm
+poke:
+    addi  r7, r0, 1
+    addi  r7, r7, 1
+    halt
+warm:
+patch:
+    addi  r3, r0, 1
+    jmp   r9
+newinst:
+    addi  r3, r0, 2
+)");
+    CpuConfig config = baseConfig();
+    config.memWords = size_t{1} << 16;
+    ASSERT_GT(prog.addressOf("newinst"), 65480u);
+    const uint32_t poke = prog.addressOf("poke");
+    const uint32_t patched =
+        isa::encode(isa::makeI(isa::Opcode::ADDI, 7, 7, 40));
+    const HookedRun ref = expectSameHookedRun(
+        config, prog, [&](Cpu &cpu, const TraceEntry &e) {
+            if (e.pc == poke)
+                cpu.mem().write(poke + 1, patched);
+        });
+    EXPECT_EQ(ref.state.regs[3], 2u);
+    EXPECT_EQ(ref.state.regs[7], 41u);
 }
 
 TEST(Predecode, ConfigOffDisablesCache)
