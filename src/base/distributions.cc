@@ -45,22 +45,6 @@ GeometricDist::GeometricDist(double mean)
               "geometric mean must be in [1, 2^53), got ", mean);
 }
 
-uint64_t
-GeometricDist::sample(Rng &rng) const
-{
-    // Inverse-CDF sampling of a geometric on {1, 2, ...} with success
-    // probability p = 1/mean. ceil(ln U / ln (1-p)) for U in (0, 1).
-    if (mean_ <= 1.0)
-        return 1;
-    double u = rng.nextDouble();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double v = std::ceil(std::log(u) / logOneMinusP_);
-    if (v < 1.0)
-        return 1;
-    return static_cast<uint64_t>(v);
-}
-
 double
 GeometricDist::mean() const
 {
@@ -79,22 +63,6 @@ ExponentialDist::ExponentialDist(double mean)
     : mean_(mean)
 {
     rr_assert(mean > 0.0, "exponential mean must be positive, got ", mean);
-}
-
-uint64_t
-ExponentialDist::sample(Rng &rng) const
-{
-    double u = rng.nextDouble();
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double v = -mean_ * std::log(u);
-    if (v < 1.0)
-        return 1;
-    if (v < 0x1p63)
-        return static_cast<uint64_t>(std::llround(v));
-    // Past llround's range every double is an integer: the cast is
-    // exact up to 2^64, and larger draws saturate.
-    return v < 0x1p64 ? static_cast<uint64_t>(v) : UINT64_MAX;
 }
 
 double

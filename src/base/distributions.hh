@@ -15,6 +15,7 @@
 #ifndef RR_BASE_DISTRIBUTIONS_HH
 #define RR_BASE_DISTRIBUTIONS_HH
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,12 +63,30 @@ class ConstantDist : public Distribution
  * fault occurs on each cycle with probability 1/mean, so run lengths
  * between faults are geometric (paper, Section 3.2).
  */
-class GeometricDist : public Distribution
+class GeometricDist final : public Distribution
 {
   public:
     explicit GeometricDist(double mean);
 
-    uint64_t sample(Rng &rng) const override;
+    /**
+     * Defined here so that callers holding a GeometricDist by value
+     * (the fault models) inline the draw.
+     */
+    uint64_t sample(Rng &rng) const override
+    {
+        // Inverse-CDF sampling of a geometric on {1, 2, ...} with
+        // success probability p = 1/mean. ceil(ln U / ln (1-p)) for
+        // U in (0, 1).
+        if (mean_ <= 1.0)
+            return 1;
+        double u = rng.nextDouble();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        const double v = std::ceil(std::log(u) / logOneMinusP_);
+        if (v < 1.0)
+            return 1;
+        return static_cast<uint64_t>(v);
+    }
     double mean() const override;
     std::string describe() const override;
 
@@ -83,12 +102,26 @@ class GeometricDist : public Distribution
  * cycles with a minimum of 1 (paper, Section 3.3: synchronization wait
  * times are exponentially distributed).
  */
-class ExponentialDist : public Distribution
+class ExponentialDist final : public Distribution
 {
   public:
     explicit ExponentialDist(double mean);
 
-    uint64_t sample(Rng &rng) const override;
+    /** Defined here for the same reason as GeometricDist::sample. */
+    uint64_t sample(Rng &rng) const override
+    {
+        double u = rng.nextDouble();
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        const double v = -mean_ * std::log(u);
+        if (v < 1.0)
+            return 1;
+        if (v < 0x1p63)
+            return static_cast<uint64_t>(std::llround(v));
+        // Past llround's range every double is an integer: the cast
+        // is exact up to 2^64, and larger draws saturate.
+        return v < 0x1p64 ? static_cast<uint64_t>(v) : UINT64_MAX;
+    }
     double mean() const override;
     std::string describe() const override;
 

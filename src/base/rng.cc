@@ -16,12 +16,6 @@ splitmix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed_value)
@@ -39,29 +33,6 @@ Rng::seed(uint64_t seed_value)
     // produce four zero outputs in a row, but be defensive anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 uint64_t

@@ -33,7 +33,20 @@ class Rng
     void seed(uint64_t seed);
 
     /** @return the next raw 64-bit output. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     uint64_t operator()() { return next(); }
 
@@ -41,7 +54,11 @@ class Rng
     static constexpr uint64_t max() { return ~uint64_t{0}; }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /**
      * Uniform integer in the closed range [lo, hi].
@@ -67,6 +84,11 @@ class Rng
     void setState(const uint64_t in[4]);
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
 };
 

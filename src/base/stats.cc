@@ -77,65 +77,86 @@ RunningStats::merge(const RunningStats &other)
 }
 
 void
-IntervalRecorder::record(uint64_t time, uint64_t cumulative)
+IntervalRecorder::nonMonotonic(uint64_t time, uint64_t cumulative) const
 {
-    if (!times_.empty()) {
-        rr_assert(time >= times_.back(),
-                  "non-monotonic time: ", time, " < ", times_.back());
-        rr_assert(cumulative >= values_.back(),
-                  "non-monotonic value: ", cumulative, " < ",
-                  values_.back());
-        // Collapse repeated samples at the same timestamp.
-        if (time == times_.back()) {
-            values_.back() = cumulative;
-            return;
-        }
-    }
-    times_.push_back(time);
-    values_.push_back(cumulative);
+    // Called only when time or value went backwards.
+    const Point &last = back();
+    rr_assert(time >= last.time,
+              "non-monotonic time: ", time, " < ", last.time);
+    rr_panic("non-monotonic value: ", cumulative, " < ", last.value);
 }
 
 void
-IntervalRecorder::restore(std::vector<uint64_t> times,
-                          std::vector<uint64_t> values)
+IntervalRecorder::addChunk()
+{
+    chunks_.push_back(std::make_unique_for_overwrite<Point[]>(kChunkPoints));
+    tail_ = chunks_.back().get();
+    fill_ = 0;
+}
+
+std::vector<uint64_t>
+IntervalRecorder::times() const
+{
+    std::vector<uint64_t> out(size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = at(i).time;
+    return out;
+}
+
+std::vector<uint64_t>
+IntervalRecorder::values() const
+{
+    std::vector<uint64_t> out(size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = at(i).value;
+    return out;
+}
+
+void
+IntervalRecorder::restore(const std::vector<uint64_t> &times,
+                          const std::vector<uint64_t> &values)
 {
     rr_assert(times.size() == values.size(),
               "restore: mismatched series lengths");
-    times_ = std::move(times);
-    values_ = std::move(values);
-}
-
-uint64_t
-IntervalRecorder::endTime() const
-{
-    return times_.empty() ? 0 : times_.back();
-}
-
-uint64_t
-IntervalRecorder::endValue() const
-{
-    return values_.empty() ? 0 : values_.back();
+    chunks_.clear();
+    tail_ = nullptr;
+    fill_ = 0;
+    for (size_t i = 0; i < times.size(); ++i) {
+        if ((fill_ & (kChunkPoints - 1)) == 0)
+            addChunk();
+        tail_[fill_++] = {times[i], values[i]};
+    }
 }
 
 double
 IntervalRecorder::valueAt(double t) const
 {
-    if (times_.empty())
+    const size_t n = size();
+    if (n == 0)
         return 0.0;
-    if (t <= static_cast<double>(times_.front()))
-        return static_cast<double>(values_.front());
-    if (t >= static_cast<double>(times_.back()))
-        return static_cast<double>(values_.back());
+    if (t <= static_cast<double>(at(0).time))
+        return static_cast<double>(at(0).value);
+    if (t >= static_cast<double>(back().time))
+        return static_cast<double>(back().value);
 
-    // First index with time > t.
-    const auto it = std::upper_bound(times_.begin(), times_.end(),
-                                     static_cast<uint64_t>(t));
-    const size_t hi = static_cast<size_t>(it - times_.begin());
+    // First index with time > t (std::upper_bound over the chunks).
+    const auto key = static_cast<uint64_t>(t);
+    size_t hi = 0;
+    size_t count = n;
+    while (count > 0) {
+        const size_t half = count / 2;
+        if (at(hi + half).time <= key) {
+            hi += half + 1;
+            count -= half + 1;
+        } else {
+            count = half;
+        }
+    }
     const size_t lo = hi - 1;
-    const double t0 = static_cast<double>(times_[lo]);
-    const double t1 = static_cast<double>(times_[hi]);
-    const double v0 = static_cast<double>(values_[lo]);
-    const double v1 = static_cast<double>(values_[hi]);
+    const double t0 = static_cast<double>(at(lo).time);
+    const double t1 = static_cast<double>(at(hi).time);
+    const double v0 = static_cast<double>(at(lo).value);
+    const double v1 = static_cast<double>(at(hi).value);
     if (t1 <= t0)
         return v1;
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
@@ -144,7 +165,7 @@ IntervalRecorder::valueAt(double t) const
 double
 IntervalRecorder::windowRate(uint64_t t_begin, uint64_t t_end) const
 {
-    if (times_.empty() || t_end <= t_begin)
+    if (fill_ == 0 || t_end <= t_begin)
         return 0.0;
     const double v0 = valueAt(static_cast<double>(t_begin));
     const double v1 = valueAt(static_cast<double>(t_end));
@@ -154,7 +175,7 @@ IntervalRecorder::windowRate(uint64_t t_begin, uint64_t t_end) const
 double
 IntervalRecorder::centralRate(double lo_frac, double hi_frac) const
 {
-    if (times_.empty())
+    if (fill_ == 0)
         return 0.0;
     const double end = static_cast<double>(endTime());
     const auto t0 = static_cast<uint64_t>(end * lo_frac);
@@ -167,7 +188,7 @@ IntervalRecorder::centralRate(double lo_frac, double hi_frac) const
 double
 IntervalRecorder::totalRate() const
 {
-    if (times_.empty() || endTime() == 0)
+    if (endTime() == 0)
         return 0.0;
     return static_cast<double>(endValue()) /
            static_cast<double>(endTime());

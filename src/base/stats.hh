@@ -13,7 +13,9 @@
 #ifndef RR_BASE_STATS_HH
 #define RR_BASE_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,18 +64,49 @@ class RunningStats
 /**
  * Cumulative (time, value) series used to compute windowed rates.
  * Points must be appended with non-decreasing time and value.
+ *
+ * The central window's bounds are known only when the run ends, and
+ * the interpolated value at each bound depends on the exact pair of
+ * points around it, so every point is kept. They are stored as pairs
+ * in fixed-size chunks, so growth allocates one chunk at a time and
+ * never copies or over-reserves.
  */
 class IntervalRecorder
 {
   public:
+    /** Points per storage chunk (a power of two). */
+    static constexpr size_t kChunkPoints = 4096;
+
+    IntervalRecorder() = default;
+    // tail_ points into chunks_, so a copy or move would share it.
+    IntervalRecorder(const IntervalRecorder &) = delete;
+    IntervalRecorder &operator=(const IntervalRecorder &) = delete;
+
     /** Record that by time @p time, @p cumulative units had accrued. */
-    void record(uint64_t time, uint64_t cumulative);
+    void record(uint64_t time, uint64_t cumulative)
+    {
+        if (fill_ != 0) {
+            Point &last = tail_[fill_ - 1];
+            if (time < last.time || cumulative < last.value) [[unlikely]]
+                nonMonotonic(time, cumulative);
+            // Collapse repeated samples at the same timestamp.
+            if (time == last.time) {
+                last.value = cumulative;
+                return;
+            }
+        }
+        // fill_ is 0 when empty and kChunkPoints when the last chunk
+        // is full; both need a fresh chunk.
+        if ((fill_ & (kChunkPoints - 1)) == 0) [[unlikely]]
+            addChunk();
+        tail_[fill_++] = {time, cumulative};
+    }
 
     /** Total recorded span end time (0 when empty). */
-    uint64_t endTime() const;
+    uint64_t endTime() const { return fill_ == 0 ? 0 : back().time; }
 
     /** Final cumulative value (0 when empty). */
-    uint64_t endValue() const;
+    uint64_t endValue() const { return fill_ == 0 ? 0 : back().value; }
 
     /**
      * Rate of accrual (value per unit time) over the window
@@ -93,28 +126,55 @@ class IntervalRecorder
     double totalRate() const;
 
     /** Number of recorded points. */
-    size_t size() const { return times_.size(); }
+    size_t size() const
+    {
+        return chunks_.empty()
+                   ? 0
+                   : (chunks_.size() - 1) * kChunkPoints + fill_;
+    }
 
-    /** Recorded times, for checkpointing. */
-    const std::vector<uint64_t> &times() const { return times_; }
+    /** Recorded times in order, for checkpointing (built per call). */
+    std::vector<uint64_t> times() const;
 
-    /** Recorded cumulative values, for checkpointing. */
-    const std::vector<uint64_t> &values() const { return values_; }
+    /** Recorded cumulative values in order, for checkpointing. */
+    std::vector<uint64_t> values() const;
 
     /**
      * Replace the series wholesale (checkpoint restore). The two
      * vectors must be equally long and non-decreasing, exactly as if
      * produced by record() calls.
      */
-    void restore(std::vector<uint64_t> times,
-                 std::vector<uint64_t> values);
+    void restore(const std::vector<uint64_t> &times,
+                 const std::vector<uint64_t> &values);
 
   private:
+    struct Point
+    {
+        uint64_t time;
+        uint64_t value;
+    };
+
+    /** Panic naming whichever of time or value went backwards. */
+    [[noreturn]] void nonMonotonic(uint64_t time,
+                                   uint64_t cumulative) const;
+
+    /** Append an empty chunk and make it the tail. */
+    void addChunk();
+
+    const Point &back() const { return tail_[fill_ - 1]; }
+
+    /** The @p i-th point in recording order. */
+    const Point &at(size_t i) const
+    {
+        return chunks_[i / kChunkPoints][i % kChunkPoints];
+    }
+
     /** Interpolated cumulative value at time @p t. */
     double valueAt(double t) const;
 
-    std::vector<uint64_t> times_;
-    std::vector<uint64_t> values_;
+    std::vector<std::unique_ptr<Point[]>> chunks_;
+    Point *tail_ = nullptr; ///< the last chunk (null when empty)
+    size_t fill_ = 0;       ///< points in the last chunk
 };
 
 /**

@@ -150,11 +150,12 @@ Cpu::step()
     // visible only after ldrrmDelaySlots further instructions.
     advancePendingRrm();
 
-    if (!mem_.inRange(pc_)) {
+    const uint32_t pc = pc_;
+    if (!mem_.inRange(pc)) {
         trap_ = TrapKind::MemOutOfRange;
         return false;
     }
-    const uint32_t word = mem_.read(pc_);
+    const uint32_t word = mem_.read(pc);
     Instruction inst;
     if (!isa::decode(word, inst)) {
         trap_ = TrapKind::InvalidOpcode;
@@ -162,17 +163,19 @@ Cpu::step()
     }
 
     if (traceHook_) {
-        traceHook_(TraceEntry{cycles_, pc_, inst, relocation_.mask(0)});
+        traceHook_(TraceEntry{cycles_, pc, inst, relocation_.mask(0)});
     }
 
-    const uint32_t pc_before = pc_;
     stepReadCount_ = 0;
     stepWrote_ = false;
 
+    // The instruction executes from the pc it was fetched at, as in
+    // execBlock: a hook that called setPc() cannot move it.
     try {
-        execute(inst);
+        execute(inst, pc);
     } catch (const TrapSignal &signal) {
         trap_ = signal.kind;
+        pc_ = pc;
         return false;
     }
 
@@ -180,7 +183,7 @@ Cpu::step()
     ++instret_;
 
     if (config_.timing.enabled())
-        applyTiming(inst, pc_before);
+        applyTiming(inst, pc);
 
     return trap_ == TrapKind::None && !halted_;
 }
@@ -245,9 +248,9 @@ Cpu::resume()
 }
 
 void
-Cpu::execute(const Instruction &inst)
+Cpu::execute(const Instruction &inst, uint32_t pc)
 {
-    uint32_t next = pc_ + 1;
+    uint32_t next = pc + 1;
 
     switch (inst.op) {
       case Opcode::NOP:
@@ -301,18 +304,18 @@ Cpu::execute(const Instruction &inst)
       case Opcode::BGE: {
         const uint32_t a = readOperand(inst.rs1);
         if (isa::branchTaken(inst.op, a, readOperand(inst.rs2)))
-            next = pc_ + static_cast<uint32_t>(inst.imm);
+            next = pc + static_cast<uint32_t>(inst.imm);
         break;
       }
 
       case Opcode::JAL:
-        writeOperand(inst.rd, pc_ + 1);
-        next = pc_ + static_cast<uint32_t>(inst.imm);
+        writeOperand(inst.rd, pc + 1);
+        next = pc + static_cast<uint32_t>(inst.imm);
         break;
       case Opcode::JALR: {
         const uint32_t target =
             readOperand(inst.rs1) + static_cast<uint32_t>(inst.imm);
-        writeOperand(inst.rd, pc_ + 1);
+        writeOperand(inst.rd, pc + 1);
         next = target;
         break;
       }

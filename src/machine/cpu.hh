@@ -110,7 +110,13 @@ class Cpu : public ckpt::Restorable
     /** Called when a FAULT instruction executes. */
     using FaultHook = std::function<void(Cpu &, uint32_t fault_class)>;
 
-    /** Called once per executed instruction when tracing is enabled. */
+    /**
+     * Called once per executed instruction when tracing is enabled,
+     * before the instruction executes. The hook may write registers,
+     * memory and masks, but it cannot move the current instruction:
+     * its next pc, branch target and link come from the fetched pc,
+     * so a setPc() from the hook is overwritten (docs/PERF.md).
+     */
     using TraceHook = std::function<void(const TraceEntry &)>;
 
     explicit Cpu(const CpuConfig &config);
@@ -298,8 +304,12 @@ class Cpu : public ckpt::Restorable
         relocEpoch_ = relocation_.epoch();
     }
 
-    /** Execute one decoded instruction (the reference semantics). */
-    void execute(const isa::Instruction &inst);
+    /**
+     * Execute one decoded instruction fetched from @p pc (the
+     * reference semantics); the next pc, branch targets and links
+     * are relative to @p pc, never to a pc a trace hook set.
+     */
+    void execute(const isa::Instruction &inst, uint32_t pc);
 
     // ---- threaded superblock dispatch (cpu_dispatch.cc) -----------------
 

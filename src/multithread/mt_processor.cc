@@ -139,13 +139,15 @@ MtProcessor::blockedErase(unsigned tid)
 }
 
 void
-MtProcessor::computeMinRequired()
+MtProcessor::deriveThreadConstants()
 {
     minRequired_ = ~0u;
+    budgets_.resize(threads_.size());
     for (const Thread &t : threads_) {
         const unsigned needed = policy_->requiredSpace(t.regsUsed);
         if (needed != 0)
             minRequired_ = std::min(minRequired_, needed);
+        budgets_[t.id] = twoPhaseBudget(t);
     }
 }
 
@@ -185,7 +187,7 @@ MtProcessor::createThreads()
         t.state = ThreadState::UnloadedReady;
         threadQueue_.push_back(i);
     }
-    computeMinRequired();
+    deriveThreadConstants();
 }
 
 void
@@ -543,7 +545,7 @@ MtProcessor::idleOrEvict()
         uint64_t best_remaining = 0;
         for (const unsigned tid : blockedLoaded_) {
             const Thread &t = threads_[tid];
-            const uint64_t budget = twoPhaseBudget(t);
+            const uint64_t budget = budgets_[tid];
             const uint64_t remaining =
                 budget > t.spinAccrued ? budget - t.spinAccrued : 0;
             if (!have_evict || remaining < best_remaining ||
@@ -558,10 +560,11 @@ MtProcessor::idleOrEvict()
     }
 
     if (!have_completion && !have_evict) {
-        rr_fatal("deadlock: no runnable context, no pending event, ",
-                 config_.workload.numThreads - finished_,
-                 " unfinished threads (a thread may require more "
-                 "registers than any context can hold)");
+        throw SimulationError(detail::formatMessage(
+            "deadlock: no runnable context, no pending event, ",
+            config_.workload.numThreads - finished_,
+            " unfinished threads (a thread may require more "
+            "registers than any context can hold)"));
     }
 
     uint64_t until = 0;
@@ -1012,7 +1015,7 @@ MtProcessor::restoreState(const ckpt::Reader &reader)
     for (const Thread &t : threads_)
         if (t.state == ThreadState::BlockedLoaded)
             blockedInsert(t.id);
-    computeMinRequired();
+    deriveThreadConstants();
 
     threadQueue_.clear();
     threadQueue_.reserve(numThreads);

@@ -40,6 +40,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,18 @@ struct MtStats
  */
 trace::AuditTotals auditTotals(const MtStats &stats);
 
+/**
+ * A simulation that cannot make progress: nothing is runnable, no
+ * event is pending, and threads remain unfinished (for example, a
+ * thread needs more registers than any context holds). Thrown rather
+ * than exiting, so a long-lived caller such as rrserve survives it.
+ */
+class SimulationError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /** Single-node multithreaded processor simulator. */
 class MtProcessor : public ckpt::Restorable
 {
@@ -210,7 +223,8 @@ class MtProcessor : public ckpt::Restorable
      * Run the workload to completion and return the statistics.
      * Honors MtConfig::resumeFrom (restore before the first event)
      * and MtConfig::checkpointEvery / checkpointPath (periodic
-     * snapshots at event boundaries).
+     * snapshots at event boundaries). Throws SimulationError when
+     * the simulation deadlocks.
      */
     MtStats run();
 
@@ -330,8 +344,12 @@ class MtProcessor : public ckpt::Restorable
     void blockedInsert(unsigned tid);
     void blockedErase(unsigned tid);
 
-    /** Smallest nonzero policy requiredSpace() over all threads. */
-    void computeMinRequired();
+    /**
+     * Derive the per-run constants of the thread table: the smallest
+     * nonzero policy requiredSpace() over all threads, and each
+     * thread's two-phase budget.
+     */
+    void deriveThreadConstants();
 
     MtConfig config_;
     std::unique_ptr<ContextPolicy> policy_;
@@ -353,15 +371,18 @@ class MtProcessor : public ckpt::Restorable
     // grow only until the largest rrm has been inserted once). The
     // BlockedLoaded list is unordered, so idleOrEvict() breaks ties
     // on the lowest tid explicitly; the published figures depend on
-    // that victim. minRequired_ is fixed per run because
-    // requiredSpace() is a pure function of a thread's register
-    // count; refill() returns at once while fewer registers are free.
+    // that victim. minRequired_ and budgets_ are fixed per run
+    // because requiredSpace() and twoPhaseBudget() are pure functions
+    // of a thread's register count; refill() returns at once while
+    // fewer registers are free, and idleOrEvict() reads each blocked
+    // thread's budget instead of recomputing it.
     runtime::PriorityRing ring_{1};
     std::vector<unsigned> rrmIndex_;
     std::vector<unsigned> threadQueue_;
     std::vector<unsigned> blockedLoaded_;
     std::vector<unsigned> blockedPos_; ///< tid -> index in blockedLoaded_
     unsigned minRequired_ = 0;
+    std::vector<uint64_t> budgets_; ///< tid -> twoPhaseBudget()
 
     EventCore completions_;
 

@@ -17,7 +17,7 @@
  *    SpecError with a message that names the offending setting and
  *    its limit (a mis-sized register demand fails in microseconds
  *    with "demand 6..80 exceeds the largest context", not minutes
- *    later with a simulator deadlock panic);
+ *    later with a simulator deadlock error);
  *  - produces a plain MtConfig via build(), so everything downstream
  *    (MtProcessor, the sweep engine, the tests) is unchanged.
  *

@@ -17,13 +17,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.hh"
+
 namespace rr::runtime {
 
 /**
  * Circular list of context relocation masks. Like the hardware's
  * per-context NextRRM registers, the links live in flat arrays
  * indexed by rrm; they grow on demand to the largest rrm inserted,
- * since custom context policies may hand out any value.
+ * since custom context policies may hand out any value. The per-event
+ * operations are defined in this header so that the event loop's calls
+ * inline.
  */
 class ContextRing
 {
@@ -45,22 +49,73 @@ class ContextRing
      * before current, so it is scheduled last among the existing
      * members). The first insertion makes @p rrm current.
      */
-    void insert(uint32_t rrm);
+    void insert(uint32_t rrm)
+    {
+        rr_assert(rrm != kAbsent, "rrm ", rrm, " is the absent sentinel");
+        rr_assert(!contains(rrm), "rrm ", rrm, " already in ring");
+        if (rrm >= next_.size())
+            grow(rrm);
+        ++size_;
+        if (size_ == 1) {
+            next_[rrm] = rrm;
+            prev_[rrm] = rrm;
+            current_ = rrm;
+            return;
+        }
+        // Insert at the tail of the round-robin order (just before
+        // current): every member that is already waiting runs before
+        // the newcomer. Inserting after current instead would let
+        // freshly woken contexts monopolize the processor and starve
+        // ready ones.
+        const uint32_t pred = prev_[current_];
+        next_[pred] = rrm;
+        prev_[rrm] = pred;
+        next_[rrm] = current_;
+        prev_[current_] = rrm;
+    }
 
     /**
      * Remove @p rrm. When the current member is removed, the next
      * member becomes current.
      */
-    void remove(uint32_t rrm);
+    void remove(uint32_t rrm)
+    {
+        rr_assert(contains(rrm), "rrm ", rrm, " not in ring");
+
+        const uint32_t succ = next_[rrm];
+        const uint32_t pred = prev_[rrm];
+        next_[rrm] = kAbsent;
+        prev_[rrm] = kAbsent;
+        --size_;
+
+        if (succ == rrm) {
+            // Last member.
+            current_ = 0;
+            return;
+        }
+        next_[pred] = succ;
+        prev_[succ] = pred;
+        if (current_ == rrm)
+            current_ = succ;
+    }
 
     /** The current member; panics when empty. */
-    uint32_t current() const;
+    uint32_t current() const
+    {
+        rr_assert(!empty(), "ring is empty");
+        return current_;
+    }
 
     /**
      * Advance to the next member (the NextRRM of the current
      * context) and return it; panics when empty.
      */
-    uint32_t advance();
+    uint32_t advance()
+    {
+        rr_assert(!empty(), "ring is empty");
+        current_ = next_[current_];
+        return current_;
+    }
 
     /** The NextRRM link of @p rrm; panics when absent. */
     uint32_t nextOf(uint32_t rrm) const;
@@ -71,6 +126,9 @@ class ContextRing
   private:
     /** Link value of an rrm that is not in the ring. */
     static constexpr uint32_t kAbsent = ~0u;
+
+    /** Extend the link arrays to cover @p rrm (rare; out of line). */
+    void grow(uint32_t rrm);
 
     std::vector<uint32_t> next_; ///< rrm -> NextRRM (kAbsent = absent)
     std::vector<uint32_t> prev_; ///< rrm -> previous member
@@ -91,13 +149,30 @@ class PriorityRing
     explicit PriorityRing(unsigned levels);
 
     /** Insert @p rrm at @p level. */
-    void insert(uint32_t rrm, unsigned level);
+    void insert(uint32_t rrm, unsigned level)
+    {
+        rr_assert(level < rings_.size(), "bad priority level ", level);
+        rr_assert(levelOf(rrm) < 0, "rrm ", rrm, " already queued");
+        rings_[level].insert(rrm);
+    }
 
     /** Remove @p rrm from whichever level holds it. */
-    void remove(uint32_t rrm);
+    void remove(uint32_t rrm)
+    {
+        const int level = levelOf(rrm);
+        rr_assert(level >= 0, "rrm ", rrm, " not queued");
+        rings_[static_cast<unsigned>(level)].remove(rrm);
+    }
 
     /** @return true when no level has members. */
-    bool empty() const;
+    bool empty() const
+    {
+        for (const auto &ring : rings_) {
+            if (!ring.empty())
+                return false;
+        }
+        return true;
+    }
 
     /** Total members across levels. */
     size_t size() const;
@@ -106,16 +181,37 @@ class PriorityRing
      * Current member of the highest nonempty level — what a coarse
      * multithreaded scheduler dispatches next; panics when empty.
      */
-    uint32_t current() const;
+    uint32_t current() const
+    {
+        for (const auto &ring : rings_) {
+            if (!ring.empty())
+                return ring.current();
+        }
+        rr_panic("all priority levels are empty");
+    }
 
     /**
      * Advance the highest nonempty level and return its new current
      * member; panics when empty.
      */
-    uint32_t advance();
+    uint32_t advance()
+    {
+        for (auto &ring : rings_) {
+            if (!ring.empty())
+                return ring.advance();
+        }
+        rr_panic("all priority levels are empty");
+    }
 
     /** Level that holds @p rrm, or -1. */
-    int levelOf(uint32_t rrm) const;
+    int levelOf(uint32_t rrm) const
+    {
+        for (size_t i = 0; i < rings_.size(); ++i) {
+            if (rings_[i].contains(rrm))
+                return static_cast<int>(i);
+        }
+        return -1;
+    }
 
     /** Direct access to a level's ring. */
     ContextRing &level(unsigned level);

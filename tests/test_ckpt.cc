@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "base/distributions.hh"
+#include "base/stats.hh"
 #include "ckpt/io.hh"
 #include "ckpt/snapshot.hh"
 #include "machine/cpu.hh"
@@ -328,11 +329,58 @@ TEST(CkptMt, SnapshotIsByteStableAcrossRestore)
     EXPECT_EQ(doc, restored.snapshot()); // restore loses nothing
 }
 
-// The blocked-loaded list and the smallest context requirement are
-// not saved: restore rebuilds them from the thread table. A snapshot
-// taken while resident contexts wait blocked and threads queue for
-// registers must still resume into the straight run's statistics and
-// its exact rr.trace.v1 bytes.
+/** 64-bit FNV-1a of @p bytes. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+// A mid-run two-phase snapshot, taken after enough events that the
+// efficiency series (section 0x42) spans three storage chunks. The
+// recorder's in-memory layout may change; these bytes may not.
+TEST(CkptMt, TwoPhaseSnapshotBytesArePinned)
+{
+    const SimulationSpec spec = SimulationSpec()
+                                    .syncFaults(24, 600)
+                                    .twoPhaseUnload()
+                                    .threads(24)
+                                    .workPerThread(12000)
+                                    .numRegs(64)
+                                    .seed(23);
+    MtProcessor head(spec.build());
+    head.begin();
+    for (int i = 0; i < 9000 && !head.done(); ++i)
+        head.step();
+    ASSERT_FALSE(head.done());
+    const std::vector<uint8_t> doc = head.snapshot();
+    ASSERT_GT(ckpt::Reader(doc).u64vec(0x42, 1).size(),
+              2 * IntervalRecorder::kChunkPoints);
+    // Golden digest: a change here is an rr.ckpt.v1 format change.
+    EXPECT_EQ(doc.size(), 149075u);
+    EXPECT_EQ(fnv1a(doc), 0x1fc4d93dc7f95baeull);
+
+    MtProcessor restored(spec.build());
+    restored.restore(doc);
+    EXPECT_EQ(restored.snapshot(), doc);
+    // The restored run carries on exactly as the original.
+    for (int i = 0; i < 500; ++i) {
+        head.step();
+        restored.step();
+    }
+    EXPECT_EQ(restored.snapshot(), head.snapshot());
+}
+
+// The blocked-loaded list, the smallest context requirement and the
+// two-phase budgets are not saved: restore rebuilds them from the
+// thread table. A snapshot taken while resident contexts wait blocked
+// and threads queue for registers must still resume into the straight
+// run's statistics and its exact rr.trace.v1 bytes.
 TEST(CkptMt, TwoPhaseResumeWithBlockedResidentsMatchesTraceBytes)
 {
     const SimulationSpec spec = SimulationSpec()

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "base/rng.hh"
@@ -71,6 +73,34 @@ TEST(MtProcessor, CompletesAllThreads)
     EXPECT_EQ(stats.threadsFinished, 16u);
     EXPECT_GT(stats.totalCycles, 0u);
     EXPECT_GT(stats.usefulCycles, 0u);
+}
+
+// A thread that needs more registers than any fixed context holds can
+// never be loaded. The run must end in a typed error that a caller can
+// catch (rrserve answers 500 and keeps serving), not exit the process.
+TEST(MtProcessor, DeadlockThrowsSimulationError)
+{
+    MtConfig config;
+    config.workload.numThreads = 2;
+    config.workload.workDist = makeConstant(100);
+    config.workload.regsDist = makeConstant(40);
+    config.faultModel =
+        std::make_shared<DeterministicFaultModel>(10, 50);
+    config.arch = ArchKind::FixedHw;
+    config.numRegs = 128;
+    config.fixedContextRegs = 32;
+    MtProcessor processor(config);
+    try {
+        processor.run();
+        FAIL() << "a run that can never load a thread finished";
+    } catch (const SimulationError &error) {
+        EXPECT_NE(std::string(error.what()).find("deadlock"),
+                  std::string::npos)
+            << error.what();
+        EXPECT_NE(std::string(error.what()).find("2 unfinished"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(MtProcessor, CycleAccountingPartitionsTotal)

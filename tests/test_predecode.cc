@@ -516,6 +516,52 @@ entry:
     EXPECT_EQ(ref.state.regs[34], 9u);
 }
 
+// A hook cannot move the current instruction: it executes from the pc
+// it was fetched at, so its next pc, branch target and JAL link ignore
+// a setPc() made by the hook. step() used to take them from the hook's
+// pc (here: branch to 13, run off into zeroed memory) while superblocks
+// used the fetched pc (branch to 5).
+TEST(PredecodeHook, HookSetPcCannotMoveCurrentInstruction)
+{
+    const assembler::Program prog = assembleOrDie(R"(
+entry:
+    addi  r1, r0, 1
+    addi  r1, r1, 2
+    beq   r0, r0, 3
+    addi  r1, r1, 4
+    halt
+    nop
+    addi  r1, r1, 100
+    halt
+)");
+    const uint32_t entry = prog.addressOf("entry");
+    const HookedRun ref = expectSameHookedRun(
+        baseConfig(), prog, [&](Cpu &cpu, const TraceEntry &e) {
+            if (e.pc == entry + 2)
+                cpu.setPc(10);
+        });
+    EXPECT_EQ(ref.state.regs[1], 103u);
+    EXPECT_EQ(ref.state.instret, 6u);
+    EXPECT_EQ(ref.state.pc, entry + 8);
+
+    const assembler::Program call = assembleOrDie(R"(
+entry:
+    jal   r5, target
+    halt
+target:
+    addi  r1, r0, 7
+    halt
+)");
+    const uint32_t call_entry = call.addressOf("entry");
+    const HookedRun linked = expectSameHookedRun(
+        baseConfig(), call, [&](Cpu &cpu, const TraceEntry &e) {
+            if (e.pc == call_entry)
+                cpu.setPc(call_entry + 40);
+        });
+    EXPECT_EQ(linked.state.regs[5], call_entry + 1);
+    EXPECT_EQ(linked.state.regs[1], 7u);
+}
+
 // Code near the top of a 64K-word memory: the block maps grow to
 // cover it, and both invalidation paths still see writes there — the
 // program's own store over cached code, and a hook's host write over

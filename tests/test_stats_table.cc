@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
 
@@ -100,6 +105,182 @@ TEST(IntervalRecorder, EmptyIsZero)
     EXPECT_DOUBLE_EQ(rec.totalRate(), 0.0);
     EXPECT_DOUBLE_EQ(rec.centralRate(), 0.0);
     EXPECT_DOUBLE_EQ(rec.windowRate(0, 10), 0.0);
+}
+
+/**
+ * The two-vector IntervalRecorder that chunked storage replaced, kept
+ * as the oracle: every query must give the identical double.
+ */
+struct TwoVectorRecorder
+{
+    std::vector<uint64_t> times;
+    std::vector<uint64_t> values;
+
+    void record(uint64_t time, uint64_t cumulative)
+    {
+        if (!times.empty() && time == times.back()) {
+            values.back() = cumulative;
+            return;
+        }
+        times.push_back(time);
+        values.push_back(cumulative);
+    }
+
+    double valueAt(double t) const
+    {
+        if (times.empty())
+            return 0.0;
+        if (t <= static_cast<double>(times.front()))
+            return static_cast<double>(values.front());
+        if (t >= static_cast<double>(times.back()))
+            return static_cast<double>(values.back());
+        const auto it = std::upper_bound(times.begin(), times.end(),
+                                         static_cast<uint64_t>(t));
+        const size_t hi = static_cast<size_t>(it - times.begin());
+        const size_t lo = hi - 1;
+        const double t0 = static_cast<double>(times[lo]);
+        const double t1 = static_cast<double>(times[hi]);
+        const double v0 = static_cast<double>(values[lo]);
+        const double v1 = static_cast<double>(values[hi]);
+        if (t1 <= t0)
+            return v1;
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+    }
+
+    double windowRate(uint64_t t_begin, uint64_t t_end) const
+    {
+        if (times.empty() || t_end <= t_begin)
+            return 0.0;
+        const double v0 = valueAt(static_cast<double>(t_begin));
+        const double v1 = valueAt(static_cast<double>(t_end));
+        return (v1 - v0) / static_cast<double>(t_end - t_begin);
+    }
+
+    double totalRate() const
+    {
+        if (times.empty() || times.back() == 0)
+            return 0.0;
+        return static_cast<double>(values.back()) /
+               static_cast<double>(times.back());
+    }
+
+    double centralRate(double lo_frac, double hi_frac) const
+    {
+        if (times.empty())
+            return 0.0;
+        const double end = static_cast<double>(times.back());
+        const auto t0 = static_cast<uint64_t>(end * lo_frac);
+        const auto t1 = static_cast<uint64_t>(end * hi_frac);
+        if (t1 <= t0)
+            return totalRate();
+        return windowRate(t0, t1);
+    }
+};
+
+/** Every query of @p rec against the oracle, at chunk edges too. */
+void
+expectMatchesOracle(const IntervalRecorder &rec,
+                    const TwoVectorRecorder &oracle)
+{
+    ASSERT_EQ(rec.size(), oracle.times.size());
+    EXPECT_EQ(rec.times(), oracle.times);
+    EXPECT_EQ(rec.values(), oracle.values);
+    EXPECT_EQ(rec.endTime(), oracle.times.back());
+    EXPECT_EQ(rec.endValue(), oracle.values.back());
+    EXPECT_EQ(rec.totalRate(), oracle.totalRate());
+
+    // Query times: each point's time and its neighbours for the
+    // points on either side of every chunk boundary, plus the ends.
+    std::vector<uint64_t> probes = {0, 1, oracle.times.back(),
+                                    oracle.times.back() + 5};
+    const size_t k = IntervalRecorder::kChunkPoints;
+    for (size_t edge = k; edge < oracle.times.size(); edge += k) {
+        for (const size_t i : {edge - 2, edge - 1, edge, edge + 1}) {
+            if (i >= oracle.times.size())
+                continue;
+            const uint64_t t = oracle.times[i];
+            probes.insert(probes.end(), {t - 1, t, t + 1});
+        }
+    }
+    for (const uint64_t a : probes) {
+        for (const uint64_t b : probes) {
+            ASSERT_EQ(rec.windowRate(a, b), oracle.windowRate(a, b))
+                << "window [" << a << ", " << b << "]";
+        }
+    }
+    for (const auto &[lo, hi] :
+         std::vector<std::pair<double, double>>{
+             {0.2, 0.8}, {0.0, 1.0}, {0.25, 0.75}, {0.5, 0.5},
+             {0.1, 0.3}, {0.6, 0.9}}) {
+        EXPECT_EQ(rec.centralRate(lo, hi), oracle.centralRate(lo, hi))
+            << "fractions " << lo << ", " << hi;
+    }
+}
+
+// A series over more than two storage chunks answers every query as
+// the two-vector recorder did, and survives a checkpoint round trip.
+TEST(IntervalRecorder, ChunkedSeriesMatchesTwoVectorOracle)
+{
+    const size_t k = IntervalRecorder::kChunkPoints;
+    IntervalRecorder rec;
+    TwoVectorRecorder oracle;
+    Rng rng(42);
+    uint64_t time = 0;
+    uint64_t value = 0;
+    auto both = [&](uint64_t t, uint64_t v) {
+        rec.record(t, v);
+        oracle.record(t, v);
+    };
+    both(0, 0);
+    while (oracle.times.size() < 2 * k + 700) {
+        // Irregular steps, with zero-length ones (repeats collapse)
+        // and flat stretches (value unchanged).
+        const uint64_t dt = rng.nextRange(0, 3) == 0 ? 0
+                                                     : rng.nextRange(1, 40);
+        const uint64_t dv = rng.nextRange(0, 2) == 0 ? 0
+                                                     : rng.nextRange(0, dt);
+        time += dt;
+        value += dv;
+        both(time, value);
+        // Collapse repeated timestamps across each chunk edge: the
+        // full chunk's last point absorbs the repeat, and the next
+        // distinct time starts the new chunk.
+        if (oracle.times.size() % k == 0) {
+            both(time, value + 3);
+            both(time, value + 7);
+            value += 7;
+            EXPECT_EQ(rec.size(), oracle.times.size());
+        }
+    }
+    ASSERT_GT(rec.size(), 2 * k);
+    expectMatchesOracle(rec, oracle);
+
+    // Checkpoint round trip: restore from times()/values(), then keep
+    // recording; both copies stay equal to the oracle.
+    IntervalRecorder restored;
+    restored.restore(rec.times(), rec.values());
+    expectMatchesOracle(restored, oracle);
+    for (int i = 0; i < 3; ++i) {
+        time += 9;
+        value += 4;
+        restored.record(time, value);
+        restored.record(time, value + 1);
+        oracle.record(time, value);
+        oracle.record(time, value + 1);
+        value += 1;
+    }
+    expectMatchesOracle(restored, oracle);
+
+    // Restoring a series that fills its last chunk exactly.
+    const std::vector<uint64_t> full_t(oracle.times.begin(),
+                                       oracle.times.begin() + k);
+    const std::vector<uint64_t> full_v(oracle.values.begin(),
+                                       oracle.values.begin() + k);
+    restored.restore(full_t, full_v);
+    TwoVectorRecorder full{full_t, full_v};
+    restored.record(full_t.back() + 1, full_v.back());
+    full.record(full_t.back() + 1, full_v.back());
+    expectMatchesOracle(restored, full);
 }
 
 TEST(Histogram, BinsAndOverflow)

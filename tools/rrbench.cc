@@ -31,7 +31,8 @@
  *
  * Exit status (docs/TOOLS.md): 0 on success, 1 when --compare
  * detects a shape regression, 2 on I/O, validation, or audit
- * failure or an empty --trace-figure capture, 64 on usage errors.
+ * failure, a deadlocked simulation (mt::SimulationError) or an empty
+ * --trace-figure capture, 64 on usage errors.
  */
 
 #include <cstdio>
@@ -50,6 +51,7 @@
 #include "exp/registry.hh"
 #include "exp/report.hh"
 #include "exp/tracectl.hh"
+#include "multithread/mt_processor.hh"
 #include "trace/chrome_export.hh"
 #include "cli.hh"
 
@@ -361,8 +363,17 @@ main(int argc, char **argv)
             controller.emplace(topts);
             exp::TraceController::activate(&*controller);
         }
-        const exp::Report report = exp::Registry::run(figure, run);
+        std::optional<exp::Report> ran_report;
+        try {
+            ran_report.emplace(exp::Registry::run(figure, run));
+        } catch (const mt::SimulationError &error) {
+            std::fprintf(stderr, "rrbench: %s: %s\n",
+                         figure.name.c_str(), error.what());
+        }
         exp::TraceController::activate(nullptr);
+        if (!ran_report)
+            return kExitFailure;
+        const exp::Report &report = *ran_report;
 
         if (text) {
             std::fputs(report.renderText().c_str(), stdout);
