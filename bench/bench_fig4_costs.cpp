@@ -31,8 +31,7 @@ machine::CpuConfig
 machineConfig()
 {
     machine::CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6;
+    config.geometry.operandWidth = 6;
     config.ldrrmDelaySlots = 1;
     config.memWords = 1u << 14;
     return config;

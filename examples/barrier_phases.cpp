@@ -120,7 +120,7 @@ main()
 
         kernel::KernelConfig config =
             gangConfig(4, makeConstant(40));
-        config.numRegs = 64;
+        config.geometry.numRegs = 64;
         config.forcedContextSize = 16;
         const auto result = kernel::runMachineKernel(config);
         std::printf("    %lu cycles, efficiency %.3f, %lu barriers, "

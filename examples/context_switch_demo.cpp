@@ -24,7 +24,7 @@ main()
     // Three threads, 16-register contexts, shared body.
     constexpr uint64_t counter_addr = 0x2000;
     constexpr unsigned num_threads = 3;
-    kernel::MemorySystem memory(128, 6, counter_addr, nullptr);
+    kernel::MemorySystem memory({128, 6}, counter_addr, nullptr);
     const auto prog = kernel::startRoundRobinDemo(
         memory, num_threads, counter_addr, num_threads,
         [](unsigned tid) { return 4 + tid; });

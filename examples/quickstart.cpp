@@ -28,7 +28,7 @@ main()
 
     // ---- 1. The hardware mechanism: OR-relocation at decode. ------
     std::printf("== 1. Register relocation (Figure 1) ==\n");
-    machine::RelocationUnit unit(128, 5);
+    machine::RelocationUnit unit(machine::Geometry{});
     unit.setMask(40); // a size-8 context at registers 40..47
     std::printf("RRM=40 (size-8 context): context-relative r5 -> "
                 "absolute r%u\n",

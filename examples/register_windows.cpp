@@ -26,9 +26,8 @@ main()
     using namespace rr;
 
     machine::CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6; // top bit selects among 2 banks
-    config.rrmBanks = 2;
+    // The top operand bit selects among 2 banks.
+    config.geometry = {.numRegs = 128, .operandWidth = 6, .banks = 2};
     config.memWords = 4096;
 
     // ---- Part 1: inter-context add. --------------------------------

@@ -49,27 +49,6 @@ Finding::str() const
 
 namespace {
 
-/** Offset bits of @p reg under the bank-select interpretation. */
-unsigned
-bankOffset(unsigned reg, const LintOptions &options)
-{
-    if (options.banks <= 1)
-        return reg;
-    const unsigned bank_bits = log2Ceil(options.banks);
-    const unsigned offset_bits = options.operandWidth - bank_bits;
-    return reg & static_cast<unsigned>(lowMask(offset_bits));
-}
-
-/** @return true when @p reg addresses a non-default RRM bank. */
-bool
-selectsOtherBank(unsigned reg, const LintOptions &options)
-{
-    if (options.banks <= 1)
-        return false;
-    const unsigned bank_bits = log2Ceil(options.banks);
-    return (reg >> (options.operandWidth - bank_bits)) != 0;
-}
-
 class Linter
 {
   public:
@@ -113,6 +92,7 @@ class Linter
 void
 Linter::flatCheck()
 {
+    const machine::Geometry &geometry = options_.geometry;
     for (size_t i = 0; i < program_.words.size(); ++i) {
         const uint32_t addr =
             program_.base + static_cast<uint32_t>(i);
@@ -124,12 +104,19 @@ Linter::flatCheck()
             }
             continue;
         }
-        if (options_.declaredContext == 0)
-            continue;
         for (const isa::RegisterOperand &op :
              isa::registerOperands(inst)) {
-            const unsigned offset = bankOffset(op.reg, options_);
-            if (offset < options_.declaredContext)
+            if (!geometry.operandFits(op.reg)) {
+                std::ostringstream os;
+                os << isa::disassemble(inst) << ": " << op.slot << " r"
+                   << op.reg << " does not fit the "
+                   << geometry.operandWidth
+                   << "-bit operand field: the machine traps";
+                add("operand-too-wide", Severity::Error, addr, os.str());
+                continue;
+            }
+            if (options_.declaredContext == 0 ||
+                geometry.offsetOf(op.reg) < options_.declaredContext)
                 continue;
             std::ostringstream os;
             os << isa::disassemble(inst) << ": " << op.slot << " r"
@@ -170,7 +157,7 @@ Linter::flowChecks(const Cfg &cfg, const RrmAnalysis &rrm,
 
     // Flow-sensitive boundary check: under OR relocation, an operand
     // sharing bits with the known mask escapes its context window.
-    if (options_.mode != RelocMode::Or)
+    if (options_.geometry.mode != machine::RelocationMode::Or)
         return;
     for (const CfgInstruction &ci : cfg.instructions()) {
         if (!ci.valid)
@@ -180,10 +167,8 @@ Linter::flowChecks(const Cfg &cfg, const RrmAnalysis &rrm,
             continue;
         for (const isa::RegisterOperand &op :
              isa::registerOperands(ci.inst)) {
-            if (selectsOtherBank(op.reg, options_))
-                continue;
-            const unsigned offset = bankOffset(op.reg, options_);
-            if ((mask.value & offset) == 0)
+            if (!tracksOperand(options_.geometry, op.reg) ||
+                (mask.value & op.reg) == 0)
                 continue;
             std::ostringstream os;
             os << isa::disassemble(ci.inst) << ": " << op.slot << " r"
@@ -218,10 +203,8 @@ Linter::buildThreadReports(const Cfg &cfg, const RrmAnalysis &rrm,
         ThreadReport &report = reports[mask.value];
         for (const isa::RegisterOperand &op :
              isa::registerOperands(ci.inst)) {
-            if (selectsOtherBank(op.reg, options_))
-                continue;
-            report.footprint |= uint64_t{1}
-                                << (bankOffset(op.reg, options_) & 63);
+            if (tracksOperand(options_.geometry, op.reg))
+                report.footprint |= uint64_t{1} << op.reg;
         }
     }
 
@@ -259,7 +242,7 @@ Linter::buildThreadReports(const Cfg &cfg, const RrmAnalysis &rrm,
 void
 Linter::crossContextChecks(const Cfg &cfg, const RrmAnalysis &rrm)
 {
-    if (options_.mode == RelocMode::Mux)
+    if (options_.geometry.mode == machine::RelocationMode::Mux)
         return; // Mux hardware bounds-checks; nothing can escape.
 
     // Physical span of every window, from the thread reports.
@@ -289,13 +272,10 @@ Linter::crossContextChecks(const Cfg &cfg, const RrmAnalysis &rrm)
             continue;
         for (const isa::RegisterOperand &op :
              isa::registerOperands(ci.inst)) {
-            if (!op.isWrite || selectsOtherBank(op.reg, options_))
-                continue;
             uint32_t physical;
-            if (!rrm.relocate(mask.value,
-                              bankOffset(op.reg, options_), physical)) {
+            if (!op.isWrite || !tracksOperand(options_.geometry, op.reg) ||
+                !rrm.relocate(mask.value, op.reg, physical))
                 continue;
-            }
             for (const Span &span : spans) {
                 if (span.rrm == mask.value)
                     continue;
@@ -341,7 +321,7 @@ Linter::interprocChecks(const CallGraph &cg, const RrmAnalysis &rrm)
     // rrm-overlap findings show *where* a callee escapes its window;
     // this one indicts the call site that entered the callee with too
     // small a window, with the call path as witness.
-    if (options_.mode != RelocMode::Or)
+    if (options_.geometry.mode != machine::RelocationMode::Or)
         return;
     for (const CallSite &site : cg.callSites()) {
         if (site.indirect || site.callee == CallGraph::noProc)
@@ -477,9 +457,7 @@ Linter::run()
         RrmOptions rrm_options;
         rrm_options.delaySlots = options_.delaySlots;
         rrm_options.initialRrm = options_.initialRrm;
-        rrm_options.mode = options_.mode;
-        rrm_options.banks = options_.banks;
-        rrm_options.operandWidth = options_.operandWidth;
+        rrm_options.geometry = options_.geometry;
         rrm_options.muxContextSize = options_.declaredContext;
         RrmAnalysis rrm(cfg, rrm_options, cg ? &*cg : nullptr);
 
@@ -530,19 +508,11 @@ regList(uint64_t mask)
 
 } // namespace
 
-std::string
-geometryError(const LintOptions &options)
-{
-    return machine::geometryError(1u << options.operandWidth,
-                                  options.operandWidth,
-                                  std::max(1u, options.banks));
-}
-
 LintResult
 lintProgram(const assembler::Program &program,
             const LintOptions &options)
 {
-    const std::string geometry = geometryError(options);
+    const std::string geometry = options.geometry.error();
     rr_assert(geometry.empty(), geometry);
     Linter linter(program, options);
     return linter.run();

@@ -2,9 +2,12 @@
  * @file
  * rrlint — CFG + dataflow static analysis of RRISC images.
  *
- * This is the Section 2.4 tool. With `declaredContext = N` and
- * `flowSensitive = false` it is the flat per-instruction check: every
- * register operand (isa::registerOperands) must address below N. With
+ * This is the Section 2.4 tool. It checks the machine described by
+ * LintOptions::geometry, the same machine::Geometry rrsim runs: every
+ * register operand (isa::registerOperands) must fit the operand
+ * width. With `declaredContext = N` and `flowSensitive = false` it is
+ * the flat per-instruction check: every operand must also address
+ * below N. With
  * the flow-sensitive passes on (the default) it also:
  *
  *  - builds a control-flow graph (cfg.hh);
@@ -25,6 +28,7 @@
  * (lockset.hh) over every `.thread` entry point.
  *
  * Findings:
+ *   operand-too-wide     operand >= 2^w: the machine traps on it
  *   boundary             operand >= the declared context size
  *   invalid-word         undecodable word (only with flagInvalidWords)
  *   rrm-overlap          operand bits collide with the known RRM: in
@@ -59,6 +63,7 @@
 #include "analysis/static/liveness.hh"
 #include "analysis/static/rrm_state.hh"
 #include "assembler/assembler.hh"
+#include "machine/relocation_unit.hh"
 
 namespace rr::lint {
 
@@ -139,17 +144,21 @@ struct RaceReport
 struct LintOptions
 {
     /**
-     * Declared context size for the flat check (what `rrasm --check
-     * N` passes). 0 disables the flat check; the flow-sensitive
-     * analyses run regardless.
+     * Declared context size for the flat boundary check (`rrlint
+     * --context N`). 0 disables it; the operand-width check and the
+     * flow-sensitive analyses run regardless.
      */
     unsigned declaredContext = 0;
 
     unsigned delaySlots = 1;   ///< LDRRM delay slots
     uint32_t initialRrm = 0;   ///< RRM at the entry point
-    RelocMode mode = RelocMode::Or;
-    unsigned banks = 1;        ///< RRM banks (>1: Section 5.3)
-    unsigned operandWidth = 6; ///< operand field width w
+
+    /**
+     * The machine checked: operand width w, RRM banks (>1: Section
+     * 5.3) and relocation mode. No register file is modelled, so
+     * numRegs only has to admit 2^w registers.
+     */
+    machine::Geometry geometry;
 
     /** Treat undecodable words as findings. */
     bool flagInvalidWords = false;
@@ -185,14 +194,9 @@ struct LintResult
 };
 
 /**
- * machine::geometryError for the operand width and bank count of
- * @p options. No register file is modelled, so 2^w registers always
- * fit; banks 0 and 1 both mean one bank.
- * @return "" when lintProgram accepts @p options.
+ * Run every analysis over @p program (asserts options.geometry.error()
+ * is "").
  */
-std::string geometryError(const LintOptions &options);
-
-/** Run every analysis over @p program (asserts geometryError is ""). */
 LintResult lintProgram(const assembler::Program &program,
                        const LintOptions &options = {});
 

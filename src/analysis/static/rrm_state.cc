@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "analysis/static/callgraph.hh"
-#include "base/bitops.hh"
 #include "base/logging.hh"
 #include "isa/semantics.hh"
 
@@ -236,14 +235,14 @@ bool
 RrmAnalysis::relocate(uint32_t rrm, unsigned reg,
                       uint32_t &physical) const
 {
-    switch (options_.mode) {
-      case RelocMode::Or:
+    switch (options_.geometry.mode) {
+      case machine::RelocationMode::Or:
         physical = rrm | reg;
         return true;
-      case RelocMode::Add:
+      case machine::RelocationMode::Add:
         physical = rrm + reg;
         return true;
-      case RelocMode::Mux:
+      case machine::RelocationMode::Mux:
         if (options_.muxContextSize == 0)
             return false;
         physical =
@@ -292,13 +291,8 @@ RrmAnalysis::joinStates(const State &a, const State &b)
 AbsVal
 RrmAnalysis::readReg(const State &state, unsigned reg) const
 {
-    if (options_.banks > 1) {
-        // Operands selecting a non-default bank relocate through a
-        // mask this analysis does not track.
-        const unsigned bank_bits = log2Ceil(options_.banks);
-        if (reg >> (options_.operandWidth - bank_bits))
-            return AbsVal::top();
-    }
+    if (!tracksOperand(options_.geometry, reg))
+        return AbsVal::top();
     if (!state.rrm.isConst())
         return AbsVal::top();
     uint32_t physical;
@@ -318,12 +312,9 @@ RrmAnalysis::writeReg(State &state, unsigned reg,
         state.phys.clear();
         return;
     }
-    if (options_.banks > 1) {
-        const unsigned bank_bits = log2Ceil(options_.banks);
-        if (reg >> (options_.operandWidth - bank_bits)) {
-            state.phys.clear();
-            return;
-        }
+    if (!tracksOperand(options_.geometry, reg)) {
+        state.phys.clear();
+        return;
     }
     uint32_t physical;
     if (!relocate(state.rrm.value, reg, physical)) {

@@ -44,17 +44,9 @@
 #include <vector>
 
 #include "analysis/static/cfg.hh"
+#include "machine/relocation_unit.hh"
 
 namespace rr::lint {
-
-/** Decode-stage combining operation (mirrors machine::RelocationMode
- *  without dragging the machine library into the linter). */
-enum class RelocMode : uint8_t
-{
-    Or,  ///< physical = rrm | operand (the paper's mechanism)
-    Mux, ///< per-bit select; needs a declared context size
-    Add, ///< physical = rrm + operand (Am29000 comparison)
-};
 
 /** A three-point lattice value: bottom / constant / top. */
 struct AbsVal
@@ -81,14 +73,29 @@ struct AbsVal
     static AbsVal join(const AbsVal &a, const AbsVal &b);
 };
 
+/**
+ * @return true when operand @p reg relocates through the bank-0 mask
+ * the analysis tracks: it fits the operand width of @p geometry (else
+ * the machine traps) and selects bank 0 (then its offset is @p reg).
+ */
+inline bool
+tracksOperand(const machine::Geometry &geometry, unsigned reg)
+{
+    return geometry.operandFits(reg) && geometry.bankOf(reg) == 0;
+}
+
 /** Options for the RRM abstract interpretation. */
 struct RrmOptions
 {
     unsigned delaySlots = 1;   ///< LDRRM delay slots
     uint32_t initialRrm = 0;   ///< RRM at the entry point
-    RelocMode mode = RelocMode::Or;
-    unsigned banks = 1;        ///< >1: top operand bits select a bank
-    unsigned operandWidth = 6; ///< operand field width w
+
+    /**
+     * The machine checked: its operand width, banks (>1: top operand
+     * bits select a bank) and relocation mode. The register file
+     * size is not modelled.
+     */
+    machine::Geometry geometry;
 
     /**
      * Context size for Mux-mode relocation (0 = unknown: Mux reads

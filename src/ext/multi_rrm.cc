@@ -36,7 +36,7 @@ RegisterWindowEmulator::RegisterWindowEmulator(machine::Cpu &cpu,
     // first `overlap` registers (its in-registers) via bank-1
     // operands before pushing. This is exactly the emulation the
     // paper sketches — no registers need to be physically shared.
-    const unsigned regs = cpu.config().numRegs;
+    const unsigned regs = cpu.config().geometry.numRegs;
     rr_assert(regs >= window_size, "register file smaller than one "
                                    "window");
     numWindows_ = regs / stride_;

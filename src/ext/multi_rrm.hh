@@ -9,7 +9,7 @@
  * emulation of fixed-size overlapping register windows.
  *
  * The relocation hardware itself lives in machine::RelocationUnit
- * (rrmBanks > 1); this header provides the software conventions:
+ * (Geometry::banks > 1); this header provides the software conventions:
  * operand encoding helpers and a register-window emulator that
  * computes the per-window mask pairs.
  */

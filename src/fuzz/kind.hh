@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "fuzz/fuzz.hh"
+#include "machine/relocation_unit.hh"
 
 namespace rr::mt {
 class SimulationSpec;
@@ -427,6 +428,18 @@ extern const KindOps relocKind, heapKind, jsonKind, numKind, phaseKind,
 
 // ---------------------------------------------------------------------
 // shared between kinds
+
+/**
+ * reloc + program: the machine geometry named by a sample's numRegs,
+ * operandWidth, banks and mode fields (the repro codec pins those).
+ */
+template <typename Sample>
+machine::Geometry
+geometryOf(const Sample &s)
+{
+    return {s.numRegs, s.operandWidth, s.banks,
+            static_cast<machine::RelocationMode>(s.mode)};
+}
 
 /** mt + ckpt: a ckpt sample embeds an mt spec (kinds/mt.cc). */
 MtSample genMt(Rng &rng);

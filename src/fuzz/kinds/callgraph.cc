@@ -27,6 +27,10 @@ namespace rr::fuzz {
 
 namespace {
 
+/** The machine callgraph samples are analysed for and run on. */
+constexpr machine::Geometry kCgGeometry{.numRegs = kCgNumRegs,
+                                        .operandWidth = 6};
+
 CallgraphSample
 genCallgraph(Rng &rng)
 {
@@ -241,7 +245,9 @@ checkCallgraph(const CallgraphSample &s)
     const lint::CallGraph graph(cfg);
     // The callgraph-aware dataflow propagates constants across call
     // return edges; without it no address inside a procedure folds.
-    const lint::RrmAnalysis rrm(cfg, {}, &graph);
+    lint::RrmOptions rrm_options;
+    rrm_options.geometry = kCgGeometry;
+    const lint::RrmAnalysis rrm(cfg, rrm_options, &graph);
     const lint::LocksetAnalysis lockset(cfg, graph, rrm);
     const CgTruth truth = truthOf(s);
 
@@ -352,6 +358,7 @@ checkCallgraph(const CallgraphSample &s)
     // Oracle 1c: the full lint pipeline must agree — and find
     // nothing else in this clean-by-construction program.
     lint::LintOptions lint_options;
+    lint_options.geometry = kCgGeometry;
     lint_options.interprocedural = true;
     lint_options.lockset = true;
     const lint::LintResult lint_result =
@@ -379,8 +386,7 @@ checkCallgraph(const CallgraphSample &s)
     // runtime shared-cell touch must have been classified.
     for (size_t r = 0; r < s.roots.size(); ++r) {
         machine::CpuConfig config;
-        config.numRegs = kCgNumRegs;
-        config.operandWidth = 6;
+        config.geometry = kCgGeometry;
         config.memWords = kCgMemWords;
         machine::Cpu cpu(config);
         for (size_t i = 0; i < program.words.size(); ++i)

@@ -2,13 +2,15 @@
  * @file
  * The `program` fuzz kind: generated RRISC images run on machine::Cpu
  * with predecode off vs on, table() vs relocate() at every mask
- * reached, and rrlint window claims vs registers actually touched.
+ * reached, rrlint window claims vs registers actually touched, and
+ * rrlint operand-too-wide findings vs the CPU's traps.
  */
 
 #include "fuzz/kind.hh"
 
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "analysis/static/cfg.hh"
 #include "analysis/static/lint.hh"
@@ -359,13 +361,9 @@ machine::CpuConfig
 cpuConfigOf(const ProgramSample &s, bool predecode)
 {
     machine::CpuConfig config;
-    config.numRegs = s.numRegs;
-    config.operandWidth = s.operandWidth;
+    config.geometry = geometryOf(s);
     config.ldrrmDelaySlots = s.delaySlots;
     config.memWords = s.memWords;
-    config.relocationMode =
-        static_cast<machine::RelocationMode>(s.mode);
-    config.rrmBanks = s.banks;
     config.timing.takenBranchPenalty = s.takenBranchPenalty;
     config.timing.loadUsePenalty = s.loadUsePenalty;
     config.timing.ldrrmPenalty = s.ldrrmPenalty;
@@ -476,29 +474,32 @@ compareRuns(const CpuRun &off, const CpuRun &on, Problems &problems)
     }
 }
 
-void
-checkLintClaims(const ProgramSample &s, const CpuRun &run,
-                Problems &problems)
+/** The sample's image as an unlabelled program at base 0. */
+assembler::Program
+programOf(const ProgramSample &s)
 {
     assembler::Program program;
     program.base = 0;
     program.words = s.words;
     program.lines.assign(s.words.size(), 0);
+    return program;
+}
 
+void
+checkLintClaims(const ProgramSample &s, const CpuRun &run,
+                Problems &problems)
+{
+    const assembler::Program program = programOf(s);
     lint::Cfg cfg(program);
     lint::RrmOptions options;
     options.delaySlots = s.delaySlots;
     options.initialRrm = 0;
-    options.mode = lint::RelocMode::Or;
-    options.banks = 1;
-    options.operandWidth = s.operandWidth;
+    options.geometry = geometryOf(s);
     const lint::RrmAnalysis rrm(cfg, options);
 
     lint::LintOptions lintOptions;
     lintOptions.delaySlots = s.delaySlots;
-    lintOptions.mode = lint::RelocMode::Or;
-    lintOptions.banks = 1;
-    lintOptions.operandWidth = s.operandWidth;
+    lintOptions.geometry = geometryOf(s);
     const lint::LintResult lintResult =
         lint::lintProgram(program, lintOptions);
 
@@ -548,6 +549,55 @@ checkLintClaims(const ProgramSample &s, const CpuRun &run,
     }
 }
 
+/**
+ * rrlint and the machine agree on the operand width: at every pc the
+ * CPU executed from its unmodified image word, lint reports
+ * operand-too-wide exactly when the CPU trapped operand-too-wide
+ * there. Or mode only: in Mux and Add mode an earlier operand may
+ * raise a context-bounds or register-range trap first. A trap of any
+ * other kind at a pc (an LDRRMX bank check, say) makes no claim.
+ */
+void
+checkOperandWidth(const ProgramSample &s, const CpuRun &run,
+                  Problems &problems)
+{
+    lint::LintOptions options;
+    options.geometry = geometryOf(s);
+    options.flowSensitive = false;
+    std::set<uint32_t> flagged;
+    for (const lint::Finding &f :
+         lint::lintProgram(programOf(s), options).findings) {
+        if (f.code == "operand-too-wide")
+            flagged.insert(f.address);
+    }
+
+    for (size_t i = 0; i < run.trace.size() && problems.size() < 4;
+         ++i) {
+        const CpuRun::Rec &rec = run.trace[i];
+        isa::Instruction linted;
+        if (rec.pc >= s.words.size() ||
+            !isa::decode(s.words[rec.pc], linted) ||
+            isa::encode(linted) != rec.word)
+            continue; // a store rewrote this word: lint saw another
+        const bool trapped =
+            i + 1 == run.trace.size() &&
+            run.trap != machine::TrapKind::None && run.pc == rec.pc;
+        const bool too_wide =
+            trapped && run.trap == machine::TrapKind::OperandTooWide;
+        if (trapped && !too_wide)
+            continue;
+        if (too_wide != (flagged.count(rec.pc) != 0)) {
+            problems.push_back(exp::strf(
+                "program/lint: pc %u %s but rrlint %s operand-too-wide "
+                "there",
+                rec.pc,
+                too_wide ? "traps operand-too-wide"
+                         : "executes without a trap",
+                too_wide ? "reports no" : "reports"));
+        }
+    }
+}
+
 Problems
 checkProgram(const ProgramSample &s)
 {
@@ -564,6 +614,8 @@ checkProgram(const ProgramSample &s)
     compareRuns(off, on, problems);
     if (s.lintChecked && problems.empty())
         checkLintClaims(s, off, problems);
+    if (s.mode == 0 /* Or */ && problems.empty())
+        checkOperandWidth(s, off, problems);
     return problems;
 }
 
@@ -658,7 +710,7 @@ validateProgram(const ProgramSample &s, std::string &error)
 {
     if (!inRange(s.words.size(), 0, s.memWords, "program size", error))
         return false;
-    error = machine::geometryError(s.numRegs, s.operandWidth, s.banks);
+    error = geometryOf(s).error();
     return error.empty();
 }
 

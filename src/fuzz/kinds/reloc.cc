@@ -69,9 +69,7 @@ Problems
 checkReloc(const RelocSample &s)
 {
     Problems problems;
-    machine::RelocationUnit unit(
-        s.numRegs, s.operandWidth,
-        static_cast<machine::RelocationMode>(s.mode), s.banks);
+    machine::RelocationUnit unit(geometryOf(s));
 
     const unsigned table_size = unit.tableSize();
     for (size_t i = 0; i < s.ops.size(); ++i) {
@@ -163,7 +161,7 @@ validateReloc(const RelocSample &s, std::string &error)
 {
     if (!inRange(s.ops.size(), 0, 100000, "op count", error))
         return false;
-    error = machine::geometryError(s.numRegs, s.operandWidth, s.banks);
+    error = geometryOf(s).error();
     if (!error.empty())
         return false;
     for (const RelocOp &op : s.ops) {

@@ -172,7 +172,9 @@ struct PhaseSample
  * byte-identical traces and final architectural state; (2)
  * relocate() vs table() on every operand at every observed mask;
  * (3) when `lintChecked`, rrlint's flow-sensitive window claims must
- * cover every register the program actually touches at runtime.
+ * cover every register the program actually touches at runtime; (4)
+ * in Or mode, rrlint's operand-too-wide findings must match the CPU's
+ * operand-too-wide traps at every pc executed from its image word.
  */
 struct ProgramSample
 {

@@ -36,7 +36,7 @@ maxSegmentCount(const KernelConfig &config)
 
 MachineMtKernel::MachineMtKernel(KernelConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      mem_(config_.numRegs, config_.operandWidth,
+      mem_(config_.geometry,
            tableBase + static_cast<uint64_t>(config_.numThreads) *
                            (maxSegmentCount(config_) + 1),
            config_.traceSink)

@@ -57,8 +57,7 @@ enum class FaultService : uint8_t
 /** Configuration of one machine-level multithreading run. */
 struct KernelConfig
 {
-    unsigned numRegs = 128;      ///< physical register file size
-    unsigned operandWidth = 6;   ///< w
+    machine::Geometry geometry{.operandWidth = 6}; ///< F = 128, w = 6
     unsigned numThreads = 4;     ///< resident thread count
 
     /**

@@ -11,13 +11,12 @@ namespace rr::kernel {
 namespace {
 
 machine::CpuConfig
-kernelCpuConfig(unsigned num_regs, unsigned operand_width,
-                uint64_t data_end, bool predecode,
+kernelCpuConfig(const machine::Geometry &geometry, uint64_t data_end,
+                bool predecode,
                 const machine::PipelineTimingConfig &timing)
 {
     machine::CpuConfig config;
-    config.numRegs = num_regs;
-    config.operandWidth = operand_width;
+    config.geometry = geometry;
     config.ldrrmDelaySlots = 1;
     config.memWords =
         std::max<size_t>(1u << 16, static_cast<size_t>(data_end + 64));
@@ -47,12 +46,11 @@ KernelRun::efficiency() const
                                   static_cast<double>(totalCycles);
 }
 
-MemorySystem::MemorySystem(unsigned num_regs, unsigned operand_width,
+MemorySystem::MemorySystem(const machine::Geometry &geometry,
                            uint64_t data_end, trace::TraceSink *sink,
                            bool predecode,
                            const machine::PipelineTimingConfig &timing)
-    : cpu_(kernelCpuConfig(num_regs, operand_width, data_end, predecode,
-                           timing)),
+    : cpu_(kernelCpuConfig(geometry, data_end, predecode, timing)),
       tracer_(sink)
 {
 }
@@ -80,9 +78,10 @@ MemorySystem::createRing(unsigned num_threads, unsigned context_regs,
                          const std::function<uint32_t(unsigned)> &entry_of)
 {
     rr_assert(num_threads >= 1, "no threads");
-    runtime::ContextAllocator allocator(cpu_.config().numRegs,
-                                        cpu_.config().operandWidth);
-    rrmToThread_.assign(cpu_.config().numRegs, kNoThread);
+    const machine::Geometry &geometry = cpu_.config().geometry;
+    runtime::ContextAllocator allocator(geometry.numRegs,
+                                        geometry.operandWidth);
+    rrmToThread_.assign(geometry.numRegs, kNoThread);
     for (unsigned tid = 0; tid < num_threads; ++tid) {
         const auto context = allocator.allocate(context_regs);
         rr_assert(context.has_value(),
@@ -207,7 +206,8 @@ figure3SwitchCost(const machine::PipelineTimingConfig &timing,
                   uint64_t steps)
 {
     constexpr uint64_t counter_addr = 0x2000;
-    MemorySystem memory(128, 6, counter_addr, nullptr,
+    MemorySystem memory(machine::Geometry{.operandWidth = 6},
+                        counter_addr, nullptr,
                         machine::defaultPredecode(), timing);
     const uint32_t body =
         startRoundRobinDemo(memory, 2, counter_addr, 1000,

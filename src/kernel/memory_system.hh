@@ -72,12 +72,12 @@ class MemorySystem
     static constexpr uint32_t kNoContext = trace::TraceEvent::kNoContext;
 
     /**
-     * A machine with one LDRRM delay slot, memory for words
-     * [0, @p data_end) plus slack (at least 64K words) and the
+     * A machine of @p geometry with one LDRRM delay slot, memory for
+     * words [0, @p data_end) plus slack (at least 64K words) and the
      * pipeline timing model @p timing (ideal 1 CPI by default).
      */
-    MemorySystem(unsigned num_regs, unsigned operand_width,
-                 uint64_t data_end, trace::TraceSink *sink,
+    MemorySystem(const machine::Geometry &geometry, uint64_t data_end,
+                 trace::TraceSink *sink,
                  bool predecode = machine::defaultPredecode(),
                  const machine::PipelineTimingConfig &timing = {});
 

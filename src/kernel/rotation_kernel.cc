@@ -21,7 +21,8 @@ constexpr unsigned saveAreaWords = 8;
 
 RotationKernel::RotationKernel(RotationConfig config)
     : config_(config),
-      mem_(128, 6, saveAreaOf(config_.numThreads), config_.traceSink)
+      mem_(machine::Geometry{.operandWidth = 6},
+           saveAreaOf(config_.numThreads), config_.traceSink)
 {
     rr_assert(config_.numThreads >= 1 && config_.numThreads <= 100,
               "1..100 threads supported");

@@ -8,9 +8,8 @@ namespace rr::kernel {
 
 SyncWorkloadKernel::SyncWorkloadKernel(SyncWorkloadConfig config)
     : config_(std::move(config)),
-      mem_(config_.numRegs, config_.operandWidth,
-           layout_.ringBase + config_.ringSize, config_.traceSink,
-           config_.predecode)
+      mem_(config_.geometry, layout_.ringBase + config_.ringSize,
+           config_.traceSink, config_.predecode)
 {
     rr_assert(config_.numThreads >= 1, "no threads");
     rr_assert(config_.regsUsed >= 12,

@@ -34,8 +34,7 @@ struct SyncWorkloadConfig
 {
     runtime::SyncScenario scenario = runtime::SyncScenario::LockConvoy;
 
-    unsigned numRegs = 128;      ///< physical register file size
-    unsigned operandWidth = 6;   ///< w
+    machine::Geometry geometry{.operandWidth = 6}; ///< F = 128, w = 6
     unsigned numThreads = 4;     ///< resident thread count
 
     /** Registers each thread requires (>= 12; see sync_runtime.hh). */

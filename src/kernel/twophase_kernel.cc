@@ -25,7 +25,8 @@ constexpr unsigned unloadedWord = 7; // blocked-and-unloaded marker
 
 TwoPhaseKernel::TwoPhaseKernel(TwoPhaseConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      mem_(128, 6, saveAreaOf(config_.numThreads), config_.traceSink)
+      mem_(machine::Geometry{.operandWidth = 6},
+           saveAreaOf(config_.numThreads), config_.traceSink)
 {
     rr_assert(config_.latency != nullptr, "latency distribution "
                                           "missing");

@@ -45,10 +45,9 @@ defaultPredecode()
 
 Cpu::Cpu(const CpuConfig &config)
     : config_(config),
-      regs_(config.numRegs),
+      regs_(config.geometry.numRegs),
       mem_(config.memWords),
-      relocation_(config.numRegs, config.operandWidth,
-                  config.relocationMode, config.rrmBanks),
+      relocation_(config.geometry),
       predecode_(config.predecode &&
                  config.memWords <= kPredecodeMaxWords),
       memData_(mem_.data()),
@@ -73,7 +72,7 @@ Cpu::setRrmImmediate(uint32_t mask, unsigned bank)
 unsigned
 Cpu::relocateOrTrap(unsigned operand) const
 {
-    if (operand >= (1u << config_.operandWidth))
+    if (!config_.geometry.operandFits(operand))
         throw TrapSignal{TrapKind::OperandTooWide};
     const RelocationResult result = relocation_.relocate(operand);
     if (!result.ok)
@@ -435,11 +434,11 @@ Cpu::fingerprint() const
         buf, sizeof buf,
         "machine F=%u w=%u delay=%u mem=%llu mode=%u banks=%u "
         "tb=%u lu=%u ld=%u",
-        config_.numRegs, config_.operandWidth,
+        config_.geometry.numRegs, config_.geometry.operandWidth,
         config_.ldrrmDelaySlots,
         static_cast<unsigned long long>(config_.memWords),
-        static_cast<unsigned>(config_.relocationMode),
-        config_.rrmBanks, config_.timing.takenBranchPenalty,
+        static_cast<unsigned>(config_.geometry.mode),
+        config_.geometry.banks, config_.timing.takenBranchPenalty,
         config_.timing.loadUsePenalty, config_.timing.ldrrmPenalty);
     return buf;
 }
@@ -448,13 +447,13 @@ void
 Cpu::saveState(ckpt::Writer &writer) const
 {
     writer.beginSection(kSectionCpuConfig);
-    writer.u64(kCfgNumRegs, config_.numRegs);
-    writer.u64(kCfgOperandWidth, config_.operandWidth);
+    writer.u64(kCfgNumRegs, config_.geometry.numRegs);
+    writer.u64(kCfgOperandWidth, config_.geometry.operandWidth);
     writer.u64(kCfgLdrrmDelaySlots, config_.ldrrmDelaySlots);
     writer.u64(kCfgMemWords, config_.memWords);
     writer.u64(kCfgRelocationMode,
-               static_cast<uint64_t>(config_.relocationMode));
-    writer.u64(kCfgRrmBanks, config_.rrmBanks);
+               static_cast<uint64_t>(config_.geometry.mode));
+    writer.u64(kCfgRrmBanks, config_.geometry.banks);
     writer.u64(kCfgTakenBranchPenalty,
                config_.timing.takenBranchPenalty);
     writer.u64(kCfgLoadUsePenalty, config_.timing.loadUsePenalty);
@@ -516,7 +515,7 @@ Cpu::restoreState(const ckpt::Reader &reader)
     const uint64_t contextSize =
         reader.u64(kSectionCpuState, kCpuContextSize);
     if (contextSize == 0 || (contextSize & (contextSize - 1)) != 0 ||
-        contextSize > (1u << config_.operandWidth))
+        contextSize > relocation_.tableSize())
         throw ckpt::Error("invalid relocation context size " +
                           std::to_string(contextSize));
     const uint64_t trap = reader.u64(kSectionCpuState, kCpuTrap);
@@ -579,16 +578,16 @@ Cpu::configFromCheckpoint(const ckpt::Reader &reader)
         throw ckpt::Error("invalid relocation mode " +
                           std::to_string(mode));
     CpuConfig config;
-    config.numRegs = static_cast<unsigned>(
+    config.geometry.numRegs = static_cast<unsigned>(
         reader.u64(kSectionCpuConfig, kCfgNumRegs));
-    config.operandWidth = static_cast<unsigned>(
+    config.geometry.operandWidth = static_cast<unsigned>(
         reader.u64(kSectionCpuConfig, kCfgOperandWidth));
     config.ldrrmDelaySlots = static_cast<unsigned>(
         reader.u64(kSectionCpuConfig, kCfgLdrrmDelaySlots));
     config.memWords = static_cast<size_t>(
         reader.u64(kSectionCpuConfig, kCfgMemWords));
-    config.relocationMode = static_cast<RelocationMode>(mode);
-    config.rrmBanks = static_cast<unsigned>(
+    config.geometry.mode = static_cast<RelocationMode>(mode);
+    config.geometry.banks = static_cast<unsigned>(
         reader.u64(kSectionCpuConfig, kCfgRrmBanks));
     config.timing.takenBranchPenalty = static_cast<unsigned>(
         reader.u64(kSectionCpuConfig, kCfgTakenBranchPenalty));
@@ -599,8 +598,7 @@ Cpu::configFromCheckpoint(const ckpt::Reader &reader)
 
     // Geometry sanity before the CpuConfig reaches a constructor
     // assertion (hostile files must fail with ckpt::Error, not abort).
-    const std::string geometry = geometryError(
-        config.numRegs, config.operandWidth, config.rrmBanks);
+    const std::string geometry = config.geometry.error();
     if (!geometry.empty())
         throw ckpt::Error("checkpoint machine configuration is "
                           "invalid: " + geometry);

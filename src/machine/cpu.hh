@@ -57,27 +57,14 @@ bool defaultPredecode();
 /** Static machine configuration. */
 struct CpuConfig
 {
-    /** Physical register file size n (power of two). */
-    unsigned numRegs = 128;
-
-    /**
-     * Register operand width w: a context may address at most 2^w
-     * registers (paper Section 2.1). Must not exceed the 6-bit
-     * encoding field.
-     */
-    unsigned operandWidth = 5;
+    /** Register file size, operand width, RRM banks, relocation mode. */
+    Geometry geometry;
 
     /** Delay slots after LDRRM before the new mask takes effect. */
     unsigned ldrrmDelaySlots = 1;
 
     /** Memory size in words. */
     size_t memWords = 1u << 16;
-
-    /** Decode-stage combining operation. */
-    RelocationMode relocationMode = RelocationMode::Or;
-
-    /** RRM bank entries (>1 enables the Section 5.3 extension). */
-    unsigned rrmBanks = 1;
 
     /** Pipeline hazard penalties (all zero = ideal 1 CPI). */
     PipelineTimingConfig timing;

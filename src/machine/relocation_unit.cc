@@ -9,41 +9,36 @@
 namespace rr::machine {
 
 std::string
-geometryError(unsigned num_regs, unsigned operand_width,
-              unsigned num_banks)
+Geometry::error() const
 {
-    if (operand_width < 1 || operand_width > 6)
+    if (operandWidth < 1 || operandWidth > 6)
         return "operand width must be in [1, 6]: " +
-               std::to_string(operand_width);
-    if (!isPowerOfTwo(num_regs))
+               std::to_string(operandWidth);
+    if (!isPowerOfTwo(numRegs))
         return "register file size must be a power of two: " +
-               std::to_string(num_regs);
-    if ((1u << operand_width) > num_regs)
-        return "operand width " + std::to_string(operand_width) +
+               std::to_string(numRegs);
+    if ((1u << operandWidth) > numRegs)
+        return "operand width " + std::to_string(operandWidth) +
                " addresses more registers (" +
-               std::to_string(1u << operand_width) + ") than the " +
-               "register file holds: " + std::to_string(num_regs);
-    if (!isPowerOfTwo(num_banks))
+               std::to_string(1u << operandWidth) + ") than the " +
+               "register file holds: " + std::to_string(numRegs);
+    if (!isPowerOfTwo(banks))
         return "RRM bank count must be a power of two: " +
-               std::to_string(num_banks);
-    if (log2Ceil(num_banks) >= operand_width)
-        return std::to_string(num_banks) +
+               std::to_string(banks);
+    if (log2Ceil(banks) >= operandWidth)
+        return std::to_string(banks) +
                " RRM banks leave no offset bits in operand width " +
-               std::to_string(operand_width);
+               std::to_string(operandWidth);
     return "";
 }
 
-RelocationUnit::RelocationUnit(unsigned num_regs, unsigned operand_width,
-                               RelocationMode mode, unsigned num_banks)
-    : numRegs_(num_regs),
-      operandWidth_(operand_width),
-      mode_(mode),
-      maskBits_(log2Ceil(num_regs)),
-      contextSize_(1u << operand_width),
-      masks_(num_banks, 0)
+RelocationUnit::RelocationUnit(const Geometry &geometry)
+    : geometry_(geometry),
+      maskBits_(log2Ceil(geometry.numRegs)),
+      contextSize_(1u << geometry.operandWidth),
+      masks_(geometry.banks, 0)
 {
-    const std::string error =
-        geometryError(num_regs, operand_width, num_banks);
+    const std::string error = geometry.error();
     rr_assert(error.empty(), error);
 }
 
@@ -59,7 +54,7 @@ RelocationUnit::setContextSize(unsigned size)
 {
     rr_assert(isPowerOfTwo(size), "context size must be a power of two: ",
               size);
-    rr_assert(size <= (1u << operandWidth_),
+    rr_assert(size <= tableSize(),
               "context size ", size, " exceeds 2^w");
     if (contextSize_ == size)
         return;
@@ -79,7 +74,7 @@ RelocationUnit::restoreMasks(const std::vector<uint32_t> &masks,
                           " does not match the unit's " +
                           std::to_string(masks_.size()));
     if (!isPowerOfTwo(context_size) ||
-        context_size > (1u << operandWidth_))
+        context_size > tableSize())
         throw ckpt::Error("restored context size " +
                           std::to_string(context_size) +
                           " is invalid");
@@ -158,7 +153,7 @@ RelocationUnit::tableSlow() const
         // Every mode masks the physical number down to maskBits_, so
         // table entries can be consumed without per-access range
         // checks; pin that invariant here, once per build.
-        rr_assert(slot->table[operand].physical < numRegs_,
+        rr_assert(slot->table[operand].physical < numRegs(),
                   "relocated register out of range at build time");
     }
     rememberInMemo(slot->table.data());
@@ -188,19 +183,11 @@ RelocationUnit::compute(unsigned operand) const
 {
     // Select the bank from the operand's top bits when the bank count
     // exceeds one (Section 5.3 extension).
-    const unsigned bank_bits = log2Ceil(numBanks());
-    const unsigned offset_bits = operandWidth_ - bank_bits;
-    const unsigned bank = bank_bits == 0
-                              ? 0
-                              : (operand >> offset_bits) &
-                                    static_cast<unsigned>(
-                                        lowMask(bank_bits));
-    const unsigned offset =
-        operand & static_cast<unsigned>(lowMask(offset_bits));
-    const uint32_t rrm = masks_[bank];
+    const unsigned offset = geometry_.offsetOf(operand);
+    const uint32_t rrm = masks_[geometry_.bankOf(operand)];
 
     RelocationResult result;
-    switch (mode_) {
+    switch (geometry_.mode) {
       case RelocationMode::Or:
         // The paper's mechanism: a plain bitwise OR. The split between
         // base and offset bits is implicit in the mask's alignment.

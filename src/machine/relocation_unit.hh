@@ -29,6 +29,7 @@
 #ifndef RR_MACHINE_RELOCATION_UNIT_HH
 #define RR_MACHINE_RELOCATION_UNIT_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -48,18 +49,79 @@ enum class RelocationMode : uint8_t
 };
 
 /**
- * The relocation geometry rule, stated once: the register file size
- * F is a power of two, the operand width w is in [1, 6], 2^w <= F,
- * the RRM bank count B is a power of two, and its log2 B bank-select
- * bits leave at least one offset bit (log2 B < w). The unit's
- * constructor asserts it; checkpoint restore, the fuzz kinds and the
- * tools check it first and report the message.
+ * The machine's relocation geometry, stated once: register file size
+ * F, operand width w, RRM bank count B and combining mode. Every
+ * holder of a geometry (CpuConfig, the lint and RRM-analysis options,
+ * the kernel configs, the fuzz kinds, the tools) keeps one of these,
+ * so a checker always checks the machine that runs.
  *
- * @return "" when the geometry is valid, else a message naming the
- *         offending value.
+ * With B > 1 banks (Section 5.3) the top log2 B bits of an operand
+ * select the bank and the remaining w - log2 B bits are the offset;
+ * operandFits(), bankOf() and offsetOf() are the only place that
+ * split is written.
  */
-std::string geometryError(unsigned num_regs, unsigned operand_width,
-                          unsigned num_banks);
+struct Geometry
+{
+    /** Physical register file size F (power of two). */
+    unsigned numRegs = 128;
+
+    /**
+     * Register operand width w: a context may address at most 2^w
+     * registers (Section 2.1). Must not exceed the 6-bit encoding
+     * field.
+     */
+    unsigned operandWidth = 5;
+
+    /** RRM bank entries (>1 enables the Section 5.3 extension). */
+    unsigned banks = 1;
+
+    /** Decode-stage combining operation. */
+    RelocationMode mode = RelocationMode::Or;
+
+    /**
+     * The geometry rule: F is a power of two, w is in [1, 6],
+     * 2^w <= F, B is a power of two, and its log2 B bank-select bits
+     * leave at least one offset bit (log2 B < w). The relocation
+     * unit's constructor asserts it; checkpoint restore, the fuzz
+     * kinds and the tools check it first and report the message.
+     *
+     * @return "" when the geometry is valid, else a message naming
+     *         the offending value.
+     */
+    std::string error() const;
+
+    /** @return true when @p operand is below 2^w (else it traps). */
+    bool
+    operandFits(unsigned operand) const
+    {
+        return operand < (1u << operandWidth);
+    }
+
+    /** Bank-select bits of an operand: log2 B (B is a power of two). */
+    unsigned
+    bankBits() const
+    {
+        return static_cast<unsigned>(std::countr_zero(banks));
+    }
+
+    /** Offset bits of an operand: w - log2 B. */
+    unsigned offsetBits() const { return operandWidth - bankBits(); }
+
+    /** The RRM bank a fitting @p operand selects (0 with one bank). */
+    unsigned
+    bankOf(unsigned operand) const
+    {
+        return (operand >> offsetBits()) &
+               static_cast<unsigned>(lowMask(bankBits()));
+    }
+
+    /** The offset a fitting @p operand relocates within its bank. */
+    unsigned
+    offsetOf(unsigned operand) const
+    {
+        return operand & static_cast<unsigned>(lowMask(offsetBits()));
+    }
+};
 
 /** Result of relocating one operand. */
 struct RelocationResult
@@ -72,27 +134,17 @@ struct RelocationResult
 class RelocationUnit
 {
   public:
-    /**
-     * @param num_regs       physical register file size (n)
-     * @param operand_width  instruction operand field width (w); the
-     *                       architectural maximum context size is 2^w
-     * @param mode           combining operation
-     * @param num_banks      number of RRM registers (1 for the base
-     *                       mechanism; >1 for the Section 5.3
-     *                       extension)
-     */
-    RelocationUnit(unsigned num_regs, unsigned operand_width,
-                   RelocationMode mode = RelocationMode::Or,
-                   unsigned num_banks = 1);
+    /** @param geometry the machine geometry (asserts error() is ""). */
+    explicit RelocationUnit(const Geometry &geometry);
 
     /** Physical register file size. */
-    unsigned numRegs() const { return numRegs_; }
+    unsigned numRegs() const { return geometry_.numRegs; }
 
     /** Operand field width w. */
-    unsigned operandWidth() const { return operandWidth_; }
+    unsigned operandWidth() const { return geometry_.operandWidth; }
 
     /** Combining mode. */
-    RelocationMode mode() const { return mode_; }
+    RelocationMode mode() const { return geometry_.mode; }
 
     /** Number of RRM bank entries. */
     unsigned numBanks() const
@@ -193,7 +245,7 @@ class RelocationUnit
     uint64_t epoch() const { return epoch_; }
 
     /** Number of entries in table(): one per operand value, 2^w. */
-    unsigned tableSize() const { return 1u << operandWidth_; }
+    unsigned tableSize() const { return 1u << geometry_.operandWidth; }
 
     /**
      * The cached operand->physical mapping for the current masks: one
@@ -250,9 +302,7 @@ class RelocationUnit
     /** Install @p ptr in the single-bank direct-mapped memo. */
     void rememberInMemo(const RelocationResult *ptr) const;
 
-    unsigned numRegs_;
-    unsigned operandWidth_;
-    RelocationMode mode_;
+    Geometry geometry_;
     unsigned maskBits_;
     unsigned contextSize_;
     std::vector<uint32_t> masks_;

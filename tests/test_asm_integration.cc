@@ -33,8 +33,8 @@ CpuConfig
 machineConfig()
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 6;
     config.ldrrmDelaySlots = 1;
     config.memWords = 1u << 14;
     return config;
@@ -81,7 +81,7 @@ class Figure3Switch : public ::testing::Test
         return result;
     }
 
-    kernel::MemorySystem memory_{128, 6, counterAddr, nullptr};
+    kernel::MemorySystem memory_{{128, 6}, counterAddr, nullptr};
     uint32_t threadBody_ = 0;
 };
 

@@ -719,7 +719,7 @@ TEST(CkptReloc, RestoredMasksNeverTrustPreRestoreEpochs)
     using machine::RelocationResult;
     using machine::RelocationUnit;
 
-    RelocationUnit unit(128, 5);
+    RelocationUnit unit({128, 5});
 
     // Churn through more mask states than the 16-slot table cache
     // holds, forcing recycling, and remember one mid-churn state.
@@ -747,7 +747,7 @@ TEST(CkptReloc, RestoredMasksNeverTrustPreRestoreEpochs)
     unit.restoreMasks(savedMasks, savedSize);
     EXPECT_GT(unit.epoch(), epochBefore);
 
-    RelocationUnit fresh(128, 5);
+    RelocationUnit fresh({128, 5});
     fresh.setMask(savedMasks[0]);
     fresh.setContextSize(savedSize);
     const RelocationResult *restored = unit.table();
@@ -769,7 +769,7 @@ TEST(CkptReloc, RestoredMasksNeverTrustPreRestoreEpochs)
 
 TEST(CkptReloc, RestoreRejectsHostileMaskState)
 {
-    machine::RelocationUnit unit(128, 5);
+    machine::RelocationUnit unit({128, 5});
     EXPECT_THROW(unit.restoreMasks({}, 8), ckpt::Error);
     EXPECT_THROW(unit.restoreMasks({0, 8}, 8), ckpt::Error);
     EXPECT_THROW(unit.restoreMasks({8}, 3), ckpt::Error);
@@ -795,7 +795,7 @@ TEST(CkptMachine, ConfigRejectsImpossibleGeometry)
         const ckpt::Reader reader(writer.seal());
         return machine::Cpu::configFromCheckpoint(reader);
     };
-    EXPECT_EQ(config_of(128, 5, 2).rrmBanks, 2u);
+    EXPECT_EQ(config_of(128, 5, 2).geometry.banks, 2u);
 
     const struct
     {

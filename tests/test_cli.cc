@@ -5,9 +5,10 @@
  * INT64/UINT64 boundaries, signs, whitespace, 0x prefixes, leading
  * zeros — the option parser's exit-status behaviour
  * (docs/TOOLS.md documents the accepted forms), the --json
- * documents of rrasm, rrsim, rrbench and rrfuzz, and the usage exit
+ * documents of rrasm, rrsim, rrbench and rrfuzz, the usage exit
  * for a garbage RR_BENCH_JOBS in rrbench and rrserve and for an
- * impossible machine geometry in rrsim, rrasm and rrlint.
+ * impossible machine geometry in rrsim and rrlint, and one verdict
+ * from rrsim and rrlint on an operand wider than the machine's.
  */
 
 #include <gtest/gtest.h>
@@ -249,8 +250,7 @@ TEST(CliToolJson, RrasmGoodAndFailingInput)
         std::string(RR_SOURCE_DIR) + "/examples/asm/two_threads.s";
     int status = 0;
     const auto ok = parseDocument(
-        runTool(shellQuote(RR_RRASM) + " --check 16 --json " +
-                    shellQuote(good),
+        runTool(shellQuote(RR_RRASM) + " --json " + shellQuote(good),
                 status),
         "rr.rrasm.v1");
     EXPECT_EQ(status, kExitOk);
@@ -258,7 +258,6 @@ TEST(CliToolJson, RrasmGoodAndFailingInput)
     ASSERT_NE(ok.find("ok"), nullptr);
     EXPECT_TRUE(ok.find("ok")->boolean);
     EXPECT_GT(ok.numberOr("words", 0), 0);
-    EXPECT_EQ(ok.numberOr("checkErrors", -1), 0);
 
     // A path that needs escaping: the document must carry it intact.
     const std::filesystem::path bad =
@@ -459,7 +458,6 @@ TEST(CliToolGeometry, ImpossibleGeometryIsAUsageError)
     const std::string program = shellQuote(
         std::string(RR_SOURCE_DIR) + "/examples/asm/fibonacci.s");
     const std::string rrsim = shellQuote(RR_RRSIM) + " --quiet";
-    const std::string rrasm = shellQuote(RR_RRASM) + " --quiet";
     const std::string rrlint = shellQuote(RR_RRLINT) + " --quiet";
     struct Case
     {
@@ -476,12 +474,24 @@ TEST(CliToolGeometry, ImpossibleGeometryIsAUsageError)
         {rrsim + " --regs 16",
          "rrsim: operand width 5 addresses more registers (32) than the "
          "register file holds: 16"},
-        {rrasm + " --banks 3 --check 8",
-         "rrasm: --banks: RRM bank count must be a power of two: 3"},
+        {rrsim + " --banks 0",
+         "rrsim: --banks expects an unsigned number in [1, 64], got '0'"},
+        {rrlint + " --banks 0",
+         "rrlint: --banks expects an unsigned number in [1, 64], got "
+         "'0'"},
+        {rrlint + " --banks 3",
+         "rrlint: RRM bank count must be a power of two: 3"},
         {rrlint + " --banks 64 --width 1",
          "rrlint: 64 RRM banks leave no offset bits in operand width 1"},
         {rrlint + " --banks 2 --width 1",
          "rrlint: 2 RRM banks leave no offset bits in operand width 1"},
+        // A context cannot hold more than the 2^w registers an
+        // operand addresses.
+        {rrlint + " --context 64",
+         "rrlint: --context 64 exceeds the 32 registers a 5-bit operand "
+         "addresses"},
+        {shellQuote(RR_RRASM) + " --check 16",
+         "rrasm: unknown option '--check'"},
     };
     for (const Case &c : rejected) {
         int status = 0;
@@ -491,13 +501,46 @@ TEST(CliToolGeometry, ImpossibleGeometryIsAUsageError)
         EXPECT_EQ(err.substr(0, err.find('\n')), c.message) << c.args;
     }
 
-    // The largest legal geometries still run.
-    for (const std::string &args :
-         {rrsim + " --regs 32 --banks 2", rrasm + " --banks 32 --check 8",
-          rrlint + " --banks 2 --width 2", rrlint + " --banks 0"}) {
+    // The largest legal geometries still run. At w = 2 the program's
+    // r4 and up do not fit: a lint finding, not a usage error.
+    const std::pair<std::string, int> legal[] = {
+        {rrsim + " --regs 32 --banks 2", kExitOk},
+        {rrlint + " --banks 32 --width 6 --context 64", kExitOk},
+        {rrlint + " --banks 2 --width 2", kExitProblems},
+    };
+    for (const auto &[args, expected] : legal) {
         int status = 0;
         runTool(args + " " + program + " >/dev/null 2>&1", status);
-        EXPECT_EQ(status, kExitOk) << args;
+        EXPECT_EQ(status, expected) << args;
+    }
+}
+
+// rrsim and rrlint check the same machine: an operand the default
+// w = 5 machine traps on is a lint error too, and widening the field
+// clears both (docs/LINT.md, operand-too-wide).
+TEST(CliToolGeometry, RrsimAndRrlintAgreeOnOperandWidth)
+{
+    const std::filesystem::path source =
+        workDir("geometry") / "wide_operand.s";
+    std::ofstream(source) << "entry: addi r40, r0, 1\nhalt\n";
+    const std::string file = " " + shellQuote(source.string());
+    const std::string rrsim = shellQuote(RR_RRSIM) + " --quiet";
+    const std::string rrlint = shellQuote(RR_RRLINT);
+
+    int status = 0;
+    runTool(rrsim + file, status);
+    EXPECT_EQ(status, kExitProblems);
+    const std::string report = runTool(rrlint + file, status);
+    EXPECT_EQ(status, kExitProblems);
+    EXPECT_NE(report.find("error: [operand-too-wide] addi r40, r0, 1: "
+                          "rd r40 does not fit the 5-bit operand field"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("(addr 0)"), std::string::npos) << report;
+
+    for (const std::string &tool : {rrsim, rrlint + " --quiet"}) {
+        runTool(tool + " --width 6" + file, status);
+        EXPECT_EQ(status, kExitOk) << tool;
     }
 }
 

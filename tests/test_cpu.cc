@@ -17,8 +17,8 @@ CpuConfig
 smallConfig()
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 5;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 5;
     config.ldrrmDelaySlots = 1;
     config.memWords = 4096;
     return config;
@@ -243,7 +243,7 @@ TEST(Cpu, FaultHookMayRedirectPc)
 TEST(Cpu, OperandWidthTrap)
 {
     CpuConfig config = smallConfig();
-    config.operandWidth = 4; // only r0..r15 addressable
+    config.geometry.operandWidth = 4; // only r0..r15 addressable
     Cpu cpu(config);
     load(cpu, "addi r1, r16, 0\nhalt\n");
     cpu.run(10);
@@ -271,7 +271,7 @@ TEST(Cpu, InvalidOpcodeTrap)
 TEST(Cpu, MuxModeContextBoundsTrap)
 {
     CpuConfig config = smallConfig();
-    config.relocationMode = RelocationMode::Mux;
+    config.geometry.mode = RelocationMode::Mux;
     Cpu cpu(config);
     cpu.relocation().setContextSize(8);
     cpu.setRrmImmediate(40);

@@ -101,8 +101,8 @@ runCode(bool predecode, const std::vector<isa::Instruction> &code,
         uint32_t a, uint32_t b)
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 5;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 5;
     config.memWords = 64;
     config.predecode = predecode;
     Cpu cpu(config);

@@ -46,8 +46,8 @@ CpuConfig
 configWith(bool predecode)
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 5;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 5;
     config.ldrrmDelaySlots = 1;
     config.memWords = 4096;
     config.predecode = predecode;

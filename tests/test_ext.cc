@@ -26,9 +26,9 @@ CpuConfig
 dualBankConfig()
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6; // top bit selects the bank
-    config.rrmBanks = 2;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 6; // top bit selects the bank
+    config.geometry.banks = 2;
     config.memWords = 4096;
     return config;
 }

@@ -104,11 +104,11 @@ TEST(MachineKernel, MoreContextsRaiseEfficiency)
 TEST(MachineKernel, FlexiblePackingBeatsFixedPacking)
 {
     KernelConfig fixed = baseConfig(2, 40, 800);
-    fixed.numRegs = 64;
+    fixed.geometry.numRegs = 64;
     fixed.forcedContextSize = 32;
 
     KernelConfig flexible = baseConfig(4, 40, 800);
-    flexible.numRegs = 64;
+    flexible.geometry.numRegs = 64;
     flexible.regsUsed = 12; // 16-register contexts
 
     const KernelResult rfixed = runMachineKernel(fixed);
@@ -186,7 +186,7 @@ TEST(MachineKernel, MatchesEventSimulator)
 TEST(MachineKernelDeath, OverfullFileRejected)
 {
     KernelConfig config = baseConfig(5, 40, 300);
-    config.numRegs = 64;
+    config.geometry.numRegs = 64;
     config.forcedContextSize = 32; // only 2 fit
     EXPECT_DEATH(runMachineKernel(config), "does not fit");
 }
@@ -197,7 +197,7 @@ TEST(MachineKernelDeath, OverfullFileRejected)
 // entry.
 TEST(MemorySystem, CreateRingWiresNextRrm)
 {
-    MemorySystem memory(128, 5, 0x1000, nullptr);
+    MemorySystem memory({128, 5}, 0x1000, nullptr);
     memory.createRing(3, 8, 0x1000,
                       [](unsigned tid) { return 100 + tid; });
     for (unsigned tid = 0; tid < 3; ++tid) {
@@ -215,7 +215,7 @@ TEST(MemorySystem, CreateRingWiresNextRrm)
 
 TEST(MemorySystem, PeekPokeAddressTheThreadsContext)
 {
-    MemorySystem memory(128, 5, 0x1000, nullptr);
+    MemorySystem memory({128, 5}, 0x1000, nullptr);
     memory.createRing(3, 8, 0x1000, [](unsigned) { return 0u; });
     // Not the active context: thread 2's is installed.
     memory.cpu().setRrmImmediate(memory.context(2));
@@ -227,7 +227,7 @@ TEST(MemorySystem, PeekPokeAddressTheThreadsContext)
 
 TEST(MemorySystemDeath, CreateRingWithoutThreadsPanics)
 {
-    MemorySystem memory(128, 5, 0x1000, nullptr);
+    MemorySystem memory({128, 5}, 0x1000, nullptr);
     EXPECT_DEATH(
         memory.createRing(0, 8, 0x1000, [](unsigned) { return 0u; }),
         "no threads");
@@ -236,7 +236,7 @@ TEST(MemorySystemDeath, CreateRingWithoutThreadsPanics)
 TEST(MemorySystemDeath, CreateRingOverfullFilePanics)
 {
     // 128 / 32 = 4 contexts fit; the fifth thread does not.
-    MemorySystem memory(128, 5, 0x1000, nullptr);
+    MemorySystem memory({128, 5}, 0x1000, nullptr);
     EXPECT_DEATH(
         memory.createRing(5, 32, 0x1000, [](unsigned) { return 0u; }),
         "thread 4 does not fit");

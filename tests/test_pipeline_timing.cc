@@ -20,8 +20,8 @@ CpuConfig
 timedConfig()
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 6;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 6;
     config.memWords = 1u << 14;
     config.timing = PipelineTimingConfig::classicFiveStage();
     return config;

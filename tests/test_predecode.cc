@@ -32,8 +32,8 @@ CpuConfig
 baseConfig()
 {
     CpuConfig config;
-    config.numRegs = 128;
-    config.operandWidth = 5;
+    config.geometry.numRegs = 128;
+    config.geometry.operandWidth = 5;
     config.ldrrmDelaySlots = 1;
     config.memWords = 4096;
     return config;
@@ -87,7 +87,7 @@ snapshot(const Cpu &cpu)
     state.psw = cpu.psw();
     state.halted = cpu.halted();
     state.trap = cpu.trap();
-    for (unsigned r = 0; r < c.numRegs; ++r)
+    for (unsigned r = 0; r < c.geometry.numRegs; ++r)
         state.regs.push_back(cpu.regs().read(r));
     for (size_t a = 0; a < c.memWords; ++a)
         state.mem.push_back(cpu.mem().read(a));
@@ -216,7 +216,7 @@ TEST(Predecode, MatchesUncachedAcrossContextSwitches)
 TEST(Predecode, MatchesUncachedInMuxMode)
 {
     CpuConfig config = baseConfig();
-    config.relocationMode = RelocationMode::Mux;
+    config.geometry.mode = RelocationMode::Mux;
     const assembler::Program prog = assembleOrDie(kSwitchProgram);
     expectSameArchState(config, prog);
 }
@@ -224,7 +224,7 @@ TEST(Predecode, MatchesUncachedInMuxMode)
 TEST(Predecode, MatchesUncachedInAddMode)
 {
     CpuConfig config = baseConfig();
-    config.relocationMode = RelocationMode::Add;
+    config.geometry.mode = RelocationMode::Add;
     const assembler::Program prog = assembleOrDie(kSwitchProgram);
     expectSameArchState(config, prog);
 }
@@ -232,7 +232,7 @@ TEST(Predecode, MatchesUncachedInAddMode)
 TEST(Predecode, MatchesUncachedWithBankedRrm)
 {
     CpuConfig config = baseConfig();
-    config.rrmBanks = 2;
+    config.geometry.banks = 2;
     // With two banks the operand's top bit selects the mask; the
     // setup just installs a window and runs ALU traffic through both
     // halves of the operand space.

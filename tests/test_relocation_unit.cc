@@ -17,7 +17,7 @@ namespace {
 // base 40: context-relative register 5 -> absolute register 45.
 TEST(RelocationUnit, Figure1aExample)
 {
-    RelocationUnit unit(128, 5);
+    RelocationUnit unit({128, 5});
     unit.setMask(40);
     EXPECT_EQ(unit.relocate(5).physical, 45u);
 }
@@ -26,14 +26,14 @@ TEST(RelocationUnit, Figure1aExample)
 // register 14 -> absolute register 46.
 TEST(RelocationUnit, Figure1bExample)
 {
-    RelocationUnit unit(128, 5);
+    RelocationUnit unit({128, 5});
     unit.setMask(32);
     EXPECT_EQ(unit.relocate(14).physical, 46u);
 }
 
 TEST(RelocationUnit, OrIsBitwiseOr)
 {
-    RelocationUnit unit(128, 5);
+    RelocationUnit unit({128, 5});
     for (const uint32_t mask : {0u, 8u, 16u, 40u, 96u}) {
         unit.setMask(mask);
         for (unsigned operand = 0; operand < 32; ++operand) {
@@ -48,7 +48,7 @@ TEST(RelocationUnit, OrIsBitwiseOr)
 // the property that makes the RRM double as a base register number.
 TEST(RelocationUnit, OrEqualsAddForAlignedContexts)
 {
-    RelocationUnit unit(256, 6);
+    RelocationUnit unit({256, 6});
     for (const unsigned size : {4u, 8u, 16u, 32u, 64u}) {
         for (unsigned base = 0; base + size <= 256; base += size) {
             unit.setMask(base);
@@ -63,7 +63,7 @@ TEST(RelocationUnit, OrEqualsAddForAlignedContexts)
 
 TEST(RelocationUnit, MaskTruncatedToMaskBits)
 {
-    RelocationUnit unit(128, 5);
+    RelocationUnit unit({128, 5});
     EXPECT_EQ(unit.maskBits(), 7u); // ceil(lg 128)
     unit.setMask(0xffffff80u | 40u);
     EXPECT_EQ(unit.mask(), 40u);
@@ -71,7 +71,7 @@ TEST(RelocationUnit, MaskTruncatedToMaskBits)
 
 TEST(RelocationUnit, MuxModeRelocatesWithinContext)
 {
-    RelocationUnit unit(128, 5, RelocationMode::Mux);
+    RelocationUnit unit({128, 5, 1, RelocationMode::Mux});
     unit.setContextSize(8);
     unit.setMask(40);
     const RelocationResult ok = unit.relocate(5);
@@ -83,7 +83,7 @@ TEST(RelocationUnit, MuxModeRelocatesWithinContext)
 // allocated context, which plain OR silently permits.
 TEST(RelocationUnit, MuxModeFlagsBoundsViolation)
 {
-    RelocationUnit unit(128, 5, RelocationMode::Mux);
+    RelocationUnit unit({128, 5, 1, RelocationMode::Mux});
     unit.setContextSize(8);
     unit.setMask(40);
     const RelocationResult bad = unit.relocate(9); // >= size 8
@@ -92,7 +92,7 @@ TEST(RelocationUnit, MuxModeFlagsBoundsViolation)
 
 TEST(RelocationUnit, AddModeSupportsUnalignedBases)
 {
-    RelocationUnit unit(128, 5, RelocationMode::Add);
+    RelocationUnit unit({128, 5, 1, RelocationMode::Add});
     unit.setMask(12); // not a power-of-two-aligned base
     EXPECT_EQ(unit.relocate(5).physical, 17u);
     EXPECT_TRUE(unit.relocate(5).ok);
@@ -100,8 +100,8 @@ TEST(RelocationUnit, AddModeSupportsUnalignedBases)
 
 TEST(RelocationUnit, OrDiffersFromAddOnUnalignedBase)
 {
-    RelocationUnit or_unit(128, 5, RelocationMode::Or);
-    RelocationUnit add_unit(128, 5, RelocationMode::Add);
+    RelocationUnit or_unit({128, 5, 1, RelocationMode::Or});
+    RelocationUnit add_unit({128, 5, 1, RelocationMode::Add});
     or_unit.setMask(12);
     add_unit.setMask(12);
     // 12 | 5 = 13, but 12 + 5 = 17: OR requires aligned contexts.
@@ -112,7 +112,7 @@ TEST(RelocationUnit, OrDiffersFromAddOnUnalignedBase)
 // Section 5.3: with two banks, the top operand bit selects the mask.
 TEST(RelocationUnit, DualBankSelection)
 {
-    RelocationUnit unit(128, 6, RelocationMode::Or, 2);
+    RelocationUnit unit({128, 6, 2, RelocationMode::Or});
     unit.setMask(32, 0);
     unit.setMask(64, 1);
     // Operand 0b0_00101 -> bank 0, offset 5.
@@ -123,7 +123,7 @@ TEST(RelocationUnit, DualBankSelection)
 
 TEST(RelocationUnit, BankCountAndWidthValidation)
 {
-    RelocationUnit unit(256, 6, RelocationMode::Or, 4);
+    RelocationUnit unit({256, 6, 4, RelocationMode::Or});
     EXPECT_EQ(unit.numBanks(), 4u);
     unit.setMask(128, 3);
     // Top two bits select bank 3; remaining 4 bits are the offset.
@@ -132,14 +132,14 @@ TEST(RelocationUnit, BankCountAndWidthValidation)
 
 TEST(RelocationUnitDeath, InvalidConfigPanics)
 {
-    EXPECT_DEATH(RelocationUnit(100, 5), "power of two");
-    EXPECT_DEATH(RelocationUnit(128, 9), "operand width");
-    EXPECT_DEATH(RelocationUnit(16, 6), "addresses more registers");
+    EXPECT_DEATH(RelocationUnit({100, 5}), "power of two");
+    EXPECT_DEATH(RelocationUnit({128, 9}), "operand width");
+    EXPECT_DEATH(RelocationUnit({16, 6}), "addresses more registers");
 }
 
 TEST(RelocationUnitDeath, BadContextSizePanics)
 {
-    RelocationUnit unit(128, 5, RelocationMode::Mux);
+    RelocationUnit unit({128, 5, 1, RelocationMode::Mux});
     EXPECT_DEATH(unit.setContextSize(12), "power of two");
     EXPECT_DEATH(unit.setContextSize(64), "exceeds");
 }

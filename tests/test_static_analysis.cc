@@ -391,14 +391,40 @@ TEST(Lint, ReportsPerWindowMinimalContext)
 
 TEST(Lint, MultiRrmBankOperandsExcused)
 {
-    // r37 = bank 1, offset 5: fine with 2 banks, flagged without.
+    // r37 = bank 1, offset 5 at w = 6: fine with 2 banks, flagged
+    // without.
     const auto p = prog("add r37, r1, r2\nhalt\n");
     LintOptions options;
+    options.geometry.operandWidth = 6;
     options.declaredContext = 8;
     EXPECT_EQ(lintProgram(p, options).errors, 1u);
 
-    options.banks = 2;
+    options.geometry.banks = 2;
     EXPECT_EQ(lintProgram(p, options).errors, 0u);
+}
+
+TEST(Lint, OperandWiderThanTheMachineTraps)
+{
+    // The default geometry is the machine's: w = 5, so r32 is the
+    // first operand that traps (operand-too-wide). Bank bits do not
+    // widen the field: with 2 banks r31 is bank 1, r32 still traps.
+    const auto p = prog("add r31, r1, r2\n"
+                        "add r1, r32, r2\n"
+                        "halt\n");
+    for (const unsigned banks : {1u, 2u}) {
+        LintOptions options;
+        options.geometry.banks = banks;
+        const LintResult result = lintProgram(p, options);
+        ASSERT_EQ(result.findings.size(), 1u) << banks;
+        EXPECT_EQ(result.findings[0].code, "operand-too-wide");
+        EXPECT_EQ(result.findings[0].address, 1u);
+        EXPECT_NE(result.findings[0].message.find(": rs1 r32 "),
+                  std::string::npos);
+    }
+
+    LintOptions wide;
+    wide.geometry.operandWidth = 6;
+    EXPECT_TRUE(lintProgram(p, wide).findings.empty());
 }
 
 TEST(Lint, InvalidWordsFlaggedOnRequest)
@@ -532,8 +558,8 @@ TEST(Lint, FlatCheckExcusesBankBitsAtNonDefaultWidth)
     // r21 = 0b1.0101 is bank 1, offset 5 (fine in a size-8 context);
     // r29 = 0b1.1101 is bank 1, offset 13 (violates it).
     LintOptions options;
-    options.banks = 2;
-    options.operandWidth = 5;
+    options.geometry.banks = 2;
+    options.geometry.operandWidth = 5;
     EXPECT_TRUE(
         flatCheck(prog("add r21, r1, r2\n"), 8, options).findings.empty());
     const LintResult result =
@@ -544,8 +570,8 @@ TEST(Lint, FlatCheckExcusesBankBitsAtNonDefaultWidth)
 
     // Four banks on the full 6-bit field: r37 = 0b10.0101 is bank 2,
     // offset 5.
-    options.banks = 4;
-    options.operandWidth = 6;
+    options.geometry.banks = 4;
+    options.geometry.operandWidth = 6;
     EXPECT_TRUE(
         flatCheck(prog("add r37, r1, r2\n"), 8, options).findings.empty());
 }
@@ -575,7 +601,8 @@ TEST(Lint, EmbeddedRoutinesFitTheirDocumentedContexts)
     };
     const kernel::SyncWorkloadConfig sync;
     const unsigned sync_context =
-        runtime::ContextAllocator(sync.numRegs, sync.operandWidth)
+        runtime::ContextAllocator(sync.geometry.numRegs,
+                                  sync.geometry.operandWidth)
             .contextSizeFor(sync.regsUsed);
     for (const runtime::SyncScenario scenario :
          {runtime::SyncScenario::UncontendedLock,
@@ -628,14 +655,14 @@ TEST(BoundaryChecker, ReportsAddressAndLine)
 
 TEST(BoundaryChecker, MultiRrmBankBitExcused)
 {
-    // Operand 32+5 = r37: illegal in a size-8 single-bank context,
-    // legal when the top bit selects bank 1 (offset 5).
+    // Operand 32+5 = r37 at w = 6: illegal in a size-8 single-bank
+    // context, legal when the top bit selects bank 1 (offset 5).
     const auto p = prog("add r37, r1, r2\n");
-    EXPECT_EQ(flatCheck(p, 8).findings.size(), 1u);
-
     LintOptions options;
-    options.banks = 2;
-    options.operandWidth = 6;
+    options.geometry.operandWidth = 6;
+    EXPECT_EQ(flatCheck(p, 8, options).findings.size(), 1u);
+
+    options.geometry.banks = 2;
     EXPECT_TRUE(flatCheck(p, 8, options).findings.empty());
 }
 

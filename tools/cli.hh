@@ -2,7 +2,8 @@
  * @file
  * Shared command-line option parser for the RRISC tools (rrasm,
  * rrsim, rrlint, rrbench). One registration API, one parsing loop,
- * and one convention — docs/TOOLS.md is the single reference:
+ * one set of machine-geometry flags (GeometryFlags), and one
+ * convention — docs/TOOLS.md is the single reference:
  *
  *   exit 0   success
  *   exit 1   problems found in the input (assembly errors, lint
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "arg_num.hh"
+#include "machine/relocation_unit.hh"
 
 namespace rr::tools {
 
@@ -338,6 +340,61 @@ class OptionParser
     std::string usage_;
     std::vector<Spec> specs_;
     std::vector<std::string> positionals_;
+};
+
+/**
+ * The machine-geometry flags rrsim and rrlint share: `--width W`
+ * (1-6), `--banks B` (1-64) and `--mode or|mux|add`. The constructor
+ * registers them with a parser; after parse(), apply() writes the
+ * given ones into a machine::Geometry and validates the result.
+ */
+class GeometryFlags
+{
+  public:
+    explicit GeometryFlags(OptionParser &parser)
+    {
+        parser.number("--width", &width_, 1, 6, &widthSeen_);
+        parser.number("--banks", &banks_, 1, 64, &banksSeen_);
+        parser.choice("--mode", &mode_, {"or", "mux", "add"});
+    }
+
+    // The parser holds pointers into this object.
+    GeometryFlags(const GeometryFlags &) = delete;
+    GeometryFlags &operator=(const GeometryFlags &) = delete;
+
+    /** @return true when any of the three flags was given. */
+    bool
+    seen() const
+    {
+        return widthSeen_ || banksSeen_ || !mode_.empty();
+    }
+
+    /**
+     * Overwrite the fields of @p geometry that were given.
+     * @return geometry.error(): "" when the result is a valid machine
+     */
+    std::string
+    apply(machine::Geometry &geometry) const
+    {
+        if (widthSeen_)
+            geometry.operandWidth = static_cast<unsigned>(width_);
+        if (banksSeen_)
+            geometry.banks = static_cast<unsigned>(banks_);
+        if (mode_ == "or")
+            geometry.mode = machine::RelocationMode::Or;
+        else if (mode_ == "mux")
+            geometry.mode = machine::RelocationMode::Mux;
+        else if (mode_ == "add")
+            geometry.mode = machine::RelocationMode::Add;
+        return geometry.error();
+    }
+
+  private:
+    uint64_t width_ = 0;
+    bool widthSeen_ = false;
+    uint64_t banks_ = 0;
+    bool banksSeen_ = false;
+    std::string mode_;
 };
 
 } // namespace rr::tools

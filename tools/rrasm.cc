@@ -6,19 +6,13 @@
  *   rrasm [options] input.s
  *     -o FILE       write the image as hex words, one per line
  *     -l            print a listing (address, word, disassembly)
- *     --check N     statically check context boundaries against a
- *                   context of N registers (Section 2.4). This is a
- *                   thin wrapper over the rrlint analyses; run
- *                   `rrlint` directly for the full flow-sensitive
- *                   report.
- *     --banks B     interpret operands as bank-selected (Section 5.3)
- *                   when checking
  *     --json        emit a machine-readable summary on stdout
  *     --quiet       suppress the listing and symbol output
  *
- * Exit status (docs/TOOLS.md): 0 on success, 1 on assembly errors or
- * boundary violations, 2 when files cannot be read or written, 64 on
- * usage errors.
+ * The Section 2.4 context-boundary check is `rrlint --context N`.
+ *
+ * Exit status (docs/TOOLS.md): 0 on success, 1 on assembly errors,
+ * 2 when files cannot be read or written, 64 on usage errors.
  */
 
 #include <cstdio>
@@ -26,7 +20,6 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/static/lint.hh"
 #include "assembler/assembler.hh"
 #include "exp/json_out.hh"
 #include "isa/instruction.hh"
@@ -35,8 +28,7 @@
 namespace {
 
 const char *const kUsage =
-    "usage: rrasm [-o out.hex] [-l] [--check N] [--banks B]\n"
-    "             [--json] [--quiet] input.s\n";
+    "usage: rrasm [-o out.hex] [-l] [--json] [--quiet] input.s\n";
 
 } // namespace
 
@@ -47,16 +39,12 @@ main(int argc, char **argv)
 
     std::string output;
     bool listing = false;
-    uint64_t check_size = 0;
-    uint64_t banks = 0;
     bool json = false;
     bool quiet = false;
 
     OptionParser parser("rrasm", kUsage);
     parser.value("-o", &output);
     parser.flag("-l", &listing);
-    parser.number("--check", &check_size, 1, 64);
-    parser.number("--banks", &banks, 0, 64);
     parser.flag("--json", &json);
     parser.flag("--quiet", &quiet);
     const int parse_status = parser.parse(argc, argv);
@@ -68,12 +56,6 @@ main(int argc, char **argv)
                    : parser.fail("unexpected argument '%s'",
                                  parser.positionals()[1].c_str());
     }
-    rr::lint::LintOptions options;
-    options.declaredContext = static_cast<unsigned>(check_size);
-    options.banks = static_cast<unsigned>(banks);
-    const std::string geometry = rr::lint::geometryError(options);
-    if (!geometry.empty())
-        return parser.fail("--banks: %s", geometry.c_str());
     const std::string input = parser.positionals().front();
 
     std::ifstream in(input);
@@ -138,35 +120,16 @@ main(int argc, char **argv)
         }
     }
 
-    rr::lint::LintResult check;
-    if (check_size != 0) {
-        check = rr::lint::lintProgram(program, options);
-        for (const auto &finding : check.findings) {
-            std::fprintf(stderr, "%s: %s\n", input.c_str(),
-                         finding.str().c_str());
-        }
-        if (!check.clean()) {
-            std::fprintf(stderr,
-                         "rrasm: %u error(s), %u warning(s); run "
-                         "rrlint for the full report\n",
-                         check.errors, check.warnings);
-        }
-    }
-
     if (json) {
         rr::exp::JsonWriter w;
         w.beginObject();
         w.member("schema", "rr.rrasm.v1");
         w.member("input", input);
-        w.member("ok", check.clean());
+        w.member("ok", true);
         w.member("words", program.words.size());
         w.member("base", program.base);
-        if (check_size != 0) {
-            w.member("checkErrors", check.errors);
-            w.member("checkWarnings", check.warnings);
-        }
         w.endObject();
         std::puts(w.str().c_str());
     }
-    return check.clean() ? kExitOk : kExitProblems;
+    return kExitOk;
 }

@@ -5,12 +5,12 @@
  *
  * Usage:
  *   rrlint [options] input.s [input2.s ...]
- *     --context N   also run the flat check against a declared
- *                   context of N registers (like rrasm --check)
+ *     --context N   also run the Section 2.4 flat check against a
+ *                   declared context of N <= 2^w registers
  *     --delay D     LDRRM delay slots (default 1)
  *     --rrm MASK    initial relocation mask at entry (default 0)
+ *     --width W     operand field width w (default 5)
  *     --banks B     RRM banks (default 1; Section 5.3 extension)
- *     --width W     operand field width w (default 6)
  *     --mode M      relocation mode: or | mux | add (default or)
  *     --flag-data   treat undecodable words as findings
  *     --no-flow     disable the CFG/dataflow passes (flat check only)
@@ -32,7 +32,8 @@
  * Output reports, per discovered context window (constant RRM value),
  * the registers referenced, the minimal viable power-of-two context
  * size, and the registers that must be live when the context is
- * entered — plus findings for boundary violations, RRM-overlap
+ * entered — plus findings for operands too wide for the machine
+ * (the same Geometry rrsim runs), boundary violations, RRM-overlap
  * escapes, delay-slot hazards, cross-context writes, and (in the
  * interprocedural modes) cross-call hazards and races.
  *
@@ -346,11 +347,6 @@ main(int argc, char **argv)
     uint64_t delay = 0;
     bool delay_seen = false;
     uint64_t rrm = 0;
-    uint64_t banks = 0;
-    bool banks_seen = false;
-    uint64_t width = 0;
-    bool width_seen = false;
-    std::string mode;
     bool flag_data = false;
     bool no_flow = false;
     bool calls = false;
@@ -365,9 +361,7 @@ main(int argc, char **argv)
     parser.number("--context", &context, 0, 64);
     parser.number("--delay", &delay, 0, 64, &delay_seen);
     parser.number("--rrm", &rrm, 0, 0xffffffffull);
-    parser.number("--banks", &banks, 0, 64, &banks_seen);
-    parser.number("--width", &width, 1, 6, &width_seen);
-    parser.choice("--mode", &mode, {"or", "mux", "add"});
+    const GeometryFlags geometry_flags(parser);
     parser.flag("--flag-data", &flag_data);
     parser.flag("--no-flow", &no_flow);
     parser.flag("--calls", &calls);
@@ -387,23 +381,20 @@ main(int argc, char **argv)
     if (validate)
         return validateDocuments(inputs, quiet);
 
+    const std::string geometry = geometry_flags.apply(options.geometry);
+    if (!geometry.empty())
+        return parser.fail("%s", geometry.c_str());
+    // A context holds at most the 2^w registers an operand addresses.
+    const unsigned max_context = 1u << options.geometry.operandWidth;
+    if (context > max_context)
+        return parser.fail("--context %llu exceeds the %u registers a "
+                           "%u-bit operand addresses",
+                           static_cast<unsigned long long>(context),
+                           max_context, options.geometry.operandWidth);
     options.declaredContext = static_cast<unsigned>(context);
     if (delay_seen)
         options.delaySlots = static_cast<unsigned>(delay);
     options.initialRrm = static_cast<uint32_t>(rrm);
-    if (banks_seen)
-        options.banks = static_cast<unsigned>(banks);
-    if (width_seen)
-        options.operandWidth = static_cast<unsigned>(width);
-    const std::string geometry = rr::lint::geometryError(options);
-    if (!geometry.empty())
-        return parser.fail("%s", geometry.c_str());
-    if (mode == "mux")
-        options.mode = rr::lint::RelocMode::Mux;
-    else if (mode == "add")
-        options.mode = rr::lint::RelocMode::Add;
-    else if (mode == "or" || mode.empty())
-        options.mode = rr::lint::RelocMode::Or;
     if (flag_data)
         options.flagInvalidWords = true;
     if (no_flow)

@@ -123,11 +123,6 @@ main(int argc, char **argv)
     config.memWords = 1u << 16;
     uint64_t regs = 0;
     bool regs_seen = false;
-    uint64_t width = 0;
-    bool width_seen = false;
-    uint64_t banks = 0;
-    bool banks_seen = false;
-    std::string mode;
     uint64_t delay = 0;
     bool delay_seen = false;
     uint64_t mem = 0;
@@ -149,9 +144,7 @@ main(int argc, char **argv)
 
     OptionParser parser("rrsim", kUsage);
     parser.number("--regs", &regs, 1, 1u << 20, &regs_seen);
-    parser.number("--width", &width, 1, 6, &width_seen);
-    parser.number("--banks", &banks, 1, 64, &banks_seen);
-    parser.choice("--mode", &mode, {"or", "mux", "add"});
+    const GeometryFlags geometry_flags(parser);
     parser.number("--delay", &delay, 0, 64, &delay_seen);
     parser.number("--mem", &mem, 1, 1u << 28, &mem_seen);
     parser.number("--steps", &max_steps, 0,
@@ -185,9 +178,8 @@ main(int argc, char **argv)
         if (!parser.positionals().empty())
             return parser.fail("--resume takes no program file; the "
                                "snapshot holds the whole machine");
-        if (regs_seen || width_seen || banks_seen || !mode.empty() ||
-            delay_seen || mem_seen || !start_label.empty() ||
-            rrm_seen)
+        if (regs_seen || geometry_flags.seen() || delay_seen ||
+            mem_seen || !start_label.empty() || rrm_seen)
             return parser.fail("machine configuration flags cannot "
                                "be combined with --resume; the "
                                "snapshot defines the machine");
@@ -201,23 +193,12 @@ main(int argc, char **argv)
         resuming ? resume_path : parser.positionals().front();
 
     if (regs_seen)
-        config.numRegs = static_cast<unsigned>(regs);
-    if (width_seen)
-        config.operandWidth = static_cast<unsigned>(width);
-    if (banks_seen)
-        config.rrmBanks = static_cast<unsigned>(banks);
-    if (mode == "mux")
-        config.relocationMode = rr::machine::RelocationMode::Mux;
-    else if (mode == "add")
-        config.relocationMode = rr::machine::RelocationMode::Add;
-    else if (mode == "or" || mode.empty())
-        config.relocationMode = rr::machine::RelocationMode::Or;
+        config.geometry.numRegs = static_cast<unsigned>(regs);
     if (delay_seen)
         config.ldrrmDelaySlots = static_cast<unsigned>(delay);
     if (mem_seen)
         config.memWords = static_cast<size_t>(mem);
-    const std::string geometry = rr::machine::geometryError(
-        config.numRegs, config.operandWidth, config.rrmBanks);
+    const std::string geometry = geometry_flags.apply(config.geometry);
     if (!geometry.empty())
         return parser.fail("%s", geometry.c_str());
 
@@ -441,7 +422,7 @@ main(int argc, char **argv)
                     cpu.rrm(),
                     static_cast<unsigned long>(cpu.faultCount()));
         for (unsigned r = 0;
-             r < dump && r < config.numRegs; ++r) {
+             r < dump && r < config.geometry.numRegs; ++r) {
             std::printf("r%-3u = 0x%08x%s", r, cpu.regs().read(r),
                         (r % 4 == 3) ? "\n" : "  ");
         }
