@@ -38,14 +38,6 @@ struct FigureInfo
     std::string name;  ///< registry key; also names BENCH_<name>.json
     std::string title; ///< one-line description (--list)
     FigureFn fn;
-
-    /**
-     * Performance microbenchmark (RR_PERF_FIGURE): measures simulator
-     * wall-clock throughput rather than a paper result. Run only
-     * under `rrbench --perf`, and excluded from normal figure runs so
-     * paper sweeps never pay for timing loops.
-     */
-    bool perf = false;
 };
 
 /** The process-wide figure registry. */
@@ -67,13 +59,12 @@ class Registry
     std::vector<FigureInfo> figures_;
 };
 
-/** Static registrar used by RR_BENCH_FIGURE / RR_PERF_FIGURE. */
+/** Static registrar used by RR_BENCH_FIGURE. */
 struct FigureRegistrar
 {
-    FigureRegistrar(const char *name, const char *title, FigureFn fn,
-                    bool perf = false)
+    FigureRegistrar(const char *name, const char *title, FigureFn fn)
     {
-        Registry::instance().add({name, title, std::move(fn), perf});
+        Registry::instance().add({name, title, std::move(fn)});
     }
 };
 
@@ -87,16 +78,6 @@ struct FigureRegistrar
     static void rr_bench_figure_##name(::rr::exp::ReportBuilder &ctx); \
     static const ::rr::exp::FigureRegistrar rr_bench_registrar_##name{ \
         #name, title, &rr_bench_figure_##name};                        \
-    static void rr_bench_figure_##name(::rr::exp::ReportBuilder &ctx)
-
-/**
- * Like RR_BENCH_FIGURE, but registers a performance microbenchmark
- * run only by `rrbench --perf` (see FigureInfo::perf).
- */
-#define RR_PERF_FIGURE(name, title)                                    \
-    static void rr_bench_figure_##name(::rr::exp::ReportBuilder &ctx); \
-    static const ::rr::exp::FigureRegistrar rr_bench_registrar_##name{ \
-        #name, title, &rr_bench_figure_##name, true};                  \
     static void rr_bench_figure_##name(::rr::exp::ReportBuilder &ctx)
 
 #endif // RR_EXP_REGISTRY_HH

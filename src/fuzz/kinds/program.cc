@@ -70,11 +70,18 @@ struct ProgGen
         return i;
     }
 
-    /** A source operand: usually small, occasionally too wide. */
+    /**
+     * A source operand: usually small, occasionally too wide. Half
+     * of the too-wide draws are the boundary 2^w itself, the first
+     * value the operand field cannot hold.
+     */
     unsigned srcReg()
     {
-        if (allowWide && s.operandWidth < 6 && chance(rng, 3))
+        if (allowWide && s.operandWidth < 6 && chance(rng, 3)) {
+            if (chance(rng, 50))
+                return opMax;
             return static_cast<unsigned>(rng.nextRange(opMax, 63));
+        }
         return static_cast<unsigned>(rng.nextRange(0, opMax - 1));
     }
 

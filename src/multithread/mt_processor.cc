@@ -611,10 +611,6 @@ MtProcessor::begin()
     if (begun_)
         return;
     begun_ = true;
-    if (!config_.resumeFrom.empty()) {
-        restore(ckpt::readFile(config_.resumeFrom));
-        return;
-    }
     createThreads();
     recorder_.record(0, 0);
     refill();
@@ -660,12 +656,8 @@ MtStats
 MtProcessor::run()
 {
     begin();
-    while (!done()) {
-        if (config_.checkpointEvery != 0 &&
-            eventIndex_ % config_.checkpointEvery == 0)
-            ckpt::writeFile(config_.checkpointPath, snapshot());
+    while (!done())
         step();
-    }
     return finish();
 }
 

@@ -143,22 +143,6 @@ struct MtConfig
     /** Central measurement window (transient exclusion). */
     double statsLoFrac = 0.2;
     double statsHiFrac = 0.8;
-
-    // ---- checkpointing (rr.ckpt.v1; none of these affect results) --
-
-    /**
-     * Write a checkpoint to `checkpointPath` every N event-loop
-     * iterations (0 = never). Snapshots land at the event boundary —
-     * the top of the loop — so a run resumed from any of them
-     * produces the identical remaining trace and statistics.
-     */
-    uint64_t checkpointEvery = 0;
-
-    /** Where periodic checkpoints are written (latest wins). */
-    std::string checkpointPath;
-
-    /** Restore from this checkpoint file instead of starting fresh. */
-    std::string resumeFrom;
 };
 
 /** Results of one simulation. */
@@ -221,10 +205,7 @@ class MtProcessor : public ckpt::Restorable
 
     /**
      * Run the workload to completion and return the statistics.
-     * Honors MtConfig::resumeFrom (restore before the first event)
-     * and MtConfig::checkpointEvery / checkpointPath (periodic
-     * snapshots at event boundaries). Throws SimulationError when
-     * the simulation deadlocks.
+     * Throws SimulationError when the simulation deadlocks.
      */
     MtStats run();
 

@@ -249,21 +249,6 @@ SimulationSpec::traceSink(trace::TraceSink *sink)
     return *this;
 }
 
-SimulationSpec &
-SimulationSpec::checkpointEvery(uint64_t n, std::string path)
-{
-    checkpointEvery_ = n;
-    checkpointPath_ = std::move(path);
-    return *this;
-}
-
-SimulationSpec &
-SimulationSpec::resumeFrom(std::string checkpoint)
-{
-    resumeFrom_ = std::move(checkpoint);
-    return *this;
-}
-
 MtConfig
 SimulationSpec::build() const
 {
@@ -352,11 +337,6 @@ SimulationSpec::build() const
         fail("stats window [" + std::to_string(statsLoFrac_) + ", " +
              std::to_string(statsHiFrac_) +
              "] must satisfy 0 <= lo < hi <= 1");
-    if (checkpointEvery_ != 0 && checkpointPath_.empty())
-        fail("checkpointEvery() needs a path to write snapshots to");
-    if (checkpointEvery_ == 0 && !checkpointPath_.empty())
-        fail("checkpoint path set but the interval is 0; pass the "
-             "interval to checkpointEvery()");
 
     // --- assemble ---------------------------------------------------
     // Conventional per-family settings (Figures 5 and 6): the cache
@@ -402,9 +382,6 @@ SimulationSpec::build() const
     config.statsLoFrac = statsLoFrac_;
     config.statsHiFrac = statsHiFrac_;
     config.traceSink = traceSink_;
-    config.checkpointEvery = checkpointEvery_;
-    config.checkpointPath = checkpointPath_;
-    config.resumeFrom = resumeFrom_;
     return config;
 }
 

@@ -170,18 +170,6 @@ class SimulationSpec
     /** Structured-event sink for the run (not owned; default none). */
     SimulationSpec &traceSink(trace::TraceSink *sink);
 
-    // ----- checkpointing (rr.ckpt.v1; does not affect results)
-
-    /**
-     * Write an rr.ckpt.v1 snapshot to @p path every @p n event-loop
-     * iterations (latest wins). build() rejects n > 0 with an empty
-     * path and a path with n == 0.
-     */
-    SimulationSpec &checkpointEvery(uint64_t n, std::string path);
-
-    /** Restore from @p checkpoint instead of starting fresh. */
-    SimulationSpec &resumeFrom(std::string checkpoint);
-
     /**
      * Validate and assemble the MtConfig.
      * @throws SpecError naming the first invalid setting.
@@ -243,11 +231,6 @@ class SimulationSpec
     double statsLoFrac_ = 0.2;
     double statsHiFrac_ = 0.8;
     trace::TraceSink *traceSink_ = nullptr;
-
-    // Checkpointing.
-    uint64_t checkpointEvery_ = 0;
-    std::string checkpointPath_;
-    std::string resumeFrom_;
 };
 
 } // namespace rr::mt

@@ -2,10 +2,8 @@
 # BENCH_<figure>.json is byte-identical to its committed baseline: a
 # change may only move the clock, never a byte of any figure's --fast
 # output (docs/PERF.md). The baselines directory is the one list of
-# figures; the perf microbenchmarks (BENCH_perf_*), which rrbench
-# writes only under --perf, are skipped. A figure written without a
-# baseline fails too. Invoked by ctest (tests/CMakeLists.txt) and by
-# CI's bench-smoke job:
+# figures, and a figure written without a baseline fails too. Invoked
+# by ctest (tests/CMakeLists.txt) and by CI's bench-smoke job:
 #
 #   cmake -DRRBENCH=build/tools/rrbench -DBASELINE_DIR=bench/baselines \
 #       -DWORK_DIR=bench-results -P tests/rrbench_baselines.cmake
@@ -32,9 +30,6 @@ file(GLOB baselines RELATIVE ${BASELINE_DIR} ${BASELINE_DIR}/BENCH_*.json)
 file(GLOB outputs RELATIVE ${WORK_DIR} ${WORK_DIR}/BENCH_*.json)
 set(checked 0)
 foreach(name ${baselines})
-    if(name MATCHES "^BENCH_perf_")
-        continue()
-    endif()
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
             ${WORK_DIR}/${name} ${BASELINE_DIR}/${name}

@@ -7,7 +7,8 @@
  * (docs/TOOLS.md documents the accepted forms), the --json
  * documents of rrasm, rrsim, rrbench and rrfuzz, the usage exit
  * for a garbage RR_BENCH_JOBS in rrbench and rrserve and for an
- * impossible machine geometry in rrsim and rrlint, and one verdict
+ * impossible machine geometry in rrsim and rrlint or a removed
+ * option (rrasm --check, rrbench --perf), and one verdict
  * from rrsim and rrlint on an operand wider than the machine's.
  */
 
@@ -490,8 +491,11 @@ TEST(CliToolGeometry, ImpossibleGeometryIsAUsageError)
         {rrlint + " --context 64",
          "rrlint: --context 64 exceeds the 32 registers a 5-bit operand "
          "addresses"},
+        // Removed options are unknown, not silently ignored.
         {shellQuote(RR_RRASM) + " --check 16",
          "rrasm: unknown option '--check'"},
+        {shellQuote(RR_RRBENCH) + " --perf",
+         "rrbench: unknown option '--perf'"},
     };
     for (const Case &c : rejected) {
         int status = 0;

@@ -302,7 +302,7 @@ TEST(FuzzGen, GeneratedBytesArePinned)
         0x6ec36b8296b56c78ull, // json
         0x0a30fa89664e34c7ull, // num
         0x99cd4068a5a069cdull, // phase
-        0xc4573b8d30f9b3fbull, // program
+        0xc1c43d1dff9be8faull, // program
         0xbf2136b0ae6ad2f2ull, // mt
         0x8876a803be65c72cull, // xsim
         0x555252a4a46e72ecull, // callgraph

@@ -3,12 +3,12 @@
  * The superblock cache must be architecturally invisible: identical
  * registers, memory, counters, traps, timing stats, and traces with
  * predecode off (the decode-per-step reference) or on (run() executes
- * cached superblocks) over every example program and the
- * configurations that exercise each relocation mode. Plus the two
- * invalidation paths that keep it sound — simulated stores
- * (self-modifying code) and host writes through Memory — and the
- * fall-back to the reference for oversized memories, including the
- * exact cap boundary.
+ * cached superblocks) over every example program, started at `entry`
+ * and at each `.thread` label, and the configurations that exercise
+ * each relocation mode. Plus the two invalidation paths that keep it
+ * sound — simulated stores (self-modifying code) and host writes
+ * through Memory — and the fall-back to the reference for oversized
+ * memories, including the exact cap boundary.
  */
 
 #include <algorithm>
@@ -94,15 +94,24 @@ snapshot(const Cpu &cpu)
     return state;
 }
 
-/** Run @p prog with the cache forced on or off. */
+/**
+ * Run @p prog with the cache forced on or off, from `entry` or, given
+ * @p thread, from that `.thread` declaration's address and mask.
+ */
 ArchState
 runWith(const CpuConfig &config, const assembler::Program &prog,
-        bool predecode, uint64_t steps = 100'000)
+        bool predecode, uint64_t steps = 100'000,
+        const assembler::ThreadDecl *thread = nullptr)
 {
     CpuConfig c = config;
     c.predecode = predecode;
     Cpu cpu(c);
     loadAndStart(cpu, prog);
+    if (thread) {
+        cpu.setPc(thread->address);
+        if (thread->hasRrm)
+            cpu.setRrmImmediate(thread->rrm);
+    }
     cpu.run(steps);
     return snapshot(cpu);
 }
@@ -131,47 +140,147 @@ expectSameState(const ArchState &off, const ArchState &on)
 void
 expectSameArchState(const CpuConfig &config,
                     const assembler::Program &prog,
-                    uint64_t steps = 100'000)
+                    uint64_t steps = 100'000,
+                    const assembler::ThreadDecl *thread = nullptr)
 {
-    expectSameState(runWith(config, prog, false, steps),
-                    runWith(config, prog, true, steps));
+    expectSameState(runWith(config, prog, false, steps, thread),
+                    runWith(config, prog, true, steps, thread));
 }
 
-std::vector<assembler::Program>
+struct NamedProgram
+{
+    std::string name;
+    assembler::Program program;
+};
+
+/** Every .s file under examples/asm and examples/os, in name order. */
+std::vector<NamedProgram>
 examplesCorpus()
 {
     namespace fs = std::filesystem;
-    std::vector<fs::path> files;
-    for (const auto &it :
-         fs::directory_iterator(RR_EXAMPLES_ASM_DIR)) {
-        if (it.path().extension() == ".s")
-            files.push_back(it.path());
-    }
-    std::sort(files.begin(), files.end());
-    EXPECT_FALSE(files.empty());
+    std::vector<NamedProgram> corpus;
+    for (const char *dir : {"asm", "os"}) {
+        std::vector<fs::path> files;
+        for (const auto &it : fs::directory_iterator(
+                 fs::path(RR_EXAMPLES_DIR) / dir)) {
+            if (it.path().extension() == ".s")
+                files.push_back(it.path());
+        }
+        std::sort(files.begin(), files.end());
+        EXPECT_FALSE(files.empty()) << dir;
 
-    std::vector<assembler::Program> corpus;
-    for (const fs::path &path : files) {
-        std::ifstream in(path);
-        std::ostringstream source;
-        source << in.rdbuf();
-        corpus.push_back(assembleOrDie(source.str()));
+        for (const fs::path &path : files) {
+            std::ifstream in(path);
+            std::ostringstream source;
+            source << in.rdbuf();
+            corpus.push_back({std::string(dir) + "/" +
+                                  path.filename().string(),
+                              assembleOrDie(source.str())});
+        }
     }
     return corpus;
 }
 
+// Hot loops that stress one part of the engine each: nine ALU and
+// branch instructions per iteration, loads and stores to the data region,
+// and a mask switch every four instructions, which rebuilds the
+// operand table at each LDRRM retirement.
+constexpr const char *kAluLoop = R"(
+entry:
+    li   r1, 1500
+    li   r2, 0
+    li   r3, 0
+    li   r4, 1
+loop:
+    add  r2, r2, r4
+    xor  r3, r3, r2
+    sll  r5, r2, r4
+    srl  r6, r5, r4
+    sub  r7, r6, r3
+    and  r8, r7, r2
+    or   r9, r8, r3
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+)";
+
+constexpr const char *kMemLoop = R"(
+entry:
+    li   r1, 1500
+    li   r2, 256
+    li   r3, 0
+loop:
+    st   r3, 0(r2)
+    ld   r4, 0(r2)
+    addi r3, r4, 1
+    st   r3, 1(r2)
+    ld   r5, 1(r2)
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+)";
+
+constexpr const char *kPingPongLoop = R"(
+.equ CTX_A, 0x20
+.equ CTX_B, 0x40
+entry:
+    li    r10, CTX_A
+    ldrrm r10
+    nop
+    li    r1, 1500
+    li    r2, CTX_B
+    li    r10, 0
+    ldrrm r10
+    nop
+    li    r10, CTX_B
+    ldrrm r10
+    nop
+    li    r1, 1500
+    li    r2, CTX_A
+loop:
+    addi  r1, r1, -1
+    ldrrm r2
+    nop
+    bne   r1, r0, loop
+    halt
+)";
+
+// Every example from `entry` and from each `.thread` label (a thread
+// started alone may spin on a partner; both legs then stop at the
+// same step budget), plus the three hot loops run to HALT.
 TEST(Predecode, MatchesUncachedOnExamplesCorpus)
 {
-    for (const assembler::Program &prog : examplesCorpus())
+    std::vector<NamedProgram> corpus = examplesCorpus();
+    unsigned threadStarts = 0;
+    for (const NamedProgram &p : corpus) {
+        SCOPED_TRACE(p.name);
+        expectSameArchState(baseConfig(), p.program);
+        for (const assembler::ThreadDecl &decl : p.program.threads) {
+            SCOPED_TRACE("thread at " + std::to_string(decl.address));
+            expectSameArchState(baseConfig(), p.program, 100'000, &decl);
+            ++threadStarts;
+        }
+    }
+    EXPECT_GT(threadStarts, 0u);
+
+    for (const auto &[name, source] :
+         {std::pair{"alu_loop", kAluLoop}, std::pair{"mem_loop", kMemLoop},
+          std::pair{"ping_pong_loop", kPingPongLoop}}) {
+        SCOPED_TRACE(name);
+        const assembler::Program prog = assembleOrDie(source);
+        EXPECT_TRUE(runWith(baseConfig(), prog, false).halted);
         expectSameArchState(baseConfig(), prog);
+    }
 }
 
 TEST(Predecode, MatchesUncachedWithTimingEnabled)
 {
     CpuConfig config = baseConfig();
     config.timing = PipelineTimingConfig::classicFiveStage();
-    for (const assembler::Program &prog : examplesCorpus())
-        expectSameArchState(config, prog);
+    for (const NamedProgram &p : examplesCorpus()) {
+        SCOPED_TRACE(p.name);
+        expectSameArchState(config, p.program);
+    }
 }
 
 // The LDRRM-heavy path: ping-pong between two contexts, with loads

@@ -14,13 +14,8 @@
  *   rrbench [--list] [--filter SUBSTR]... [--fast] [--jobs N]
  *           [--seeds N] [--threads N] [--out-dir DIR] [--quiet]
  *           [--compare PATH] [--tolerance X] [--audit]
- *           [--trace-figure NAME]... [--json] [--perf]
+ *           [--trace-figure NAME]... [--json]
  *   rrbench --validate FILE...
- *
- * --perf switches to the performance microbenchmarks (RR_PERF_FIGURE,
- * docs/PERF.md): simulator throughput in Minstr/s / Mevents/s. Perf
- * figures are excluded from normal runs and vice versa; all other
- * options (filters, baselines, output) work unchanged.
  *
  * --audit attaches a streaming cycle-conservation auditor
  * (docs/TRACE.md) to every simulation of every sweep; any violation
@@ -86,9 +81,6 @@ const char *const kUsage =
     "                     and write TRACE_<N>.json (repeatable)\n"
     "  --json             print a machine-readable run summary\n"
     "                     as the only stdout output\n"
-    "  --perf             run the performance microbenchmarks\n"
-    "                     (simulator throughput) instead of the\n"
-    "                     paper figures\n"
     "  --validate         treat remaining arguments as result\n"
     "                     files; check them against the schema\n";
 
@@ -246,7 +238,6 @@ main(int argc, char **argv)
     bool validate = false;
     bool audit = false;
     bool json = false;
-    bool perf = false;
     std::vector<std::string> filters;
     std::vector<std::string> trace_figures;
     uint64_t seeds = 0;
@@ -267,7 +258,6 @@ main(int argc, char **argv)
     parser.flag("--validate", &validate);
     parser.flag("--audit", &audit);
     parser.flag("--json", &json);
-    parser.flag("--perf", &perf);
     parser.repeated("--filter", &filters);
     parser.repeated("--trace-figure", &trace_figures);
     parser.number("--seeds", &seeds, 1, 1u << 20, &seeds_seen);
@@ -303,8 +293,7 @@ main(int argc, char **argv)
 
     if (list) {
         for (const auto &figure : figures)
-            std::printf("%-22s %s%s\n", figure.name.c_str(),
-                        figure.perf ? "[perf] " : "",
+            std::printf("%-22s %s\n", figure.name.c_str(),
                         figure.title.c_str());
         return kExitOk;
     }
@@ -343,11 +332,6 @@ main(int argc, char **argv)
     unsigned empty_traces = 0;
     std::vector<FigureOutcome> outcomes;
     for (const auto &figure : figures) {
-        // --perf selects exactly the microbenchmark set; paper runs
-        // never pay for timing loops and perf baselines never mix
-        // with figure baselines.
-        if (figure.perf != perf)
-            continue;
         if (!matchesFilters(figure.name, filters))
             continue;
         ++ran;
